@@ -219,7 +219,7 @@ def distill_task_specific(teacher: EncoderModel, student: EncoderModel,
     entity_types = entity_types or DEFAULT_ENTITY_TYPES
     n_classes = student.config.num_classes
     adam_state = T.init_adam(student.params, tspec.learning_rate)
-    teacher_cache: dict[int, np.ndarray] = {}
+    teacher_cache: dict[tuple, np.ndarray] = {}
     trace = []
     for epoch in range(tspec.epochs):
         batches = make_batches(sentences, vocab, tspec.max_seq_len, tspec.batch_size,
@@ -233,7 +233,9 @@ def distill_task_specific(teacher: EncoderModel, student: EncoderModel,
                 continue
             logits = forward(student, tb.token_ids, tb.attention_mask)
             s_rows = T.take_rows(T.reshape(logits, (-1, n_classes)), sel)
-            cache_key = hash(tb.token_ids.tobytes()) if cache_teacher else None
+            # the teacher rows depend on the ids, their shape, the mask and the selected rows
+            cache_key = (tb.token_ids.shape, tb.token_ids.tobytes(), tb.attention_mask.tobytes(),
+                         sel.tobytes()) if cache_teacher else None
             if cache_key is not None and cache_key in teacher_cache:
                 t_rows_data = teacher_cache[cache_key]
             else:

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import PersistError
 from .model import EncoderConfig, EncoderModel, param_names
 from .prune import PruneMask
-from .quant import QuantizedLinear, QuantizedModel, QuantizedTensor, _bias_name
+from .quant import _LINEAR_WEIGHTS, QuantizedLinear, QuantizedModel, QuantizedTensor, _bias_name
 from .tensor import Tensor
 
 MAGIC = b"SDCW"
@@ -264,16 +264,13 @@ def load_model(path) -> tuple[EncoderModel | QuantizedModel, PruneMask | None]:
         mask = PruneMask(masks, 0.0, 0.0) if masks else None
         return model, mask
 
-    linears: dict[str, QuantizedLinear] = {}
-    extras: dict[str, np.ndarray] = {}
-    for name, (tag, payload) in tensors.items():
-        if tag == DT_INT8:
-            linears[name] = QuantizedLinear(payload, None)
-    for name, (tag, payload) in tensors.items():
-        if tag != DT_INT8:
-            if name in {_bias_name(w) for w in linears}:
-                linears[{_bias_name(w): w for w in linears}[name]].bias = payload
-            else:
-                extras[name] = payload
+    names = param_names(config)
+    weights = [n for n in names if n.endswith(_LINEAR_WEIGHTS)]
+    int8 = {n for n, (tag, _) in tensors.items() if tag == DT_INT8}
+    if set(tensors) != set(names) or int8 != set(weights):
+        raise PersistError(f"'{path}' quantized records do not match its config")
+    biases = {_bias_name(w) for w in weights}
+    linears = {w: QuantizedLinear(tensors[w][1], tensors[_bias_name(w)][1]) for w in weights}
+    extras = {n: tensors[n][1] for n in names if n not in int8 and n not in biases}
     qm = QuantizedModel(config, mode, float(threshold), linears, extras)
     return qm, None

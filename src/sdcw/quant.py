@@ -183,7 +183,6 @@ class QuantizedModel:
     outlier_threshold: float
     linears: dict[str, QuantizedLinear]
     extras: dict[str, np.ndarray]
-    per_tensor_activations: bool = False
 
     def quantized_names(self) -> list[str]:
         return list(self.linears)
@@ -198,8 +197,7 @@ def _bias_name(weight_name: str) -> str:
 
 
 def quantize_model(model: EncoderModel, mode: str,
-                   threshold: float = DEFAULT_OUTLIER_THRESHOLD,
-                   per_tensor_activations: bool = False) -> QuantizedModel:
+                   threshold: float = DEFAULT_OUTLIER_THRESHOLD) -> QuantizedModel:
     if mode not in ("dynamic_int8", "int8_mixed"):
         raise ParameterError(f"unknown quantization mode '{mode}'")
     linears: dict[str, QuantizedLinear] = {}
@@ -217,13 +215,12 @@ def quantize_model(model: EncoderModel, mode: str,
             linears[name] = QuantizedLinear(wq, model.param(_bias_name(name)).data)
         elif name not in bias_names:
             extras[name] = p.data
-    return QuantizedModel(model.config, mode, threshold, linears, extras,
-                          per_tensor_activations=per_tensor_activations)
+    return QuantizedModel(model.config, mode, threshold, linears, extras)
 
 
-def quantize_model_dynamic(model: EncoderModel, per_tensor_activations: bool = False) -> QuantizedModel:
+def quantize_model_dynamic(model: EncoderModel) -> QuantizedModel:
     """Linear weights to int8 ahead of time; activations quantized on the fly."""
-    return quantize_model(model, "dynamic_int8", per_tensor_activations=per_tensor_activations)
+    return quantize_model(model, "dynamic_int8")
 
 
 def quantize_model_int8_mixed(model: EncoderModel,
@@ -240,11 +237,6 @@ def quantize_model_int8_mixed(model: EncoderModel,
 def _act_quant(qm: QuantizedModel, x: np.ndarray) -> QuantizedTensor:
     if qm.mode == "int8_mixed":
         return quantize_with_outliers(x, qm.outlier_threshold, axis=1)
-    if qm.per_tensor_activations:
-        maxabs = float(np.max(np.abs(x)))
-        s = np.float32(127.0 / maxabs) if maxabs > 0 else np.float32(1.0)
-        q = np.clip(_round_half_away(x * s), -127, 127).astype(np.int8)
-        return QuantizedTensor(q, np.full(x.shape[0], s, dtype=np.float32), axis=1)
     return absmax_quantize(x, axis=1)
 
 

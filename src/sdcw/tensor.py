@@ -5,6 +5,11 @@ Define-by-run: each op returns a new Tensor holding a backward closure, and
 float32 numpy on the CPU. Any op that produces NaN/Inf raises NumericsError
 instead of propagating it.
 
+`adam_step` updates parameters and moments in place, walking each tensor in
+cache-sized chunks through two scratch buffers; it applies the same float32
+operations in the same order as the dense update, so its results are
+byte-identical to it.
+
 The raw `_*_np` kernels are shared with the quantized inference path so that
 the full-precision branch of a quantized forward is bit-identical to the
 autodiff forward.
@@ -172,8 +177,19 @@ def _layer_norm_np(x: Array, gain: Array, bias: Array, eps: float) -> Array:
     return (xc * inv) * gain + bias
 
 
+def _gelu_parts(x: Array) -> tuple[Array, Array]:
+    """GELU(x) = 0.5 * x * (1 + erf(x / sqrt 2)), and the 1 + erf(...) factor,
+    which the tape op keeps for its backward."""
+    cdf2 = x * _INV_SQRT2
+    erf(cdf2, out=cdf2)
+    cdf2 += 1.0
+    out = 0.5 * x
+    out *= cdf2
+    return out.astype(np.float32, copy=False), cdf2
+
+
 def _gelu_np(x: Array) -> Array:
-    return (0.5 * x * (1.0 + erf(x * _INV_SQRT2))).astype(np.float32)
+    return _gelu_parts(x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +280,12 @@ def embedding(table: Tensor, ids: Array) -> Tensor:
     data = table.data[ids]
 
     def bwd(g: Array) -> None:
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(table.shape, dtype=np.float32)
         np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
-        _accum(table, gt)
+        if table.grad is None:
+            table.grad = gt  # freshly built here, so adopted without a copy
+        else:
+            _accum(table, gt)
 
     return _from_op(data, (table,), bwd, "embedding")
 
@@ -285,12 +304,19 @@ def take_rows(a: Tensor, idx: Array) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    data = _gelu_np(a.data)
+    data, cdf2 = _gelu_parts(a.data)
 
     def bwd(g: Array) -> None:
+        # d = 0.5 * cdf2 + x * exp(-0.5 * x * x) * _INV_SQRT2PI, rounded step by step as written
         x = a.data
-        d = 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        _accum(a, g * d.astype(np.float32))
+        d = -0.5 * x
+        d *= x
+        np.exp(d, out=d)
+        d *= x
+        d *= _INV_SQRT2PI
+        d += 0.5 * cdf2
+        d *= g
+        _accum(a, d)
 
     return _from_op(data, (a,), bwd, "gelu")
 
@@ -439,34 +465,73 @@ class AdamState:
 def init_adam(params: dict[str, Tensor], learning_rate: float, **kwargs) -> AdamState:
     state = AdamState(learning_rate=learning_rate, **kwargs)
     for name, p in params.items():
-        state.m[name] = np.zeros_like(p.data)
-        state.v[name] = np.zeros_like(p.data)
+        state.m[name] = np.zeros(p.data.shape, dtype=np.float32)
+        state.v[name] = np.zeros(p.data.shape, dtype=np.float32)
     return state
 
 
+ADAM_CHUNK = 1 << 16  # floats per chunk: chunks of p, g, m, v and two scratch buffers fit in L2
+
+
+def _all_finite(flat: Array, ok: Array) -> bool:
+    """np.all(np.isfinite(flat)) without a full-size temporary: chunk by chunk through `ok`."""
+    for lo in range(0, flat.size, ok.size):
+        chunk = flat[lo:lo + ok.size]
+        if not np.isfinite(chunk, out=ok[:chunk.size]).all():
+            return False
+    return True
+
+
 def adam_step(params: dict[str, Tensor], grads: dict[str, Array | None], state: AdamState) -> None:
-    """One bias-corrected Adam update, in place. Missing grads count as zero."""
+    """One bias-corrected Adam update, in place. Missing grads count as zero;
+    grads are used as float32.
+
+    A gradient is checked for finiteness as a whole before the first chunk of
+    its parameter is written, so a NumericsError leaves that parameter and its
+    moments untouched.
+    """
     state.step += 1
     t = state.step
     b1, b2 = np.float32(state.beta1), np.float32(state.beta2)
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    a1, a2 = 1.0 - b1, 1.0 - b2
+    c1 = np.float32(1.0 - state.beta1**t)
+    c2 = np.float32(1.0 - state.beta2**t)
     lr = np.float32(state.learning_rate)
     eps = np.float32(state.eps)
+    num, den = np.empty(ADAM_CHUNK, dtype=np.float32), np.empty(ADAM_CHUNK, dtype=np.float32)
+    ok = np.empty(ADAM_CHUNK, dtype=bool)
+    zeros = None
     for name, p in params.items():
         g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        elif not np.all(np.isfinite(g)):
+        gf = None if g is None else np.ravel(np.asarray(g, dtype=np.float32))
+        if gf is None:
+            if zeros is None:
+                zeros = np.zeros(ADAM_CHUNK, dtype=np.float32)
+        elif not _all_finite(gf, ok):
             raise NumericsError(f"non-finite gradient for tensor '{name}'")
-        if g.shape != p.data.shape:
+        elif g.shape != p.data.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for '{name}'")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        mhat = m / np.float32(c1)
-        vhat = v / np.float32(c2)
-        p.data -= lr * mhat / (np.sqrt(vhat) + eps)
+        if not p.data.flags.c_contiguous:  # reshape would copy, and the update would be lost
+            p.data = np.ascontiguousarray(p.data)
+        pf, mf, vf = p.data.reshape(-1), state.m[name].reshape(-1), state.v[name].reshape(-1)
+        for lo in range(0, pf.size, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, pf.size)
+            n = hi - lo
+            pc, mc, vc, x, y = pf[lo:hi], mf[lo:hi], vf[lo:hi], num[:n], den[:n]
+            gc = zeros[:n] if gf is None else gf[lo:hi]
+            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g)
+            mc *= b1
+            np.multiply(gc, a1, out=x)
+            mc += x
+            vc *= b2
+            np.multiply(gc, gc, out=x)
+            x *= a2
+            vc += x
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(mc, c1, out=x)
+            x *= lr
+            np.divide(vc, c2, out=y)
+            np.sqrt(y, out=y)
+            y += eps
+            x /= y
+            pc -= x

@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is float64 numpy with no autodiff involvement, so
-finite-difference gradients are limited by truncation error only.
+finite-difference gradients are limited by truncation error only. The
+float32 references at the end are the whole-array expressions that the
+optimized tape kernels must reproduce byte for byte.
 """
 from __future__ import annotations
 
@@ -129,3 +131,38 @@ def prf_oracle(gold: list[list[str]], pred: list[list[str]]) -> tuple[float, flo
     recall = tp / n_gold if n_gold else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1
+
+
+# ---------------------------------------------------------------------------
+# float32 whole-array references
+
+_INV_SQRT2 = float(1.0 / np.sqrt(2.0))
+_INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+
+
+def gelu_f32(x: np.ndarray) -> np.ndarray:
+    return (0.5 * x * (1.0 + erf(x * _INV_SQRT2))).astype(np.float32)
+
+
+def gelu_grad_f32(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    d = 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
+    return g * d.astype(np.float32)
+
+
+def adam_dense(p: np.ndarray, g: np.ndarray | None, m: np.ndarray, v: np.ndarray, step: int,
+               learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
+               eps: float = 1e-8) -> None:
+    """One bias-corrected Adam update of float32 arrays in place, one
+    whole-array expression per line; a missing gradient counts as zero."""
+    if g is None:
+        g = np.zeros_like(p)
+    b1, b2 = np.float32(beta1), np.float32(beta2)
+    c1 = 1.0 - beta1**step
+    c2 = 1.0 - beta2**step
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    mhat = m / np.float32(c1)
+    vhat = v / np.float32(c2)
+    p -= np.float32(learning_rate) * mhat / (np.sqrt(vhat) + np.float32(eps))

@@ -188,6 +188,24 @@ def test_truncated_file_rejected(tmp_path):
         persist.load_model(p)
 
 
+@pytest.mark.parametrize("dropped", ["layers.0.attn.bq", "head.bias", "embeddings.norm.gain"])
+def test_quantized_file_missing_a_record_rejected(tmp_path, monkeypatch, dropped):
+    qm = quant.quantize_model_dynamic(_random_model(8))
+    records_for = persist._records_for
+
+    def without_record(obj, mask):
+        mode, threshold, records = records_for(obj, mask)
+        return mode, threshold, [r for r in records if r[0] != dropped]
+
+    monkeypatch.setattr(persist, "_records_for", without_record)
+    p = tmp_path / "q.sdcw"
+    persist.save_model(qm, p)
+    monkeypatch.undo()
+    with pytest.raises(PersistError) as exc:
+        persist.load_model(p)
+    assert "do not match its config" in str(exc.value)
+
+
 def test_missing_file_errors_with_path(tmp_path):
     with pytest.raises(PersistError) as exc:
         persist.load_model(tmp_path / "absent.sdcw")

@@ -228,17 +228,6 @@ def test_quantized_forward_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
-def test_per_tensor_activation_alternative():
-    gen = stream(12, "quant-pertensor")
-    m = model.init_model(TINY, seed=8)
-    ids, mask = _inputs(gen)
-    with no_grad():
-        ref = forward(m, ids, mask).data
-    qm = quant.quantize_model_dynamic(m, per_tensor_activations=True)
-    got = quant.quantized_forward(qm, ids, mask)
-    assert np.abs(got - ref).max() < 0.2
-
-
 def test_quantize_rejects_unknown_mode_and_bad_threshold():
     m = model.init_model(TINY, seed=9)
     with pytest.raises(ParameterError):

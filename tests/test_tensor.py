@@ -6,7 +6,8 @@ from sdcw.errors import DataError, NumericsError, ParameterError, ShapeError
 from sdcw.rng import stream
 
 from oracles import (
-    cross_entropy64, grad_rel_err, kl_soft64, layer_norm64, naive_matmul, softmax64,
+    adam_dense, cross_entropy64, gelu_f32, gelu_grad_f32, grad_rel_err, kl_soft64, layer_norm64,
+    naive_matmul, softmax64,
 )
 
 
@@ -225,6 +226,40 @@ def test_kl_t2_scaling_of_value():
 
 
 # ---------------------------------------------------------------------------
+# GELU and embedding backward
+
+def test_gelu_bitwise_equal_to_shared_kernel_and_reference():
+    gen = stream(15, "gelu-bits")
+    edges = [0.0, -0.0, 1e-45, -1e-45, 9.0, -9.0, 40.0, -40.0]
+    x = np.concatenate([gen.normal(0, 3, 4096), gen.normal(0, 1e-20, 64), edges])
+    x = x.astype(np.float32).reshape(-1, 8)
+    g = gen.normal(0, 1, x.shape).astype(np.float32)
+    a = tensor(x, grad=True)
+    out = T.gelu(a)
+    assert out.data.tobytes() == T._gelu_np(x).tobytes() == gelu_f32(x).tobytes()
+    T.backward(T.tsum(T.mul(out, tensor(g))))
+    assert a.grad.tobytes() == gelu_grad_f32(x, g).tobytes()
+
+
+def test_embedding_grad_adds_to_an_existing_grad():
+    # a second backward pass without zero_grad accumulates into the table's grad
+    gen = stream(16, "embedding-accum")
+    table_data = gen.normal(0, 1, (12, 4)).astype(np.float32)
+    ids = [np.array([[3, 5, 3], [0, 11, 5]]), np.array([[5, 7, 7]])]
+    w = [gen.normal(0, 1, i.shape + (4,)).astype(np.float32) for i in ids]
+
+    def backward_through(table, k):
+        T.backward(T.tsum(T.mul(T.embedding(table, ids[k]), tensor(w[k]))))
+
+    both, first, second = (tensor(table_data, grad=True) for _ in range(3))
+    backward_through(both, 0)
+    backward_through(both, 1)
+    backward_through(first, 0)
+    backward_through(second, 1)
+    np.testing.assert_array_equal(both.grad, first.grad + second.grad)
+
+
+# ---------------------------------------------------------------------------
 # finite-difference gradient suite
 
 def _gradcheck_cases(gen):
@@ -362,6 +397,55 @@ def test_adam_deterministic_given_same_inputs():
         return p.data.copy()
 
     np.testing.assert_array_equal(run(), run())
+
+
+def _adam_grads(gen, shapes, step):
+    """Gradients with exact zeros, negative zeros and a wide magnitude range;
+    'frozen' never has one and 'small' skips every other step."""
+    grads = {}
+    for name, shape in shapes.items():
+        if name == "frozen" or (name == "small" and step % 2):
+            grads[name] = None
+            continue
+        g = (gen.normal(0, 1, shape) * 10.0 ** gen.integers(-30, 5, shape)).astype(np.float32)
+        g.reshape(-1)[::97] = 0.0
+        g.reshape(-1)[1::89] = -0.0
+        grads[name] = g
+    return grads
+
+
+def test_adam_chunked_matches_dense_reference_bytewise():
+    gen = stream(13, "adam-chunks")
+    shapes = {"big": (3, T.ADAM_CHUNK // 2 + 5), "small": (7,), "frozen": (4, 3)}
+    params = {n: tensor(gen.normal(0, 1, s), grad=True) for n, s in shapes.items()}
+    assert params["big"].size > T.ADAM_CHUNK
+    ref = {n: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+           for n, p in params.items()}
+    state = T.init_adam(params, learning_rate=1e-3)
+    for step in range(1, 5):
+        grads = _adam_grads(gen, shapes, step)
+        T.adam_step(params, grads, state)
+        for name, (p, m, v) in ref.items():
+            adam_dense(p, grads[name], m, v, step, 1e-3)
+            assert params[name].data.tobytes() == p.tobytes(), (name, step)
+            assert state.m[name].tobytes() == m.tobytes(), (name, step)
+            assert state.v[name].tobytes() == v.tobytes(), (name, step)
+
+
+def test_adam_nan_in_last_chunk_leaves_parameter_untouched():
+    gen = stream(14, "adam-nan-chunk")
+    p = tensor(gen.normal(0, 1, (2 * T.ADAM_CHUNK + 3,)), grad=True)
+    params = {"w": p}
+    state = T.init_adam(params, learning_rate=1e-2)
+    T.adam_step(params, {"w": gen.normal(0, 1, p.shape).astype(np.float32)}, state)
+    before = [p.data.copy(), state.m["w"].copy(), state.v["w"].copy()]
+    g = gen.normal(0, 1, p.shape).astype(np.float32)
+    g[-1] = np.nan
+    with pytest.raises(NumericsError) as exc:
+        T.adam_step(params, {"w": g}, state)
+    assert "'w'" in str(exc.value)
+    for got, want in zip([p.data, state.m["w"], state.v["w"]], before):
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
