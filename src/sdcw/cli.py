@@ -396,8 +396,10 @@ def cmd_quantize(cfg: ExperimentConfig) -> int:
                 qm = quantize_model_int8_mixed(model, cfg.outlier_threshold)
             qpath = out / f"quantized_{mode}_seed{seed}.sdcw"
             n_bytes = _save_with_vocab(qm, qpath, vocab)
-            qrep = evaluate(qm, eval_split, vocab, dataset_id=_dataset_id(cfg),
-                            **_eval_kwargs(cfg))
+            # report the saved artifact: a reloaded mixed handle has no fp_ref
+            # and fp16 extras, so its logits differ from the in-memory one
+            qrep = evaluate(load_model(qpath)[0], eval_split, vocab,
+                            dataset_id=_dataset_id(cfg), **_eval_kwargs(cfg))
             report["modes"][mode] = {
                 "report": qrep.to_dict(),
                 "delta": compare(baseline, qrep),

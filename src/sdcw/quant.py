@@ -13,10 +13,17 @@ Two modes:
 
 Quantization uses symmetric round-half-away-from-zero into [-127, 127] with
 scale s = 127 / max|x| per vector (s = 1 for an all-zero vector), so the
-per-element round-trip error is bounded by max|x| / 254. The int8 kernel
-accumulates exactly: products are < 2^14 and the contraction length is
-capped at 2^24, so sums stay below 2^38 and are exact in 53-bit float64
-accumulation.
+per-element round-trip error is bounded by max|x| / 254.
+
+The int8 kernels accumulate exactly on float32 GEMMs. A product of two int8
+values has magnitude at most 127^2 = 16,129, so every partial sum of at
+most EXACT_BLOCK = floor(2^24 / 16,129) = 1,040 products is an integer
+below 2^24 in magnitude, which float32 holds exactly whatever order the GEMM
+sums in. Longer contractions are split into blocks of at most EXACT_BLOCK
+and the exact block results are added in float64; the contraction length is
+capped at 2^24, so those sums stay below 2^38 and are exact in 53 bits. The
+accumulator thus holds the same integers as an int64 GEMM; it is divided by
+the outer product of the scales in float64 and rounded once to float32.
 """
 from __future__ import annotations
 
@@ -30,6 +37,9 @@ from .model import ATTN_MASK_BIAS, LN_EPS, EncoderConfig, EncoderModel
 from .tensor import Tensor, _gelu_np, _layer_norm_np, _softmax_np
 
 MAX_CONTRACTION = 1 << 24
+# longest float32 sum of int8 x int8 products that stays exact:
+# 1,040 * 127^2 = 16,774,160 < 2^24
+EXACT_BLOCK = (1 << 24) // (127 * 127)
 DEFAULT_OUTLIER_THRESHOLD = 6.0
 
 _LINEAR_WEIGHTS = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "ffn.w1", "ffn.w2", "head.weight")
@@ -70,15 +80,72 @@ class QuantizedTensor:
 
     def contraction_fp(self, idx: np.ndarray) -> np.ndarray:
         """fp32 content of the given contraction-dim vectors; exact when a
-        fp_ref is attached or the vectors were stored as outliers."""
+        fp_ref is attached or the vectors were stored as outliers. Without a
+        fp_ref only the requested vectors are dequantized."""
         if self.fp_ref is not None:
             return self.fp_ref[:, idx] if self.axis == 1 else self.fp_ref[idx, :]
-        deq = self.dequant()
-        return deq[:, idx] if self.axis == 1 else deq[idx, :]
+        _, at, src = np.intersect1d(idx, self.outlier_cols, return_indices=True)
+        if self.axis == 1:
+            x = self.q[:, idx].astype(np.float32) / self.scales[:, None]
+            if at.size:
+                x[:, at] = self.outlier_values[:, src]
+        else:
+            x = self.q[idx, :].astype(np.float32) / self.scales[None, :]
+            if at.size:
+                x[at, :] = self.outlier_values[src, :]
+        return x
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+def _as_float32(x) -> np.ndarray:
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{what} received non-finite input")
+
+
+def _quantize_vectors(arr: np.ndarray, axis: int, threshold: float | None, what: str):
+    """Vector-wise quantization of the matrices in the last two dims of `arr`.
+
+    axis=1 gives one scale per row and treats columns as the contraction
+    vectors, axis=0 one scale per column with rows as contraction vectors.
+    With a threshold, contraction vectors whose max magnitude reaches it are
+    zeroed before the scales are taken. Returns the rounded values as float32
+    integers in [-127, 127], the scales and the outlier mask (None without a
+    threshold), both with the reduced dim kept so they broadcast against
+    `arr`. max propagates NaN and inf, so the finiteness check runs on the
+    first reduction instead of on `arr`.
+    """
+    scale_dim, vector_dim = (-1, -2) if axis == 1 else (-2, -1)
+    mag = np.abs(arr)
+    outliers = None
+    if threshold is not None:
+        vector_max = mag.max(axis=vector_dim, keepdims=True)
+        _check_finite(vector_max, what)
+        outliers = vector_max >= threshold
+        if outliers.any():
+            np.copyto(mag, 0.0, where=outliers)
+    maxabs = mag.max(axis=scale_dim, keepdims=True)
+    if threshold is None:
+        _check_finite(maxabs, what)
+    scales = np.where(maxabs > 0, 127.0 / np.maximum(maxabs, 1e-30), 1.0).astype(np.float32)
+    # round half away from zero in place: sign(x) * floor(|x * s| + 0.5),
+    # where |x| * s == |x * s| because s > 0
+    np.multiply(mag, scales, out=mag)
+    mag += 0.5
+    np.floor(mag, out=mag)
+    np.copysign(mag, arr, out=mag)
+    np.clip(mag, -127, 127, out=mag)
+    return mag, scales, outliers
+
+
+def _matrix(x, axis: int, what: str) -> np.ndarray:
+    arr = _as_float32(x)
+    if arr.ndim != 2 or axis not in (0, 1):
+        _check_finite(arr, what)  # non-finite input is reported ahead of its shape
+        raise ShapeError(f"{what} expects a 2D array and axis 0/1, got {arr.shape}, axis {axis}")
+    return arr
 
 
 def absmax_quantize(x, axis: int = 1) -> QuantizedTensor:
@@ -86,19 +153,12 @@ def absmax_quantize(x, axis: int = 1) -> QuantizedTensor:
 
     1D inputs are treated as a single row vector.
     """
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
-    if not np.all(np.isfinite(arr)):
-        raise DataError("absmax_quantize received non-finite input")
+    arr = _as_float32(x)
     if arr.ndim == 1:
-        arr = arr[None, :]
-        axis = 1
-    if arr.ndim != 2 or axis not in (0, 1):
-        raise ShapeError(f"absmax_quantize expects a 2D array and axis 0/1, got {arr.shape}, axis {axis}")
-    maxabs = np.max(np.abs(arr), axis=axis)
-    scales = np.where(maxabs > 0, 127.0 / np.maximum(maxabs, 1e-30), 1.0).astype(np.float32)
-    scaled = arr * (scales[:, None] if axis == 1 else scales[None, :])
-    q = np.clip(_round_half_away(scaled), -127, 127).astype(np.int8)
-    return QuantizedTensor(q, scales, axis)
+        arr, axis = arr[None, :], 1
+    arr = _matrix(arr, axis, "absmax_quantize")
+    q, scales, _ = _quantize_vectors(arr, axis, None, "absmax_quantize")
+    return QuantizedTensor(q.astype(np.int8), scales.reshape(-1), axis)
 
 
 def quantize_with_outliers(x, threshold: float, axis: int = 1) -> QuantizedTensor:
@@ -106,28 +166,35 @@ def quantize_with_outliers(x, threshold: float, axis: int = 1) -> QuantizedTenso
     magnitude reaches `threshold`; scales are computed over the remainder."""
     if threshold <= 0:
         raise ParameterError(f"outlier threshold must be > 0, got {threshold}")
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
-    if not np.all(np.isfinite(arr)):
-        raise DataError("quantize_with_outliers received non-finite input")
-    if arr.ndim != 2 or axis not in (0, 1):
-        raise ShapeError(f"expected a 2D array and axis 0/1, got {arr.shape}, axis {axis}")
-    if axis == 1:
-        outliers = np.nonzero(np.max(np.abs(arr), axis=0) >= threshold)[0]
-    else:
-        outliers = np.nonzero(np.max(np.abs(arr), axis=1) >= threshold)[0]
-    if outliers.size == 0:
-        return absmax_quantize(arr, axis=axis)
-    kept = arr.copy()
-    if axis == 1:
-        kept[:, outliers] = 0.0
-        values = arr[:, outliers]
-    else:
-        kept[outliers, :] = 0.0
-        values = arr[outliers, :]
-    qt = absmax_quantize(kept, axis=axis)
-    qt.outlier_cols = outliers.astype(np.int64)
-    qt.outlier_values = values.astype(np.float32)
+    arr = _matrix(x, axis, "quantize_with_outliers")
+    q, scales, outliers = _quantize_vectors(arr, axis, threshold, "quantize_with_outliers")
+    qt = QuantizedTensor(q.astype(np.int8), scales.reshape(-1), axis)
+    cols = np.nonzero(outliers.reshape(-1))[0]
+    if cols.size:
+        qt.outlier_cols = cols
+        qt.outlier_values = arr[:, cols] if axis == 1 else arr[cols, :]
     return qt
+
+
+def _int_matmul(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Exact (..., m, k) @ (..., k, n) of float32 arrays holding int8 values:
+    one float32 GEMM per block of at most EXACT_BLOCK contraction indices,
+    blocks added in float64."""
+    k = qa.shape[-1]
+    if k <= EXACT_BLOCK:
+        return qa @ qb
+    acc = np.zeros(qa.shape[:-1] + qb.shape[-1:], dtype=np.float64)
+    for start in range(0, k, EXACT_BLOCK):
+        acc += qa[..., start:start + EXACT_BLOCK] @ qb[..., start:start + EXACT_BLOCK, :]
+    return acc
+
+
+def _rescale(acc: np.ndarray, scales_a: np.ndarray, scales_b: np.ndarray) -> np.ndarray:
+    """acc / (scales_a * scales_b) in float64, rounded once to float32; the
+    scales broadcast to acc's shape."""
+    outer = scales_a.astype(np.float64) * scales_b.astype(np.float64)
+    np.divide(acc, outer, out=outer)
+    return outer.astype(np.float32)
 
 
 def int8_matmul(aq: QuantizedTensor, bq: QuantizedTensor) -> np.ndarray:
@@ -142,22 +209,53 @@ def int8_matmul(aq: QuantizedTensor, bq: QuantizedTensor) -> np.ndarray:
     if k > MAX_CONTRACTION:
         raise ShapeError(f"contraction length {k} exceeds the exactness bound 2^24")
     union = np.union1d(aq.outlier_cols, bq.outlier_cols).astype(np.int64)
-    qa, qb = aq.q, bq.q
+    qa, qb = aq.q.astype(np.float32), bq.q.astype(np.float32)
     if union.size:
-        # both int paths must skip every outlier k-index to avoid double counting
-        extra_a = np.setdiff1d(union, aq.outlier_cols)
-        extra_b = np.setdiff1d(union, bq.outlier_cols)
-        if extra_a.size:
-            qa = qa.copy()
-            qa[:, extra_a] = 0
-        if extra_b.size:
-            qb = qb.copy()
-            qb[extra_b, :] = 0
-    acc = qa.astype(np.float64) @ qb.astype(np.float64)
-    scale_outer = aq.scales.astype(np.float64)[:, None] * bq.scales.astype(np.float64)[None, :]
-    out = (acc / scale_outer).astype(np.float32)
+        # both integer operands skip every outlier k-index to avoid double counting
+        qa[:, union] = 0
+        qb[union, :] = 0
+    out = _rescale(_int_matmul(qa, qb), aq.scales[:, None], bq.scales[None, :])
     if union.size:
         out += aq.contraction_fp(union) @ bq.contraction_fp(union)
+    return out
+
+
+def int8_bmm(a, b, threshold: float) -> np.ndarray:
+    """Mixed-mode [N,m,k] x [N,k,n]: slice i equals
+    int8_matmul(quantize_with_outliers(a[i], threshold, axis=1),
+    quantize_with_outliers(b[i], threshold, axis=0)) bit for bit.
+
+    Each operand stack is quantized in one pass and the integer products run
+    as one batched GEMM; the fp32 outlier term is computed only for the
+    slices that have outlier vectors in either operand.
+    """
+    if threshold <= 0:
+        raise ParameterError(f"outlier threshold must be > 0, got {threshold}")
+    a, b = _as_float32(a), _as_float32(b)
+    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+        raise ShapeError(f"int8_bmm expects [N,m,k] x [N,k,n], got {a.shape} x {b.shape}")
+    if a.shape[2] > MAX_CONTRACTION:
+        raise ShapeError(f"contraction length {a.shape[2]} exceeds the exactness bound 2^24")
+    qa, scales_a, out_a = _quantize_vectors(a, 1, threshold, "int8_bmm")
+    qb, scales_b, out_b = _quantize_vectors(b, 0, threshold, "int8_bmm")
+    out_a, out_b = out_a[:, 0, :], out_b[:, :, 0]
+    union = out_a | out_b
+    terms = []
+    for i in np.nonzero(union.any(axis=1))[0]:
+        u = np.nonzero(union[i])[0]
+        # as QuantizedTensor.contraction_fp: dequantized vectors, exact where
+        # the operand held them out
+        fa = qa[i][:, u] / scales_a[i]
+        fb = qb[i][u, :] / scales_b[i]
+        own_a, own_b = out_a[i, u], out_b[i, u]
+        fa[:, own_a] = a[i][:, u[own_a]]
+        fb[own_b, :] = b[i][u[own_b], :]
+        terms.append((i, fa @ fb))
+        qa[i][:, u] = 0
+        qb[i][u, :] = 0
+    out = _rescale(_int_matmul(qa, qb), scales_a, scales_b)
+    for i, term in terms:
+        out[i] += term
     return out
 
 
@@ -249,12 +347,7 @@ def _q_attention_matmul(qm: QuantizedModel, a: np.ndarray, b: np.ndarray) -> np.
     """Batched [B,m,k] x [B,k,n]; int8 in mixed mode, fp32 in dynamic mode."""
     if qm.mode != "int8_mixed":
         return a @ b
-    out = np.empty((a.shape[0], a.shape[1], b.shape[2]), dtype=np.float32)
-    thr = qm.outlier_threshold
-    for i in range(a.shape[0]):
-        out[i] = int8_matmul(quantize_with_outliers(a[i], thr, axis=1),
-                             quantize_with_outliers(b[i], thr, axis=0))
-    return out
+    return int8_bmm(a, b, qm.outlier_threshold)
 
 
 def quantized_forward(qm: QuantizedModel, token_ids, attention_mask) -> np.ndarray:
@@ -305,7 +398,7 @@ def bench_quantized(model: EncoderModel, sentences, vocab, reps: int = 7,
     """Median/IQR wall-clock per batch for fp32, dynamic, and mixed modes.
 
     Reported, not acceptance-gated: absolute numbers are hardware- and
-    BLAS-dependent, and the int8 kernel here is a reference implementation.
+    BLAS-dependent.
     """
     from .data import DEFAULT_ENTITY_TYPES, batch as make_batches
     from .model import forward

@@ -166,3 +166,45 @@ def adam_dense(p: np.ndarray, g: np.ndarray | None, m: np.ndarray, v: np.ndarray
     mhat = m / np.float32(c1)
     vhat = v / np.float32(c2)
     p -= np.float32(learning_rate) * mhat / (np.sqrt(vhat) + np.float32(eps))
+
+
+# ---------------------------------------------------------------------------
+# int8 quantization references
+
+def absmax_quantize_ref(x, axis: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(q, scales) of per-vector absmax quantization as whole-array
+    expressions: s = 127 / max|x| (1 for a zero vector) and
+    clip(sign(x * s) * floor(|x * s| + 0.5), -127, 127)."""
+    arr = np.asarray(x, dtype=np.float32)
+    if arr.ndim == 1:
+        arr, axis = arr[None, :], 1
+    maxabs = np.max(np.abs(arr), axis=axis)
+    scales = np.where(maxabs > 0, 127.0 / np.maximum(maxabs, 1e-30), 1.0).astype(np.float32)
+    scaled = arr * (scales[:, None] if axis == 1 else scales[None, :])
+    q = np.clip(np.sign(scaled) * np.floor(np.abs(scaled) + 0.5), -127, 127).astype(np.int8)
+    return q, scales
+
+
+def quantize_with_outliers_ref(x, threshold: float, axis: int = 1):
+    """(q, scales, outlier indices): contraction vectors whose max magnitude
+    reaches the threshold are zeroed in a copy, which is then quantized."""
+    arr = np.asarray(x, dtype=np.float32)
+    cols = np.nonzero(np.max(np.abs(arr), axis=1 - axis) >= threshold)[0]
+    kept = arr.copy()
+    if axis == 1:
+        kept[:, cols] = 0.0
+    else:
+        kept[cols, :] = 0.0
+    q, scales = absmax_quantize_ref(kept, axis)
+    return q, scales, cols
+
+
+def attention_matmul_loop(a: np.ndarray, b: np.ndarray, threshold: float) -> np.ndarray:
+    """Mixed-mode [N,m,k] x [N,k,n], one 2D quantize-and-multiply per slice."""
+    from sdcw import quant
+
+    out = np.empty((a.shape[0], a.shape[1], b.shape[2]), dtype=np.float32)
+    for i in range(a.shape[0]):
+        out[i] = quant.int8_matmul(quant.quantize_with_outliers(a[i], threshold, axis=1),
+                                   quant.quantize_with_outliers(b[i], threshold, axis=0))
+    return out

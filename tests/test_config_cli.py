@@ -236,6 +236,23 @@ def test_eval_cli_on_quantized_file(workspace, tmp_path):
     assert rep["mode"] == "dynamic_int8"
 
 
+def test_quantize_report_matches_eval_of_saved_file(workspace, tmp_path):
+    root, data_dir, ft_dir, base = workspace
+    qout = tmp_path / "q3"
+    cfg = _write_cfg(tmp_path / "q3.cfg",
+                     base + f"out_dir={qout}\nmodel_in={ft_dir}/finetune_seed{{seed}}.sdcw\n")
+    assert cli.run_cli(["quantize", cfg]) == 0
+    modes = json.loads((qout / "quantize_desk_both_seed1.json").read_text())["modes"]
+    for mode in ("dynamic", "mixed"):
+        eout = tmp_path / f"eval_{mode}"
+        cfg = _write_cfg(tmp_path / f"e_{mode}.cfg",
+                         base + f"out_dir={eout}\nmodel_in={qout}/{modes[mode]['model_path']}\n")
+        assert cli.run_cli(["eval", cfg]) == 0
+        evaluated = json.loads((eout / "eval_desk_seed1.json").read_text())
+        reported = modes[mode]["report"]
+        assert (reported["f1"], reported["loss"]) == (evaluated["f1"], evaluated["loss"]), mode
+
+
 def test_distill_cli_task_specific(workspace, tmp_path):
     root, data_dir, ft_dir, base = workspace
     out = tmp_path / "kd"

@@ -7,6 +7,8 @@ from sdcw.model import forward
 from sdcw.rng import stream
 from sdcw.tensor import no_grad
 
+from oracles import absmax_quantize_ref, attention_matmul_loop, quantize_with_outliers_ref
+
 TINY = model.EncoderConfig(num_layers=2, num_heads=2, hidden_size=16, ffn_size=32,
                            vocab_size=120, max_positions=32, num_classes=9)
 
@@ -67,6 +69,53 @@ def test_quantize_with_outliers_exact_on_held_out_columns():
     np.testing.assert_allclose(qt.scales, 127.0 / np.abs(rest).max(axis=1), rtol=1e-6)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape,where", [((7,), 0), ((7,), 6), ((4, 6), 0), ((4, 6), 13), ((4, 6), 23)])
+def test_quantizers_reject_non_finite_anywhere(bad, shape, where):
+    x = np.ones(shape, dtype=np.float32)
+    x.reshape(-1)[where] = bad
+    with pytest.raises(DataError):
+        quant.absmax_quantize(x)
+    with pytest.raises(DataError):
+        quant.quantize_with_outliers(x, threshold=6.0)
+    if x.ndim == 2:
+        with pytest.raises(DataError):
+            quant.absmax_quantize(x, axis=0)
+        with pytest.raises(DataError):
+            quant.quantize_with_outliers(x, threshold=6.0, axis=0)
+
+
+def _rounding_cases() -> np.ndarray:
+    """Rows whose scale is exactly 1 or 1/2, so ties (+-k.5), +-0 and +-127
+    land on the rounding boundary, plus random rows and an all-zero row."""
+    ties = np.array([127, -127, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 126.5, -126.5,
+                     0.0, -0.0, 0.49999997, -0.49999997, 63.5, -63.5], dtype=np.float32)
+    gen = stream(14, "quant-rounding")
+    return np.stack([ties, -ties, 2 * ties, np.zeros_like(ties),
+                     gen.normal(0, 3, ties.size).astype(np.float32)])
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_quantizers_bitwise_equal_to_reference_expression(axis):
+    x = _rounding_cases()
+    qt = quant.absmax_quantize(x, axis=axis)
+    q, scales = absmax_quantize_ref(x, axis)
+    assert _same_bits(qt.q, q) and _same_bits(qt.scales, scales)
+    for thr in (100.0, 6.0, 1e30):
+        qt = quant.quantize_with_outliers(x, thr, axis=axis)
+        q, scales, cols = quantize_with_outliers_ref(x, thr, axis)
+        assert _same_bits(qt.q, q) and _same_bits(qt.scales, scales)
+        np.testing.assert_array_equal(qt.outlier_cols, cols)
+    row = x[0]
+    qt = quant.absmax_quantize(row)
+    q, scales = absmax_quantize_ref(row)
+    assert _same_bits(qt.q, q) and _same_bits(qt.scales, scales)
+
+
 def test_quantize_with_outliers_threshold_validation():
     with pytest.raises(ParameterError):
         quant.quantize_with_outliers(np.ones((2, 2), dtype=np.float32), 0.0)
@@ -93,6 +142,27 @@ def test_int8_matmul_exact_for_quantized_operands():
     got = quant.int8_matmul(aq, bq)
     ref = aq.dequant().astype(np.float64) @ bq.dequant().astype(np.float64)
     np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-6)
+
+
+def test_exact_block_bound():
+    assert quant.EXACT_BLOCK * 127**2 < 2**24
+
+
+@pytest.mark.parametrize("k", [1040, 1041, 3072])
+def test_int8_matmul_long_contractions_exact(k):
+    # all operands at +-127, the worst case for the float32 partial sums:
+    # row 0 and column 0 are all +127, so their dot product is k * 127^2
+    gen = stream(15, "quant-long")
+    a = np.where(gen.random((3, k)) < 0.5, -127.0, 127.0).astype(np.float32)
+    b = np.where(gen.random((k, 4)) < 0.5, -127.0, 127.0).astype(np.float32)
+    a[0], b[:, 0] = 127.0, 127.0
+    aq, bq = quant.absmax_quantize(a, axis=1), quant.absmax_quantize(b, axis=0)
+    ref = aq.q.astype(np.int64) @ bq.q.astype(np.int64)
+    assert ref[0, 0] == k * 127**2
+    acc = quant._int_matmul(aq.q.astype(np.float32), bq.q.astype(np.float32))
+    np.testing.assert_array_equal(acc, ref)
+    # scales are exactly 1, so the output is the float32 rounding of the integers
+    assert _same_bits(quant.int8_matmul(aq, bq), ref.astype(np.float64).astype(np.float32))
 
 
 def test_int8_matmul_relative_error_versus_fp32():
@@ -128,6 +198,61 @@ def test_int8_matmul_outlier_union_no_double_count():
     wq.fp_ref = w
     got = quant.int8_matmul(aq, wq)
     np.testing.assert_allclose(got, a @ w, rtol=0.05, atol=0.05)
+
+
+def _attention_stacks(case: str):
+    gen = stream(16, "quant-bmm")
+    a = gen.normal(0, 1, (6, 5, 8)).astype(np.float32)
+    b = gen.normal(0, 1, (6, 8, 7)).astype(np.float32)
+    a[:, 0, :2] = -1e-4  # values that round to zero from below
+    if case in ("a", "both"):
+        a[1, :, 3] *= 40.0
+        a[4, :, 0] *= 40.0
+        a[2, :, 6] *= 40.0
+    if case in ("b", "both"):
+        b[2, 5, :] *= 40.0
+        b[2, 6, :] *= 40.0  # same index as an outlier column of a[2]
+        b[5, 1, :] *= 40.0
+    return a, b
+
+
+@pytest.mark.parametrize("case,threshold", [("neither", 6.0), ("a", 6.0), ("b", 6.0),
+                                            ("both", 6.0), ("neither", 0.5), ("neither", 1e-30)])
+def test_int8_bmm_bitwise_equal_to_per_slice_loop(case, threshold):
+    a, b = _attention_stacks(case)
+    got = quant.int8_bmm(a, b, threshold)
+    assert _same_bits(got, attention_matmul_loop(a, b, threshold))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("operand", ["a", "b"])
+def test_int8_bmm_rejects_non_finite(bad, operand):
+    a, b = _attention_stacks("both")
+    (a if operand == "a" else b)[3, 2, 1] = bad
+    with pytest.raises(DataError):
+        quant.int8_bmm(a, b, 6.0)
+
+
+def test_int8_bmm_validation():
+    a, b = _attention_stacks("neither")
+    with pytest.raises(ShapeError):
+        quant.int8_bmm(a, b[:, :7], 6.0)
+    with pytest.raises(ShapeError):
+        quant.int8_bmm(a[0], b[0], 6.0)
+    with pytest.raises(ParameterError):
+        quant.int8_bmm(a, b, 0.0)
+
+
+def test_contraction_fp_of_a_reloaded_handle_matches_dequant():
+    gen = stream(17, "quant-contraction")
+    w = gen.normal(0, 1, (9, 5)).astype(np.float32)
+    w[[2, 7], :] *= 40.0
+    for axis, x in ((0, w), (1, np.ascontiguousarray(w.T))):
+        qt = quant.quantize_with_outliers(x, threshold=6.0, axis=axis)
+        idx = np.array([0, 2, 4, 7])
+        full = qt.dequant()
+        want = full[idx, :] if axis == 0 else full[:, idx]
+        assert _same_bits(qt.contraction_fp(idx), want)
 
 
 # ---------------------------------------------------------------------------
