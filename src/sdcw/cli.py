@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
+from .atomic import atomic_write
 from .config import ExperimentConfig, load_config
 from .data import (
     Sentence, Vocabulary, build_vocab, corpus_token_lists, load_conll,
@@ -54,7 +55,16 @@ def strip_timing(obj):
 
 def write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def write_csv(path: Path, header, rows) -> None:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def aggregate_runs(reports: list[dict], seeds) -> dict:
@@ -83,15 +93,36 @@ def aggregate_runs(reports: list[dict], seeds) -> dict:
     return {"seeds": seeds, "n_runs": len(reports), "mean": mean, "std": std, "flags": flags}
 
 
+def _lock_holder_is_dead(lock: Path) -> bool:
+    """True when the PID recorded in `lock` names no running process."""
+    try:
+        pid = int(lock.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return False  # gone, or its owner has not written the PID yet
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:  # alive, owned by another user
+        pass
+    return False
+
+
 @contextmanager
 def output_lock(out_dir: Path):
-    """One experiment process per output directory."""
+    """One experiment process per output directory. A lock whose recorded PID
+    is dead (its run crashed) is taken over; two runs that find the same
+    stale lock at the same instant are not told apart."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise WorkbenchError(f"output directory is locked by another run: {lock}") from None
+    for attempt in range(2):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt or not _lock_holder_is_dead(lock):
+                raise WorkbenchError(f"output directory is locked by another run: {lock}") from None
+            lock.unlink(missing_ok=True)
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
@@ -457,17 +488,12 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
 
     with output_lock(out):
         reports = _per_seed(cfg, out, tag, run_one)
-        csv_path = out / f"{tag}_latency.csv"
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["dataset", "seed", "baseline_ms", "dynamic_ms", "int8_mixed_ms"])
-            for rep in reports:
-                writer.writerow([
-                    rep["dataset"], rep["seed"],
-                    f"{rep['modes']['fp32']['median_ms_per_batch']:.3f}",
-                    f"{rep['modes']['dynamic_int8']['median_ms_per_batch']:.3f}",
-                    f"{rep['modes']['int8_mixed']['median_ms_per_batch']:.3f}",
-                ])
+        rows = [[rep["dataset"], rep["seed"]]
+                + [f"{rep['modes'][m]['median_ms_per_batch']:.3f}"
+                   for m in ("fp32", "dynamic_int8", "int8_mixed")]
+                for rep in reports]
+        write_csv(out / f"{tag}_latency.csv",
+                  ["dataset", "seed", "baseline_ms", "dynamic_ms", "int8_mixed_ms"], rows)
     print(f"bench: latency table -> {out}")
     return 0
 
@@ -505,10 +531,7 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table = out / "report.csv"
-    with open(table, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(table, REPORT_COLUMNS, [[r[c] for c in REPORT_COLUMNS] for r in rows])
     print(f"report: {len(rows)} row(s) -> {table}")
     return 0
 

@@ -9,6 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import rng
+from .atomic import atomic_write
 from .errors import DataError, ParameterError
 from .tensor import IGNORE_INDEX
 
@@ -145,7 +146,8 @@ class Vocabulary:
         return self.id_to_token[idx]
 
     def save(self, path) -> None:
-        Path(path).write_text("\n".join(self.id_to_token) + "\n", encoding="utf-8")
+        with atomic_write(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(self.id_to_token) + "\n")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

@@ -36,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import PersistError
 from .model import EncoderConfig, EncoderModel, param_names
 from .prune import PruneMask
@@ -145,7 +146,7 @@ def save_model(obj, path, mask: PruneMask | None = None) -> int:
     mode_tag, threshold, records = _records_for(obj, mask)
     c = obj.config
     try:
-        with open(path, "wb") as fh:
+        with atomic_write(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<H", VERSION))
             fh.write(struct.pack("<7I", c.num_layers, c.num_heads, c.hidden_size,
@@ -160,7 +161,8 @@ def save_model(obj, path, mask: PruneMask | None = None) -> int:
                 fh.write(struct.pack("<BB", tag, len(shape)))
                 fh.write(struct.pack(f"<{len(shape)}I", *shape))
                 _write_payload(fh, tag, shape, payload)
-            return fh.tell()
+            n_bytes = fh.tell()
+        return n_bytes
     except OSError as exc:
         raise PersistError(f"cannot write model file '{path}': {exc}") from exc
 

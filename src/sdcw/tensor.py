@@ -10,6 +10,24 @@ cache-sized chunks through two scratch buffers; it applies the same float32
 operations in the same order as the dense update, so its results are
 byte-identical to it.
 
+Row-sparse embedding updates. The backward of a row gather (`embedding`,
+`take_rows`) records in `grad_rows` the sorted rows outside which its gradient
+is exactly zero, and `AdamState.rows` keeps, per parameter, the rows whose
+moments may be non-zero. A row whose gradient is 0 and whose m and v are
+still 0, as `init_adam` left them, is mapped to itself bit for bit by the
+dense update: m' = b1*0 + (1-b1)*0 = +0, v' = +0, and p - lr*0/(sqrt(0) + eps)
+= p, also for p = -0.0. So `adam_step` only runs the arithmetic on the rows
+that hold a gradient now or held one at any earlier step of the state (rows
+that fall silent keep decaying because they stay in the set), and its results
+are byte-identical to the dense update. A dense contribution to the gradient
+(the tied MLM head) clears `grad_rows`, and the parameter then takes the
+dense path for good.
+
+Ops whose backward builds a new array hand it to `_accum` as `fresh`, and the
+first gradient of a tensor adopts it without a copy; views (`add`, `reshape`,
+`transpose`, `tsum`) are copied, so no gradient shares memory with another
+array.
+
 The raw `_*_np` kernels are shared with the quantized inference path so that
 the full-precision branch of a quantized forward is bit-identical to the
 autodiff forward.
@@ -52,7 +70,7 @@ def _check_finite(data: Array, op: str) -> None:
 class Tensor:
     """Dense fp32 n-d array, optionally tracked on the autodiff tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "grad_rows", "name", "_parents", "_backward")
 
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
         data = np.asarray(values, dtype=np.float32)
@@ -60,6 +78,7 @@ class Tensor:
         self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
+        self.grad_rows: Array | None = None  # sorted axis-0 support of grad; None: dense
         self.name = name
         self._parents: tuple = ()
         self._backward = None
@@ -84,6 +103,7 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
+        self.grad_rows = None
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -95,6 +115,7 @@ def _from_op(data: Array, parents: tuple[Tensor, ...], backward_fn, op: str) -> 
     out = Tensor.__new__(Tensor)
     out.data = data.astype(np.float32, copy=False)
     out.grad = None
+    out.grad_rows = None
     out.name = None
     track = _grad_enabled and any(p.requires_grad for p in parents)
     out.requires_grad = track
@@ -103,14 +124,19 @@ def _from_op(data: Array, parents: tuple[Tensor, ...], backward_fn, op: str) -> 
     return out
 
 
-def _accum(t: Tensor, g: Array) -> None:
+def _accum(t: Tensor, g: Array, fresh: bool = False, rows: Array | None = None) -> None:
+    """Add `g` into t.grad. A `fresh` g was built for this call alone, so a
+    first gradient adopts it instead of copying; `rows` is the sorted axis-0
+    support of g (None: dense)."""
     if not t.requires_grad:
         return
     g = np.asarray(g, dtype=np.float32)
     if t.grad is None:
-        t.grad = g.copy()
+        t.grad = g if fresh else g.copy()
+        t.grad_rows = rows
     else:
         t.grad += g
+        t.grad_rows = None if rows is None or t.grad_rows is None else np.union1d(t.grad_rows, rows)
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -209,8 +235,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def bwd(g: Array) -> None:
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        _accum(a, _unbroadcast(g * b.data, a.shape), fresh=True)
+        _accum(b, _unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _from_op(data, (a, b), bwd, "mul")
 
@@ -220,7 +246,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     data = a.data * np.float32(c)
 
     def bwd(g: Array) -> None:
-        _accum(a, g * np.float32(c))
+        _accum(a, g * np.float32(c), fresh=True)
 
     return _from_op(data, (a,), bwd, "scale")
 
@@ -243,8 +269,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def bwd(g: Array) -> None:
-        _accum(a, g @ b.data.swapaxes(-1, -2))
-        _accum(b, a.data.swapaxes(-1, -2) @ g)
+        _accum(a, g @ b.data.swapaxes(-1, -2), fresh=True)
+        _accum(b, a.data.swapaxes(-1, -2) @ g, fresh=True)
 
     return _from_op(data, (a, b), bwd, "matmul")
 
@@ -278,29 +304,23 @@ def embedding(table: Tensor, ids: Array) -> Tensor:
             f"{int(ids[pos])} not in [0, {table.shape[0]})"
         )
     data = table.data[ids]
-
-    def bwd(g: Array) -> None:
-        gt = np.zeros(table.shape, dtype=np.float32)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
-        if table.grad is None:
-            table.grad = gt  # freshly built here, so adopted without a copy
-        else:
-            _accum(table, gt)
-
-    return _from_op(data, (table,), bwd, "embedding")
+    return _from_op(data, (table,), lambda g: _scatter_rows(table, ids, g), "embedding")
 
 
 def take_rows(a: Tensor, idx: Array) -> Tensor:
     """Gather rows along axis 0."""
     idx = np.asarray(idx, dtype=np.int64)
     data = a.data[idx]
+    return _from_op(data, (a,), lambda g: _scatter_rows(a, idx, g), "take_rows")
 
-    def bwd(g: Array) -> None:
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        _accum(a, ga)
 
-    return _from_op(data, (a,), bwd, "take_rows")
+def _scatter_rows(t: Tensor, ids: Array, g: Array) -> None:
+    """Backward of a row gather: add the rows of g into t.grad at `ids` and
+    record the rows touched. The zeros of the full table stay untouched
+    (lazily mapped) pages outside those rows."""
+    gt = np.zeros(t.shape, dtype=np.float32)
+    np.add.at(gt, ids.reshape(-1), g.reshape((-1,) + t.shape[1:]))
+    _accum(t, gt, fresh=True, rows=np.unique(ids))
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -316,7 +336,7 @@ def gelu(a: Tensor) -> Tensor:
         d *= _INV_SQRT2PI
         d += 0.5 * cdf2
         d *= g
-        _accum(a, d)
+        _accum(a, d, fresh=True)
 
     return _from_op(data, (a,), bwd, "gelu")
 
@@ -329,7 +349,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def bwd(g: Array) -> None:
         dot = np.sum(g * y, axis=axis, keepdims=True)
-        _accum(a, y * (g - dot))
+        _accum(a, y * (g - dot), fresh=True)
 
     return _from_op(y, (a,), bwd, "softmax")
 
@@ -353,12 +373,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def bwd(g: Array) -> None:
         lead = tuple(range(g.ndim - 1))
-        _accum(gain, np.sum(g * xhat, axis=lead))
-        _accum(bias, np.sum(g, axis=lead))
+        _accum(gain, np.sum(g * xhat, axis=lead), fresh=True)
+        _accum(bias, np.sum(g, axis=lead), fresh=True)
         gx = g * gain.data
         dm = gx.mean(axis=-1, keepdims=True)
         dv = (gx * xhat).mean(axis=-1, keepdims=True)
-        _accum(a, inv * (gx - dm - xhat * dv))
+        _accum(a, inv * (gx - dm - xhat * dv), fresh=True)
 
     return _from_op(data, (a, gain, bias), bwd, "layer_norm")
 
@@ -375,7 +395,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     data = a.data * keep
 
     def bwd(g: Array) -> None:
-        _accum(a, g * keep)
+        _accum(a, g * keep, fresh=True)
 
     return _from_op(data, (a,), bwd, "dropout")
 
@@ -413,7 +433,7 @@ def cross_entropy(logits: Tensor, labels, ignore_index: int = IGNORE_INDEX) -> T
         soft[np.arange(keep.size), labels[keep]] -= 1.0
         gl = np.zeros_like(logits.data)
         gl[keep] = soft * (float(g) / keep.size)
-        _accum(logits, gl)
+        _accum(logits, gl, fresh=True)
 
     return _from_op(data, (logits,), bwd, "cross_entropy")
 
@@ -441,7 +461,7 @@ def kl_soft_targets(student_logits: Tensor, teacher_logits: Tensor, temperature:
 
     def bwd(g: Array) -> None:
         q = np.exp(logq)
-        _accum(student_logits, (float(g) * float(t) / n) * (q - p))
+        _accum(student_logits, (float(g) * float(t) / n) * (q - p), fresh=True)
 
     return _from_op(data, (student_logits,), bwd, "kl_soft_targets")
 
@@ -451,7 +471,11 @@ def kl_soft_targets(student_logits: Tensor, teacher_logits: Tensor, temperature:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus shared hyperparameters."""
+    """Per-parameter first/second moments plus shared hyperparameters.
+
+    `rows[name]` holds the sorted rows of a parameter whose moments may be
+    non-zero while it is updated row-sparsely; a dense update drops the entry.
+    """
 
     learning_rate: float
     beta1: float = 0.9
@@ -460,6 +484,7 @@ class AdamState:
     step: int = 0
     m: dict[str, Array] = field(default_factory=dict)
     v: dict[str, Array] = field(default_factory=dict)
+    rows: dict[str, Array] = field(default_factory=dict)
 
 
 def init_adam(params: dict[str, Tensor], learning_rate: float, **kwargs) -> AdamState:
@@ -467,6 +492,7 @@ def init_adam(params: dict[str, Tensor], learning_rate: float, **kwargs) -> Adam
     for name, p in params.items():
         state.m[name] = np.zeros(p.data.shape, dtype=np.float32)
         state.v[name] = np.zeros(p.data.shape, dtype=np.float32)
+        state.rows[name] = np.empty(0, dtype=np.int64)
     return state
 
 
@@ -489,6 +515,12 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Array | None], state: 
     A gradient is checked for finiteness as a whole before the first chunk of
     its parameter is written, so a NumericsError leaves that parameter and its
     moments untouched.
+
+    When the gradient handed in is `p.grad` itself with a row support
+    (`grad_rows`, or None for no gradient) and the parameter has only been
+    updated row-sparsely so far, only the live rows, those in the support now
+    or at an earlier step, are gathered, updated and scattered back; see the
+    module docstring for why this is exact.
     """
     state.step += 1
     t = state.step
@@ -503,17 +535,27 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Array | None], state: 
     zeros = None
     for name, p in params.items():
         g = grads.get(name)
+        if g is not None and g.shape != p.data.shape:
+            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for '{name}'")
+        rows = state.rows.get(name)
+        live = None
+        if rows is not None and g is p.grad and (g is None or p.grad_rows is not None):
+            live = rows if g is None else np.union1d(rows, p.grad_rows)
+            g = None if g is None else g[live]
         gf = None if g is None else np.ravel(np.asarray(g, dtype=np.float32))
         if gf is None:
             if zeros is None:
                 zeros = np.zeros(ADAM_CHUNK, dtype=np.float32)
         elif not _all_finite(gf, ok):
             raise NumericsError(f"non-finite gradient for tensor '{name}'")
-        elif g.shape != p.data.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for '{name}'")
-        if not p.data.flags.c_contiguous:  # reshape would copy, and the update would be lost
-            p.data = np.ascontiguousarray(p.data)
-        pf, mf, vf = p.data.reshape(-1), state.m[name].reshape(-1), state.v[name].reshape(-1)
+        if live is None:
+            state.rows.pop(name, None)
+            if not p.data.flags.c_contiguous:  # reshape would copy, and the update would be lost
+                p.data = np.ascontiguousarray(p.data)
+            pt, mt, vt = p.data, state.m[name], state.v[name]
+        else:
+            pt, mt, vt = p.data[live], state.m[name][live], state.v[name][live]
+        pf, mf, vf = pt.reshape(-1), mt.reshape(-1), vt.reshape(-1)
         for lo in range(0, pf.size, ADAM_CHUNK):
             hi = min(lo + ADAM_CHUNK, pf.size)
             n = hi - lo
@@ -535,3 +577,6 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Array | None], state: 
             y += eps
             x /= y
             pc -= x
+        if live is not None:
+            p.data[live], state.m[name][live], state.v[name][live] = pt, mt, vt
+            state.rows[name] = live

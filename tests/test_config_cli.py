@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from sdcw import cli, config, data, persist
-from sdcw.errors import ConfigError, DataError
+from sdcw.errors import ConfigError, DataError, WorkbenchError
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +362,52 @@ def test_output_lock_blocks_concurrent_runs(tmp_path):
         assert "locked" in str(exc.value)
     with cli.output_lock(tmp_path):
         pass  # released after exit
+
+
+def _dead_pid() -> int:
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped, so its PID names no process
+    return child.pid
+
+
+def test_output_lock_takes_over_a_stale_lock(tmp_path):
+    lock = tmp_path / ".lock"
+    lock.write_text(str(_dead_pid()))
+    with cli.output_lock(tmp_path):
+        assert lock.read_text() == str(os.getpid())
+    assert not lock.exists()
+
+
+def test_output_lock_of_a_live_pid_still_blocks(tmp_path):
+    lock = tmp_path / ".lock"
+    lock.write_text(str(os.getpid()))
+    with pytest.raises(WorkbenchError, match="locked"):
+        with cli.output_lock(tmp_path):
+            pass
+    assert lock.read_text() == str(os.getpid())
+
+
+def test_json_write_failing_mid_write_keeps_the_previous_file(tmp_path, fail_mid_write):
+    report = tmp_path / "r.json"
+    cli.write_json(report, {"f1": 0.5, "seed": 1})
+    before = report.read_bytes()
+    fail_mid_write(0)
+    with pytest.raises(OSError):
+        cli.write_json(report, {"f1": 0.9, "seed": 1})
+    assert report.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["r.json"]
+
+
+def test_report_cli_failing_mid_write_keeps_the_previous_table(tmp_path, fail_mid_write):
+    cli.write_json(tmp_path / "run_seed1.json", {"f1": 0.5, "seed": 1, "prune_rate": 0.1})
+    cfg = _write_cfg(tmp_path / "rep.cfg", f"dataset={tmp_path}\nout_dir={tmp_path}\n")
+    assert cli.run_cli(["report", cfg]) == 0
+    before = (tmp_path / "report.csv").read_bytes()
+    cli.write_json(tmp_path / "run_seed2.json", {"f1": 0.7, "seed": 2, "prune_rate": 0.5})
+    fail_mid_write(1)  # the header row goes through, the first data row fails
+    assert cli.run_cli(["report", cfg]) == 1
+    assert (tmp_path / "report.csv").read_bytes() == before
+    assert not [f for f in tmp_path.iterdir() if f.name.endswith(".tmp")]
 
 
 def test_replay_produces_byte_identical_reports(workspace, tmp_path):

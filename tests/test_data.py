@@ -125,6 +125,17 @@ def test_vocab_save_load_round_trip(tmp_path):
     assert again.id_to_token == vocab.id_to_token
 
 
+def test_vocab_save_failing_mid_write_keeps_the_previous_file(tmp_path, fail_mid_write):
+    path = tmp_path / "v.txt"
+    data.build_vocab([["alpha", "beta"]], 10).save(path)
+    before = path.read_bytes()
+    fail_mid_write(0)
+    with pytest.raises(OSError):
+        data.build_vocab([["gamma", "delta", "eps"]], 10).save(path)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["v.txt"]
+
+
 # ---------------------------------------------------------------------------
 # synthetic corpus
 

@@ -187,6 +187,29 @@ def test_task_agnostic_training_reduces_mlm_loss():
     assert trace[-1] < trace[0]
 
 
+def test_task_agnostic_tied_head_takes_the_dense_update(adam_feed):
+    train, _, vocab = _toy()
+    spec = model.TrainSpec(learning_rate=1e-3, batch_size=8, max_seq_len=16, epochs=2)
+    teacher = model.init_model(TEACHER_CFG, seed=9)
+    lines = [" ".join(s.tokens) for s in train[:24]]
+
+    def run(dense: bool):
+        states = adam_feed(dense)
+        student = distill.init_student(teacher, distill.StudentSpec(2, 2), seed=10)
+        dspec = distill.DistillSpec(mode="task_agnostic", temperature=2.0)
+        trace = distill.distill_task_agnostic(teacher, student, lines, vocab, dspec, spec, seed=10)
+        return student, trace, states[-1]
+
+    sparse, sparse_trace, state = run(dense=False)
+    dense, dense_trace, _ = run(dense=True)
+    assert sparse_trace == dense_trace
+    for name, p in sparse.params.items():
+        assert p.data.tobytes() == dense.param(name).data.tobytes(), name
+    # the MLM head is tied to the token table, so its gradient is dense
+    assert "embeddings.token" not in state.rows
+    assert state.rows["embeddings.position"].size > 0
+
+
 def test_task_agnostic_empty_corpus_errors():
     _, _, vocab = _toy()
     teacher = model.init_model(TEACHER_CFG, seed=1)

@@ -274,3 +274,23 @@ def test_training_bit_identical_across_runs():
     a, b = run(), run()
     for n in a:
         np.testing.assert_array_equal(a[n], b[n])
+
+
+def test_finetune_row_sparse_adam_equals_the_dense_update(desk_corpus, adam_feed):
+    train, _, _, vocab = desk_corpus
+    spec = model.TrainSpec(learning_rate=1e-3, batch_size=16, max_seq_len=32, epochs=2)
+
+    def run(dense: bool):
+        states = adam_feed(dense)
+        m = model.init_model(model.desk_config(), seed=4)
+        trace = model.finetune(m, train[:96], vocab, spec, seed=4)
+        return m, trace, states[-1]
+
+    sparse, sparse_trace, state = run(dense=False)
+    dense, dense_trace, dense_state = run(dense=True)
+    assert sparse_trace == dense_trace
+    for name, p in sparse.params.items():
+        assert p.data.tobytes() == dense.param(name).data.tobytes(), name
+    assert dense_state.rows == {}
+    assert {n for n, r in state.rows.items() if r.size} == {"embeddings.token", "embeddings.position"}
+    assert 0 < state.rows["embeddings.token"].size < sparse.config.vocab_size

@@ -32,6 +32,18 @@ def test_dense_round_trip_bit_for_bit(tmp_path):
         np.testing.assert_array_equal(again.param(name).data, m.param(name).data)
 
 
+def test_save_failing_mid_write_keeps_the_previous_file(tmp_path, fail_mid_write):
+    path = tmp_path / "m.sdcw"
+    n = persist.save_model(_random_model(seed=1), path)
+    before = path.read_bytes()
+    assert n == len(before) == persist.serialized_bytes(_random_model(seed=1))
+    fail_mid_write(12)
+    with pytest.raises(PersistError, match="No space left"):
+        persist.save_model(_random_model(seed=2), path)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["m.sdcw"]
+
+
 def test_serialized_bytes_matches_file_exactly(tmp_path):
     m = _random_model()
     assert persist.save_model(m, tmp_path / "a.sdcw") == persist.serialized_bytes(m)

@@ -448,6 +448,154 @@ def test_adam_nan_in_last_chunk_leaves_parameter_untouched():
         assert got.tobytes() == want.tobytes()
 
 
+def test_adam_row_sparse_matches_dense_reference_bytewise():
+    gen = stream(17, "adam-rows")
+    vocab, width = 40, T.ADAM_CHUNK // 32  # the table holds more than one chunk
+    data = gen.normal(0, 1, (vocab, width)).astype(np.float32)
+    data[[2, 9]] = 0.0
+    data[[3, 11]] = -0.0
+    data[5, ::3] = -0.0
+    table, dense = tensor(data, grad=True), tensor(gen.normal(0, 1, (3, 4)), grad=True)
+    params = {"table": table, "dense": dense}
+    assert table.size > T.ADAM_CHUNK
+    # rows 3 and 9 fall silent after step 1, come back at step 4; step 3 has no lookup at all
+    supports = [[3, 5, 9, 9, 11], [5, 30, 2], None, [9, 3, 39, 0], [5, 5, 5], [17]]
+    w = gen.normal(0, 1, (8, width)).astype(np.float32)
+    w[3] = -w[2]  # row 9 appears twice at step 1: an exact zero gradient inside the support
+    ref = {n: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+           for n, p in params.items()}
+    state = T.init_adam(params, learning_rate=1e-2)
+    seen = set()
+    for step, support in enumerate(supports, start=1):
+        ids = None if support is None else np.array(support)
+        grads = dict.fromkeys(params)
+        if ids is not None:
+            T.backward(T.add(T.tsum(T.mul(T.embedding(table, ids), tensor(w[: ids.size]))),
+                             T.tsum(T.mul(dense, dense))))
+            assert table.grad_rows.tolist() == sorted(set(support))
+            grads = {n: p.grad.copy() for n, p in params.items()}
+            seen |= set(support)
+        T.adam_step(params, {n: p.grad for n, p in params.items()}, state)
+        T.zero_grads(params)
+        for name, (p, m, v) in ref.items():
+            adam_dense(p, grads[name], m, v, step, 1e-2)
+            assert params[name].data.tobytes() == p.tobytes(), (name, step)
+            assert state.m[name].tobytes() == m.tobytes(), (name, step)
+            assert state.v[name].tobytes() == v.tobytes(), (name, step)
+        assert state.rows["table"].tolist() == sorted(seen)
+        assert "dense" not in state.rows
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_row_sparse_non_finite_leaves_state_untouched(bad):
+    gen = stream(18, "adam-rows-nan")
+    table = tensor(gen.normal(0, 1, (30, 8)), grad=True)
+    params = {"table": table}
+    state = T.init_adam(params, learning_rate=1e-2)
+    w = gen.normal(0, 1, (3, 8)).astype(np.float32)
+    T.backward(T.tsum(T.mul(T.embedding(table, np.array([4, 7, 20])), tensor(w))))
+    T.adam_step(params, {"table": table.grad}, state)
+    T.zero_grads(params)
+    before = [table.data.copy(), state.m["table"].copy(), state.v["table"].copy(),
+              state.rows["table"].copy()]
+    T.backward(T.tsum(T.mul(T.embedding(table, np.array([7, 25, 1])), tensor(w))))
+    table.grad[25, 3] = bad
+    with pytest.raises(NumericsError) as exc:
+        T.adam_step(params, {"table": table.grad}, state)
+    assert "'table'" in str(exc.value)
+    after = [table.data, state.m["table"], state.v["table"], state.rows["table"]]
+    for got, want in zip(after, before):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_adam_dense_contribution_falls_back_for_good():
+    gen = stream(19, "adam-rows-dense")
+    table = tensor(gen.normal(0, 1, (30, 8)), grad=True)
+    params = {"table": table}
+    p_ref, m_ref, v_ref = table.data.copy(), np.zeros_like(table.data), np.zeros_like(table.data)
+    state = T.init_adam(params, learning_rate=1e-2)
+    w = gen.normal(0, 1, (3, 8)).astype(np.float32)
+    extra = gen.normal(0, 1, (30, 8)).astype(np.float32)
+    for step, ids in enumerate([[4, 7, 20], [7, 25, 1], [2, 2, 9], [20, 4, 1]], start=1):
+        T.backward(T.tsum(T.mul(T.embedding(table, np.array(ids)), tensor(w))))
+        if step == 2:
+            T._accum(table, extra)  # a second, dense contribution
+            assert table.grad_rows is None
+        g = table.grad.copy()
+        T.adam_step(params, {"table": table.grad}, state)
+        T.zero_grads(params)
+        adam_dense(p_ref, g, m_ref, v_ref, step, 1e-2)
+        assert table.data.tobytes() == p_ref.tobytes(), step
+        assert state.m["table"].tobytes() == m_ref.tobytes(), step
+        assert state.v["table"].tobytes() == v_ref.tobytes(), step
+        assert ("table" in state.rows) == (step == 1)
+
+
+def test_gradient_of_a_tied_table_is_dense():
+    gen = stream(20, "tied-table")
+    table = tensor(gen.normal(0, 1, (12, 4)), grad=True)
+    tok = T.embedding(table, np.array([[3, 5], [5, 0]]))
+    logits = T.matmul(T.reshape(tok, (4, 4)), T.transpose(table, (1, 0)))
+    T.backward(T.cross_entropy(logits, np.array([1, 2, 3, 4])))
+    assert table.grad_rows is None
+    table.zero_grad()
+    T.backward(T.tsum(T.embedding(table, np.array([[3, 5], [5, 0]]))))
+    assert table.grad_rows.tolist() == [0, 3, 5]
+    table.zero_grad()
+    assert table.grad is None and table.grad_rows is None
+
+
+def _every_op_loss(leaves):
+    """Backward through a loss that uses every tape op."""
+    table, pos, gain, bias, w1, colscale, w2 = leaves
+    x = T.add(T.embedding(table, np.array([[1, 4, 4], [7, 1, 0]])), T.take_rows(pos, np.arange(3)))
+    x = T.dropout(T.layer_norm(x, gain, bias), 0.25, stream(21, "every-op-dropout"))
+    z = T.mul(T.gelu(T.matmul(T.reshape(x, (6, 6)), w1)), colscale)
+    z3 = T.reshape(z, (2, 3, 8))
+    att = T.softmax(T.scale(T.matmul(z3, T.transpose(z3, (0, 2, 1))), 0.5), axis=-1)
+    logits = T.matmul(T.reshape(T.matmul(att, z3), (6, 8)), T.transpose(w2, (1, 0)))
+    teacher = tensor(stream(22, "every-op-teacher").normal(0, 1, (6, 4)))
+    loss = T.add(T.cross_entropy(logits, np.array([0, 3, -100, 1, 2, 2])),
+                 T.kl_soft_targets(logits, teacher, 2.0))
+    loss = T.add(loss, T.scale(T.tsum(T.take_rows(logits, np.array([5, 0, 5]))), 0.01))
+    T.backward(loss)
+    return loss
+
+
+def _tape_tensors(root):
+    out, stack, seen = [], [root], set()
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            out.append(t)
+            stack.extend(t._parents)
+    return out
+
+
+def test_fresh_gradients_handed_over_share_no_memory(monkeypatch):
+    gen = stream(23, "every-op")
+    shapes = [(9, 6), (5, 6), (6,), (6,), (6, 8), (8,), (4, 8)]
+    values = [gen.normal(0, 1, s).astype(np.float32) for s in shapes]
+    original = T._accum
+    runs = []
+    for copy_all in (False, True):
+        leaves = [tensor(v, grad=True) for v in values]
+        with monkeypatch.context() as mp:
+            if copy_all:  # every gradient copied, as before fresh ones were handed over
+                mp.setattr(T, "_accum", lambda t, g, fresh=False, rows=None: original(t, g, False, rows))
+            runs.append((leaves, _every_op_loss(leaves)))
+    (leaves, loss), (copied, _) = runs
+    for got, want in zip(leaves, copied):
+        assert got.grad.tobytes() == want.grad.tobytes()
+    nodes = _tape_tensors(loss)
+    assert len(nodes) > 30
+    grads = [t.grad for t in nodes if t.grad is not None]
+    datas = [t.data for t in nodes]
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, other) for other in grads[i + 1:] + datas)
+
+
 # ---------------------------------------------------------------------------
 # numeric hygiene
 
