@@ -31,11 +31,11 @@ from .distill import (
     init_student, pretrain_mlm,
 )
 from .errors import ConfigError, DataError, WorkbenchError
-from .evaluation import TIMING_FIELDS, compare, evaluate
+from .evaluation import TIMING_FIELDS, compare, evaluate, measure_inference_time
 from .model import EncoderModel, count_params, finetune, init_model
 from .persist import load_model, save_model
 from .prune import run_schedule
-from .quant import bench_quantized, quantize_model_dynamic, quantize_model_int8_mixed
+from .quant import quantize_model_dynamic, quantize_model_int8_mixed
 
 SUBCOMMANDS = ("synth-data", "pretrain", "finetune", "prune", "distill",
                "quantize", "eval", "bench", "transfer", "report")
@@ -222,7 +222,8 @@ def cmd_synth_data(cfg: ExperimentConfig) -> int:
     write_conll(dev, out / "dev.conll")
     write_conll(test, out / "test.conll")
     lines = synth_pretrain_corpus(seed, max(cfg.n_sentences, 200))
-    (out / "corpus.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(out / "corpus.txt", "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
     write_json(out / "meta.json", {
         "seed": seed, "n_sentences": cfg.n_sentences,
         "entity_types": list(cfg.entity_types),
@@ -480,16 +481,17 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
         model_path = _resolve_model_path(cfg.model_in, seed)
         model, _ = _load_fp32_model(model_path)
         vocab = _vocab_for(cfg, model_path, train)
-        table = bench_quantized(model, eval_split, vocab, reps=cfg.reps,
-                                batch_size=cfg.batch_size, max_seq_len=cfg.max_seq_len,
-                                threshold=cfg.outlier_threshold,
-                                entity_types=cfg.entity_types)
-        return {"subcommand": "bench", "dataset": _dataset_id(cfg), **table}
+        timed = [measure_inference_time(handle, eval_split, vocab, reps=cfg.reps,
+                                        warmup=cfg.warmup, **_eval_kwargs(cfg))
+                 for handle in (model, quantize_model_dynamic(model),
+                                quantize_model_int8_mixed(model, cfg.outlier_threshold))]
+        return {"subcommand": "bench", "dataset": _dataset_id(cfg),
+                "modes": {stats["mode"]: stats for stats in timed}}
 
     with output_lock(out):
         reports = _per_seed(cfg, out, tag, run_one)
         rows = [[rep["dataset"], rep["seed"]]
-                + [f"{rep['modes'][m]['median_ms_per_batch']:.3f}"
+                + [f"{rep['modes'][m]['median_ms'] / max(1, rep['modes'][m]['n_batches']):.3f}"
                    for m in ("fp32", "dynamic_int8", "int8_mixed")]
                 for rep in reports]
         write_csv(out / f"{tag}_latency.csv",

@@ -77,7 +77,7 @@ def load_conll(path, entity_types: Sequence[str] = DEFAULT_ENTITY_TYPES) -> list
 
 
 def write_conll(sentences: Iterable[Sentence], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for sent in sentences:
             for token, tag in zip(sent.tokens, sent.tags):
                 fh.write(f"{token} {tag}\n")

@@ -44,8 +44,7 @@ class EvalReport:
         return asdict(self)
 
 
-TIMING_FIELDS = ("inference_time_ms", "median_ms", "mean_ms", "iqr_ms",
-                 "median_ms_per_batch", "mean_ms_per_batch")
+TIMING_FIELDS = ("inference_time_ms", "median_ms", "mean_ms", "iqr_ms")
 
 
 def extract_spans(tags) -> list[EntitySpan]:

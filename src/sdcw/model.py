@@ -4,6 +4,11 @@ Post-LN blocks, learned absolute position embeddings, GELU feed-forward,
 and a single linear classifier over the final hidden states. The masked-LM
 projection is weight-tied to the token embeddings (no extra parameters), so
 `count_params` has a clean closed form.
+
+The block sequence (`embed`, `apply_layer`, `forward`) is written once, here.
+It runs on any handle with a `config` and a `kernel(training, dropout_rng)`
+method that supplies the ops: an EncoderModel brings a `TapeKernel`
+(autodiff ops), a `quant.QuantizedModel` an `Int8Kernel` (numpy).
 """
 from __future__ import annotations
 
@@ -124,6 +129,10 @@ class EncoderModel:
     def param(self, name: str) -> Tensor:
         return self.params[name]
 
+    def kernel(self, training: bool = False,
+               dropout_rng: np.random.Generator | None = None) -> "TapeKernel":
+        return TapeKernel(self, training, dropout_rng)
+
 
 def init_model(config: EncoderConfig, seed: int) -> EncoderModel:
     """Truncated-normal(std 0.02) weights, zero biases, unit norm gains."""
@@ -184,74 +193,105 @@ def _validate_inputs(config: EncoderConfig, token_ids: np.ndarray, attention_mas
     return ids, mask
 
 
-def attention_bias(attention_mask: np.ndarray, num_heads: int) -> Tensor:
+def attention_bias(attention_mask: np.ndarray, num_heads: int) -> np.ndarray:
     """Additive [b*heads, 1, s] bias: ~-1e9 on masked key positions."""
     mask = np.asarray(attention_mask, dtype=bool)
     b, s = mask.shape
     bias = np.where(mask, 0.0, ATTN_MASK_BIAS).astype(np.float32).reshape(b, 1, s)
-    return Tensor(np.repeat(bias, num_heads, axis=0))
+    return np.repeat(bias, num_heads, axis=0)
+
+
+def _bias_name(weight_name: str) -> str:
+    """The bias added after the linear layer whose weight is `weight_name`."""
+    if weight_name == "head.weight":
+        return "head.bias"
+    if ".attn.w" in weight_name:
+        return weight_name.replace(".attn.w", ".attn.b")
+    return weight_name.replace(".ffn.w", ".ffn.b")
+
+
+class TapeKernel:
+    """The encoder's ops as autodiff ops over `model.params`: training,
+    distillation, and fp32 or pruned evaluation under `no_grad`. Dropout
+    applies only in training."""
+
+    def __init__(self, model: EncoderModel, training: bool = False,
+                 dropout_rng: np.random.Generator | None = None):
+        self.params = model.params
+        self.rate = model.config.dropout if training else 0.0
+        self.dropout_rng = dropout_rng
+
+    def rows(self, name: str, ids: np.ndarray) -> Tensor:
+        return T.take_rows(self.params[name], ids)
+
+    def constant(self, values: np.ndarray) -> Tensor:
+        return Tensor(values)
+
+    def linear(self, x: Tensor, weight: str) -> Tensor:
+        return T.add(T.matmul(x, self.params[weight]), self.params[_bias_name(weight)])
+
+    def attn_matmul(self, a: Tensor, b: Tensor) -> Tensor:
+        return T.matmul(a, b)
+
+    # the tape ops themselves, looked up on each use (so that wrappers put on
+    # the tensor module, such as a tracer's, see the calls)
+    add = property(lambda self: T.add)
+    scale = property(lambda self: T.scale)
+    reshape = property(lambda self: T.reshape)
+    transpose = property(lambda self: T.transpose)
+    softmax = property(lambda self: T.softmax)
+    gelu = property(lambda self: T.gelu)
+
+    def layer_norm(self, x: Tensor, norm: str) -> Tensor:
+        return T.layer_norm(x, self.params[f"{norm}.gain"], self.params[f"{norm}.bias"], LN_EPS)
+
+    def dropout(self, x: Tensor) -> Tensor:
+        return T.dropout(x, self.rate, self.dropout_rng) if self.rate > 0 else x
 
 
 def embed(model: EncoderModel, token_ids, attention_mask, *, training: bool = False,
-          dropout_rng: np.random.Generator | None = None) -> Tensor:
+          dropout_rng: np.random.Generator | None = None):
     """Token + position embeddings, embedding layer norm, dropout. [b*s, H]."""
     ids, _ = _validate_inputs(model.config, token_ids, attention_mask)
+    ops = model.kernel(training, dropout_rng)
     b, s = ids.shape
-    tok = T.embedding(model.param("embeddings.token"), ids)
-    pos = T.take_rows(model.param("embeddings.position"), np.arange(s))
-    x = T.add(tok, pos)
-    x = T.layer_norm(x, model.param("embeddings.norm.gain"), model.param("embeddings.norm.bias"), LN_EPS)
-    if training and model.config.dropout > 0:
-        x = T.dropout(x, model.config.dropout, dropout_rng)
-    return T.reshape(x, (b * s, model.config.hidden_size))
+    x = ops.add(ops.rows("embeddings.token", ids), ops.rows("embeddings.position", np.arange(s)))
+    x = ops.dropout(ops.layer_norm(x, "embeddings.norm"))
+    return ops.reshape(x, (b * s, model.config.hidden_size))
 
 
-def apply_layer(model: EncoderModel, index: int, hidden: Tensor, attention_mask, *,
+def apply_layer(model: EncoderModel, index: int, hidden, attention_mask, *,
                 training: bool = False, dropout_rng: np.random.Generator | None = None,
-                collect_attention: list | None = None) -> Tensor:
+                collect_attention: list | None = None):
     """One post-LN encoder block over [b*s, H] hidden states."""
     c = model.config
+    ops = model.kernel(training, dropout_rng)
     mask = np.asarray(attention_mask, dtype=bool)
     b, s = mask.shape
     h, d, a = c.hidden_size, c.head_dim, c.num_heads
     p = f"layers.{index}"
 
-    def linear(x: Tensor, w: str, bias: str) -> Tensor:
-        return T.add(T.matmul(x, model.param(w)), model.param(bias))
+    def heads(x):
+        x = ops.transpose(ops.reshape(x, (b, s, a, d)), (0, 2, 1, 3))
+        return ops.reshape(x, (b * a, s, d))
 
-    def heads(x: Tensor) -> Tensor:
-        x = T.reshape(x, (b, s, a, d))
-        x = T.transpose(x, (0, 2, 1, 3))
-        return T.reshape(x, (b * a, s, d))
-
-    q = heads(linear(hidden, f"{p}.attn.wq", f"{p}.attn.bq"))
-    k = heads(linear(hidden, f"{p}.attn.wk", f"{p}.attn.bk"))
-    v = heads(linear(hidden, f"{p}.attn.wv", f"{p}.attn.bv"))
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(d))
-    scores = T.add(scores, attention_bias(mask, a))
-    probs = T.softmax(scores, axis=-1)
+    q, k, v = (heads(ops.linear(hidden, f"{p}.attn.w{m}")) for m in "qkv")
+    scores = ops.scale(ops.attn_matmul(q, ops.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(d))
+    probs = ops.softmax(ops.add(scores, ops.constant(attention_bias(mask, a))))
     if collect_attention is not None:
         collect_attention.append(probs)
-    ctx = T.matmul(probs, v)
-    ctx = T.reshape(T.transpose(T.reshape(ctx, (b, a, s, d)), (0, 2, 1, 3)), (b * s, h))
-    attn_out = linear(ctx, f"{p}.attn.wo", f"{p}.attn.bo")
-    if training and c.dropout > 0:
-        attn_out = T.dropout(attn_out, c.dropout, dropout_rng)
-    x = T.layer_norm(T.add(hidden, attn_out),
-                     model.param(f"{p}.attn_norm.gain"), model.param(f"{p}.attn_norm.bias"), LN_EPS)
-
-    ff = linear(x, f"{p}.ffn.w1", f"{p}.ffn.b1")
-    ff = T.gelu(ff)
-    ff = T.add(T.matmul(ff, model.param(f"{p}.ffn.w2")), model.param(f"{p}.ffn.b2"))
-    if training and c.dropout > 0:
-        ff = T.dropout(ff, c.dropout, dropout_rng)
-    return T.layer_norm(T.add(x, ff),
-                        model.param(f"{p}.ffn_norm.gain"), model.param(f"{p}.ffn_norm.bias"), LN_EPS)
+    ctx = ops.attn_matmul(probs, v)
+    ctx = ops.reshape(ops.transpose(ops.reshape(ctx, (b, a, s, d)), (0, 2, 1, 3)), (b * s, h))
+    attn_out = ops.dropout(ops.linear(ctx, f"{p}.attn.wo"))
+    x = ops.layer_norm(ops.add(hidden, attn_out), f"{p}.attn_norm")
+    ff = ops.gelu(ops.linear(x, f"{p}.ffn.w1"))
+    ff = ops.dropout(ops.linear(ff, f"{p}.ffn.w2"))
+    return ops.layer_norm(ops.add(x, ff), f"{p}.ffn_norm")
 
 
 def forward_hidden(model: EncoderModel, token_ids, attention_mask, *, training: bool = False,
                    dropout_rng: np.random.Generator | None = None,
-                   collect_attention: list | None = None) -> Tensor:
+                   collect_attention: list | None = None):
     """Final hidden states, flattened to [b*s, H]."""
     x = embed(model, token_ids, attention_mask, training=training, dropout_rng=dropout_rng)
     for i in range(model.config.num_layers):
@@ -262,14 +302,14 @@ def forward_hidden(model: EncoderModel, token_ids, attention_mask, *, training: 
 
 def forward(model: EncoderModel, token_ids, attention_mask, *, training: bool = False,
             dropout_rng: np.random.Generator | None = None,
-            collect_attention: list | None = None) -> Tensor:
-    """Per-token class logits [b, s, num_classes]."""
-    ids = np.asarray(token_ids)
-    b, s = ids.shape
+            collect_attention: list | None = None):
+    """Per-token class logits [b, s, num_classes]: a Tensor for an
+    EncoderModel, an array for a quantized handle."""
     x = forward_hidden(model, token_ids, attention_mask, training=training,
                        dropout_rng=dropout_rng, collect_attention=collect_attention)
-    logits = T.add(T.matmul(x, model.param("head.weight")), model.param("head.bias"))
-    return T.reshape(logits, (b, s, model.config.num_classes))
+    ops = model.kernel(training, dropout_rng)
+    b, s = np.shape(token_ids)
+    return ops.reshape(ops.linear(x, "head.weight"), (b, s, model.config.num_classes))
 
 
 def mlm_logits(model: EncoderModel, hidden: Tensor) -> Tensor:

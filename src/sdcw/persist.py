@@ -38,9 +38,9 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import PersistError
-from .model import EncoderConfig, EncoderModel, param_names
+from .model import EncoderConfig, EncoderModel, _bias_name, param_names
 from .prune import PruneMask
-from .quant import _LINEAR_WEIGHTS, QuantizedLinear, QuantizedModel, QuantizedTensor, _bias_name
+from .quant import _LINEAR_WEIGHTS, QuantizedLinear, QuantizedModel, QuantizedTensor
 from .tensor import Tensor
 
 MAGIC = b"SDCW"

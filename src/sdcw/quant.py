@@ -11,6 +11,10 @@ Two modes:
   columns whose max magnitude reaches the outlier threshold are routed
   through an exact fp32 path and recombined.
 
+A quantized handle runs the encoder block sequence of `model.forward`, the
+same as an fp32 model, over `Int8Kernel`: int8 linears, the attention
+products of its mode, and the fp32 kernels of the tape ops for the rest.
+
 Quantization uses symmetric round-half-away-from-zero into [-127, 127] with
 scale s = 127 / max|x| per vector (s = 1 for an all-zero vector), so the
 per-element round-trip error is bounded by max|x| / 254.
@@ -27,13 +31,12 @@ the outer product of the scales in float64 and rounded once to float32.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .model import ATTN_MASK_BIAS, LN_EPS, EncoderConfig, EncoderModel
+from .model import LN_EPS, EncoderConfig, EncoderModel, _bias_name, forward
 from .tensor import Tensor, _gelu_np, _layer_norm_np, _softmax_np
 
 MAX_CONTRACTION = 1 << 24
@@ -282,16 +285,8 @@ class QuantizedModel:
     linears: dict[str, QuantizedLinear]
     extras: dict[str, np.ndarray]
 
-    def quantized_names(self) -> list[str]:
-        return list(self.linears)
-
-
-def _bias_name(weight_name: str) -> str:
-    if weight_name == "head.weight":
-        return "head.bias"
-    if ".attn.w" in weight_name:
-        return weight_name.replace(".attn.w", ".attn.b")
-    return weight_name.replace(".ffn.w", ".ffn.b")
+    def kernel(self, training: bool = False, dropout_rng=None) -> "Int8Kernel":
+        return Int8Kernel(self)  # inference only: no dropout
 
 
 def quantize_model(model: EncoderModel, mode: str,
@@ -330,106 +325,61 @@ def quantize_model_int8_mixed(model: EncoderModel,
 
 
 # ---------------------------------------------------------------------------
-# quantized forward pass (pure numpy; fp32 helpers shared with the tape ops)
+# quantized forward pass: model.forward over the int8 kernel
 
-def _act_quant(qm: QuantizedModel, x: np.ndarray) -> QuantizedTensor:
-    if qm.mode == "int8_mixed":
-        return quantize_with_outliers(x, qm.outlier_threshold, axis=1)
-    return absmax_quantize(x, axis=1)
+class Int8Kernel:
+    """The encoder's ops in numpy over a QuantizedModel. Linears quantize
+    their input per token row and run `int8_matmul`; the attention products
+    run in fp32 (dynamic) or as `int8_bmm` (mixed); every other step uses the
+    fp32 kernels of the tape ops, so it is bit-identical to them."""
 
+    def __init__(self, qm: QuantizedModel):
+        self.qm = qm
+        self.mixed = qm.mode == "int8_mixed"
 
-def _q_linear(qm: QuantizedModel, name: str, x: np.ndarray) -> np.ndarray:
-    lin = qm.linears[name]
-    return int8_matmul(_act_quant(qm, x), lin.weight) + lin.bias
+    def rows(self, name: str, ids: np.ndarray) -> np.ndarray:
+        return self.qm.extras[name][ids]
 
+    def constant(self, values: np.ndarray) -> np.ndarray:
+        return values
 
-def _q_attention_matmul(qm: QuantizedModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched [B,m,k] x [B,k,n]; int8 in mixed mode, fp32 in dynamic mode."""
-    if qm.mode != "int8_mixed":
-        return a @ b
-    return int8_bmm(a, b, qm.outlier_threshold)
+    def linear(self, x: np.ndarray, weight: str) -> np.ndarray:
+        lin = self.qm.linears[weight]
+        if self.mixed:
+            xq = quantize_with_outliers(x, self.qm.outlier_threshold, axis=1)
+        else:
+            xq = absmax_quantize(x, axis=1)
+        return int8_matmul(xq, lin.weight) + lin.bias
+
+    def attn_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return int8_bmm(a, b, self.qm.outlier_threshold) if self.mixed else a @ b
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a + b
+
+    def scale(self, a: np.ndarray, c: float) -> np.ndarray:
+        return a * np.float32(c)
+
+    def reshape(self, a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        return a.reshape(shape)
+
+    def transpose(self, a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+        return np.ascontiguousarray(a.transpose(axes))
+
+    def softmax(self, a: np.ndarray) -> np.ndarray:
+        return _softmax_np(a, -1)
+
+    def gelu(self, a: np.ndarray) -> np.ndarray:
+        return _gelu_np(a)
+
+    def layer_norm(self, x: np.ndarray, norm: str) -> np.ndarray:
+        extras = self.qm.extras
+        return _layer_norm_np(x, extras[f"{norm}.gain"], extras[f"{norm}.bias"], LN_EPS)
+
+    def dropout(self, x: np.ndarray) -> np.ndarray:
+        return x
 
 
 def quantized_forward(qm: QuantizedModel, token_ids, attention_mask) -> np.ndarray:
     """Per-token class logits [b, s, num_classes] from the quantized handle."""
-    from .model import _validate_inputs
-
-    c = qm.config
-    ids, mask = _validate_inputs(c, token_ids, attention_mask)
-    b, s = ids.shape
-    h, d, heads = c.hidden_size, c.head_dim, c.num_heads
-    x = qm.extras["embeddings.token"][ids] + qm.extras["embeddings.position"][:s]
-    x = _layer_norm_np(x, qm.extras["embeddings.norm.gain"], qm.extras["embeddings.norm.bias"], LN_EPS)
-    x = x.reshape(b * s, h).astype(np.float32)
-    bias = np.where(mask, 0.0, ATTN_MASK_BIAS).astype(np.float32).reshape(b, 1, s)
-    bias = np.repeat(bias, heads, axis=0)
-
-    def split_heads(y: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(y.reshape(b, s, heads, d).transpose(0, 2, 1, 3)).reshape(b * heads, s, d)
-
-    for i in range(c.num_layers):
-        p = f"layers.{i}"
-        q = split_heads(_q_linear(qm, f"{p}.attn.wq", x))
-        k = split_heads(_q_linear(qm, f"{p}.attn.wk", x))
-        v = split_heads(_q_linear(qm, f"{p}.attn.wv", x))
-        scores = _q_attention_matmul(qm, q, np.ascontiguousarray(k.transpose(0, 2, 1)))
-        scores = scores * np.float32(1.0 / np.sqrt(d)) + bias
-        probs = _softmax_np(scores, -1)
-        ctx = _q_attention_matmul(qm, probs, v)
-        ctx = np.ascontiguousarray(ctx.reshape(b, heads, s, d).transpose(0, 2, 1, 3)).reshape(b * s, h)
-        attn_out = _q_linear(qm, f"{p}.attn.wo", ctx)
-        x = _layer_norm_np(x + attn_out, qm.extras[f"{p}.attn_norm.gain"],
-                           qm.extras[f"{p}.attn_norm.bias"], LN_EPS)
-        ff = _gelu_np(_q_linear(qm, f"{p}.ffn.w1", x))
-        ff = _q_linear(qm, f"{p}.ffn.w2", ff)
-        x = _layer_norm_np(x + ff, qm.extras[f"{p}.ffn_norm.gain"],
-                           qm.extras[f"{p}.ffn_norm.bias"], LN_EPS)
-    logits = _q_linear(qm, "head.weight", x)
-    return logits.reshape(b, s, c.num_classes)
-
-
-# ---------------------------------------------------------------------------
-# latency harness
-
-def bench_quantized(model: EncoderModel, sentences, vocab, reps: int = 7,
-                    batch_size: int = 16, max_seq_len: int = 32,
-                    threshold: float = DEFAULT_OUTLIER_THRESHOLD,
-                    entity_types=None) -> dict:
-    """Median/IQR wall-clock per batch for fp32, dynamic, and mixed modes.
-
-    Reported, not acceptance-gated: absolute numbers are hardware- and
-    BLAS-dependent.
-    """
-    from .data import DEFAULT_ENTITY_TYPES, batch as make_batches
-    from .model import forward
-    from .tensor import no_grad
-
-    if reps < 3:
-        raise ParameterError(f"reps must be >= 3, got {reps}")
-    batches = make_batches(sentences, vocab, max_seq_len, batch_size,
-                           entity_types=entity_types or DEFAULT_ENTITY_TYPES)
-    handles = {
-        "fp32": model,
-        "dynamic_int8": quantize_model_dynamic(model),
-        "int8_mixed": quantize_model_int8_mixed(model, threshold),
-    }
-    shapes = [tuple(tb.token_ids.shape) for tb in batches]
-    result: dict = {"batch_shapes": shapes, "reps": reps, "modes": {}}
-    for tag, handle in handles.items():
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            for tb in batches:
-                if isinstance(handle, EncoderModel):
-                    with no_grad():
-                        forward(handle, tb.token_ids, tb.attention_mask)
-                else:
-                    quantized_forward(handle, tb.token_ids, tb.attention_mask)
-            times.append((time.perf_counter() - t0) * 1000.0 / max(1, len(batches)))
-        q1, med, q3 = np.percentile(times, [25, 50, 75])
-        result["modes"][tag] = {
-            "median_ms_per_batch": float(med),
-            "iqr_ms": float(q3 - q1),
-            "mean_ms_per_batch": float(np.mean(times)),
-        }
-    return result
+    return forward(qm, token_ids, attention_mask)

@@ -194,13 +194,19 @@ def _log_softmax_np(x: Array, axis: int = -1) -> Array:
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
-def _layer_norm_np(x: Array, gain: Array, bias: Array, eps: float) -> Array:
-    # arithmetic kept literally identical to the layer_norm tape op
+def _layer_norm_parts(x: Array, gain: Array, bias: Array, eps: float) -> tuple[Array, Array, Array]:
+    """Layer norm over the last axis, and the normalized input and inverse
+    standard deviation, which the tape op keeps for its backward."""
     mean = x.mean(axis=-1, keepdims=True)
     xc = x - mean
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.float32(eps))
-    return (xc * inv) * gain + bias
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def _layer_norm_np(x: Array, gain: Array, bias: Array, eps: float) -> Array:
+    return _layer_norm_parts(x, gain, bias, eps)[0]
 
 
 def _gelu_parts(x: Array) -> tuple[Array, Array]:
@@ -363,13 +369,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}"
         )
-    x = a.data
-    mean = x.mean(axis=-1, keepdims=True)
-    xc = x - mean
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.float32(eps))
-    xhat = xc * inv
-    data = xhat * gain.data + bias.data
+    data, xhat, inv = _layer_norm_parts(a.data, gain.data, bias.data, eps)
 
     def bwd(g: Array) -> None:
         lead = tuple(range(g.ndim - 1))

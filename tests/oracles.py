@@ -2,13 +2,20 @@
 
 Everything here is float64 numpy with no autodiff involvement, so
 finite-difference gradients are limited by truncation error only. The
-float32 references at the end are the whole-array expressions that the
-optimized tape kernels must reproduce byte for byte.
+float32 references after them are the whole-array expressions that the
+optimized tape kernels must reproduce byte for byte, and the last section
+keeps the hand-written quantized forward that the shared encoder topology
+must reproduce byte for byte.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import erf
+
+from sdcw.model import ATTN_MASK_BIAS, LN_EPS, _validate_inputs
+from sdcw.quant import (QuantizedModel, QuantizedTensor, absmax_quantize, int8_bmm, int8_matmul,
+                        quantize_with_outliers)
+from sdcw.tensor import _gelu_np, _layer_norm_np, _softmax_np
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -149,6 +156,14 @@ def gelu_grad_f32(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g * d.astype(np.float32)
 
 
+def layer_norm_f32(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> np.ndarray:
+    mean = x.mean(axis=-1, keepdims=True)
+    xc = x - mean
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + np.float32(eps))
+    return (xc * inv) * gain + bias
+
+
 def adam_dense(p: np.ndarray, g: np.ndarray | None, m: np.ndarray, v: np.ndarray, step: int,
                learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
                eps: float = 1e-8) -> None:
@@ -201,10 +216,66 @@ def quantize_with_outliers_ref(x, threshold: float, axis: int = 1):
 
 def attention_matmul_loop(a: np.ndarray, b: np.ndarray, threshold: float) -> np.ndarray:
     """Mixed-mode [N,m,k] x [N,k,n], one 2D quantize-and-multiply per slice."""
-    from sdcw import quant
-
     out = np.empty((a.shape[0], a.shape[1], b.shape[2]), dtype=np.float32)
     for i in range(a.shape[0]):
-        out[i] = quant.int8_matmul(quant.quantize_with_outliers(a[i], threshold, axis=1),
-                                   quant.quantize_with_outliers(b[i], threshold, axis=0))
+        out[i] = int8_matmul(quantize_with_outliers(a[i], threshold, axis=1),
+                             quantize_with_outliers(b[i], threshold, axis=0))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the hand-written quantized forward that model.forward over quant.Int8Kernel
+# replaced; the two must give the same logits byte for byte
+
+def _act_quant(qm: QuantizedModel, x: np.ndarray) -> QuantizedTensor:
+    if qm.mode == "int8_mixed":
+        return quantize_with_outliers(x, qm.outlier_threshold, axis=1)
+    return absmax_quantize(x, axis=1)
+
+
+def _q_linear(qm: QuantizedModel, name: str, x: np.ndarray) -> np.ndarray:
+    lin = qm.linears[name]
+    return int8_matmul(_act_quant(qm, x), lin.weight) + lin.bias
+
+
+def _q_attention_matmul(qm: QuantizedModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched [B,m,k] x [B,k,n]; int8 in mixed mode, fp32 in dynamic mode."""
+    if qm.mode != "int8_mixed":
+        return a @ b
+    return int8_bmm(a, b, qm.outlier_threshold)
+
+
+def quantized_forward_ref(qm: QuantizedModel, token_ids, attention_mask) -> np.ndarray:
+    """Per-token class logits [b, s, num_classes] from the quantized handle."""
+    c = qm.config
+    ids, mask = _validate_inputs(c, token_ids, attention_mask)
+    b, s = ids.shape
+    h, d, heads = c.hidden_size, c.head_dim, c.num_heads
+    x = qm.extras["embeddings.token"][ids] + qm.extras["embeddings.position"][:s]
+    x = _layer_norm_np(x, qm.extras["embeddings.norm.gain"], qm.extras["embeddings.norm.bias"], LN_EPS)
+    x = x.reshape(b * s, h).astype(np.float32)
+    bias = np.where(mask, 0.0, ATTN_MASK_BIAS).astype(np.float32).reshape(b, 1, s)
+    bias = np.repeat(bias, heads, axis=0)
+
+    def split_heads(y: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(y.reshape(b, s, heads, d).transpose(0, 2, 1, 3)).reshape(b * heads, s, d)
+
+    for i in range(c.num_layers):
+        p = f"layers.{i}"
+        q = split_heads(_q_linear(qm, f"{p}.attn.wq", x))
+        k = split_heads(_q_linear(qm, f"{p}.attn.wk", x))
+        v = split_heads(_q_linear(qm, f"{p}.attn.wv", x))
+        scores = _q_attention_matmul(qm, q, np.ascontiguousarray(k.transpose(0, 2, 1)))
+        scores = scores * np.float32(1.0 / np.sqrt(d)) + bias
+        probs = _softmax_np(scores, -1)
+        ctx = _q_attention_matmul(qm, probs, v)
+        ctx = np.ascontiguousarray(ctx.reshape(b, heads, s, d).transpose(0, 2, 1, 3)).reshape(b * s, h)
+        attn_out = _q_linear(qm, f"{p}.attn.wo", ctx)
+        x = _layer_norm_np(x + attn_out, qm.extras[f"{p}.attn_norm.gain"],
+                           qm.extras[f"{p}.attn_norm.bias"], LN_EPS)
+        ff = _gelu_np(_q_linear(qm, f"{p}.ffn.w1", x))
+        ff = _q_linear(qm, f"{p}.ffn.w2", ff)
+        x = _layer_norm_np(x + ff, qm.extras[f"{p}.ffn_norm.gain"],
+                           qm.extras[f"{p}.ffn_norm.bias"], LN_EPS)
+    logits = _q_linear(qm, "head.weight", x)
+    return logits.reshape(b, s, c.num_classes)

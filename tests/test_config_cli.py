@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from sdcw import cli, config, data, persist
-from sdcw.errors import ConfigError, DataError, WorkbenchError
+from sdcw import cli, config, data, evaluation, persist, quant
+from sdcw.errors import ConfigError, DataError, ParameterError, WorkbenchError
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +300,64 @@ def test_bench_cli_writes_latency_table(workspace, tmp_path):
     assert len(table) == 2
 
 
+def _bench(workspace, tmp_path, keys: str) -> tuple[int, Path]:
+    """`sdcw bench` of the workspace model over 32 test sentences: two
+    batches at the desk batch size of 16."""
+    root, data_dir, ft_dir, _ = workspace
+    bench_data = tmp_path / "bench_data"
+    bench_data.mkdir()
+    data.write_conll(data.load_conll(data_dir / "test.conll")[:32], bench_data / "test.conll")
+    out = tmp_path / "bench"
+    cfg = _write_cfg(tmp_path / "b.cfg",
+                     f"preset=desk\nseeds=1\ndataset={bench_data}\nout_dir={out}\n"
+                     f"model_in={ft_dir}/finetune_seed{{seed}}.sdcw\n" + keys)
+    return cli.run_cli(["bench", cfg]), out
+
+
+def test_bench_reports_all_three_modes(workspace, tmp_path):
+    rc, out = _bench(workspace, tmp_path, "reps=3\n")
+    assert rc == 0
+    rep = json.loads((out / "bench_desk_seed1.json").read_text())
+    assert set(rep["modes"]) == {"fp32", "dynamic_int8", "int8_mixed"}
+    for stats in rep["modes"].values():
+        assert stats["reps"] == 3
+        assert stats["n_batches"] == 2
+        assert stats["median_ms"] > 0
+        assert stats["iqr_ms"] > 0  # repeated wall-clock reps never tie exactly
+    row = (out / "bench_desk_latency.csv").read_text().splitlines()[1].split(",")
+    assert all(float(ms) > 0 for ms in row[2:])  # median ms per batch
+
+
+def test_bench_rejects_too_few_reps(workspace, tmp_path):
+    rc, out = _bench(workspace, tmp_path, "reps=2\n")
+    assert rc == 2
+    assert not (out / "bench_desk_latency.csv").exists()
+    root, data_dir, ft_dir, _ = workspace
+    fp32, _ = persist.load_model(ft_dir / "finetune_seed1.sdcw")
+    vocab = data.Vocabulary.load(ft_dir / "finetune_seed1.sdcw.vocab")
+    test = data.load_conll(data_dir / "test.conll")[:8]
+    for handle in (fp32, quant.quantize_model_dynamic(fp32), quant.quantize_model_int8_mixed(fp32)):
+        with pytest.raises(ParameterError):
+            evaluation.measure_inference_time(handle, test, vocab, reps=2)
+
+
+def test_bench_runs_warmup_passes_before_the_timed_reps(workspace, tmp_path, monkeypatch):
+    calls = Counter()
+    original = evaluation.forward_logits
+
+    def counted(handle, token_ids, attention_mask):
+        calls[evaluation.handle_mode(handle)] += 1
+        return original(handle, token_ids, attention_mask)
+
+    monkeypatch.setattr(evaluation, "forward_logits", counted)
+    rc, out = _bench(workspace, tmp_path, "reps=3\nwarmup=2\n")
+    assert rc == 0
+    # (2 warmup + 3 timed passes) x 2 batches for each handle
+    assert calls == {"fp32": 10, "dynamic_int8": 10, "int8_mixed": 10}
+    for stats in json.loads((out / "bench_desk_seed1.json").read_text())["modes"].values():
+        assert (stats["warmup"], stats["reps"]) == (2, 3)
+
+
 def test_report_cli_regenerates_sweep_csv(workspace, tmp_path):
     root, data_dir, _, base = workspace
     out = tmp_path / "runs"
@@ -396,6 +455,24 @@ def test_json_write_failing_mid_write_keeps_the_previous_file(tmp_path, fail_mid
         cli.write_json(report, {"f1": 0.9, "seed": 1})
     assert report.read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == ["r.json"]
+
+
+def test_synth_data_failing_mid_write_keeps_the_previous_corpus(tmp_path, fail_mid_write, monkeypatch):
+    out = tmp_path / "data"
+    cfg = _write_cfg(tmp_path / "s1.cfg", f"preset=desk\nseeds=1\nn_sentences=40\nout_dir={out}\n")
+    assert cli.run_cli(["synth-data", cfg]) == 0
+    before = (out / "corpus.txt").read_bytes()
+    original = cli.synth_pretrain_corpus
+
+    def arm_then_generate(*args):  # the CoNLL splits are written by now
+        fail_mid_write(0)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "synth_pretrain_corpus", arm_then_generate)
+    cfg = _write_cfg(tmp_path / "s2.cfg", f"preset=desk\nseeds=2\nn_sentences=40\nout_dir={out}\n")
+    assert cli.run_cli(["synth-data", cfg]) == 1
+    assert (out / "corpus.txt").read_bytes() == before
+    assert not [f for f in out.iterdir() if f.name.endswith(".tmp")]
 
 
 def test_report_cli_failing_mid_write_keeps_the_previous_table(tmp_path, fail_mid_write):

@@ -26,6 +26,17 @@ def test_conll_round_trip_bytes(tmp_path):
     assert reparsed[0].tokens == sents[0].tokens and reparsed[1].tags == sents[1].tags
 
 
+def test_conll_write_failing_mid_write_keeps_the_previous_file(tmp_path, fail_mid_write):
+    path = tmp_path / "a.conll"
+    data.write_conll([data.Sentence(["Kwame"], ["B-PER"])], path)
+    before = path.read_bytes()
+    fail_mid_write(1)  # the first token line goes through, the second fails
+    with pytest.raises(OSError):
+        data.write_conll([data.Sentence(["Mopti", "Monday"], ["B-LOC", "B-DATE"])], path)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["a.conll"]
+
+
 def test_conll_three_fields_errors_with_line(tmp_path):
     p = tmp_path / "bad.conll"
     p.write_text("Kwame B-PER\nvisited O extra\n", encoding="utf-8")

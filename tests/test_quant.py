@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sdcw import data, model, quant
 from sdcw.errors import DataError, ParameterError, ShapeError
 from sdcw.model import forward
+from sdcw.persist import load_model, save_model
 from sdcw.rng import stream
 from sdcw.tensor import no_grad
 
-from oracles import absmax_quantize_ref, attention_matmul_loop, quantize_with_outliers_ref
+from oracles import (absmax_quantize_ref, attention_matmul_loop, quantize_with_outliers_ref,
+                     quantized_forward_ref)
 
 TINY = model.EncoderConfig(num_layers=2, num_heads=2, hidden_size=16, ffn_size=32,
                            vocab_size=120, max_positions=32, num_classes=9)
@@ -377,22 +381,38 @@ def test_serialized_reduction_bands_on_weight_dominated_model(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# latency harness
+# the shared topology against the hand-written quantized forward
 
-def test_bench_reports_all_three_modes(desk_corpus):
-    train, _, test, vocab = desk_corpus
-    m = model.init_model(model.desk_config(), seed=1)
-    out = quant.bench_quantized(m, test[:32], vocab, reps=3, batch_size=16, max_seq_len=32)
-    assert set(out["modes"]) == {"fp32", "dynamic_int8", "int8_mixed"}
-    assert out["reps"] == 3
-    assert len(out["batch_shapes"]) == 2
-    for stats in out["modes"].values():
-        assert stats["median_ms_per_batch"] > 0
-        assert stats["iqr_ms"] > 0  # repeated wall-clock reps never tie exactly
+@pytest.mark.parametrize("num_layers", [0, 1, 2])
+def test_quantized_forward_equals_the_hand_written_reference(num_layers, tmp_path, monkeypatch):
+    cfg = replace(TINY, num_layers=num_layers)
+    m = model.init_model(cfg, seed=12)
+    gen = stream(12, "quant-ref")
+    for name, p in m.params.items():  # large LN gains give outlier columns at threshold 6
+        if name.endswith("norm.gain"):
+            p.data[gen.choice(cfg.hidden_size, 2, replace=False)] = 20.0
+    ids, mask = _inputs(gen, b=4, s=10)
+    mask[1, 1:] = False  # a row with one live token
+    ids[1, 1:] = data.PAD
+    handles = {"dynamic": quant.quantize_model_dynamic(m)}
+    for thr in (6.0, 0.5, 1e-30):
+        qm = quant.quantize_model_int8_mixed(m, thr)
+        save_model(qm, tmp_path / f"mixed{thr}.sdcw")
+        handles[f"mixed{thr}"] = qm
+        handles[f"mixed{thr} reloaded"] = load_model(tmp_path / f"mixed{thr}.sdcw")[0]
+    outliers = []
+    original = quant.quantize_with_outliers
 
+    def counted(x, threshold, axis=1):
+        qt = original(x, threshold, axis)
+        outliers.append(qt.outlier_cols.size)
+        return qt
 
-def test_bench_rejects_too_few_reps(desk_corpus):
-    train, _, test, vocab = desk_corpus
-    m = model.init_model(model.desk_config(), seed=1)
-    with pytest.raises(ParameterError):
-        quant.bench_quantized(m, test[:8], vocab, reps=2)
+    monkeypatch.setattr(quant, "quantize_with_outliers", counted)
+    for tag, qm in handles.items():
+        outliers.clear()
+        got = quant.quantized_forward(qm, ids, mask)
+        assert got.dtype == np.float32 and got.shape == (4, 10, cfg.num_classes)
+        assert got.tobytes() == quantized_forward_ref(qm, ids, mask).tobytes(), tag
+        if tag.startswith("mixed6.0"):
+            assert sum(outliers) > 0, "the fp32 outlier path is not exercised"

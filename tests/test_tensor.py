@@ -7,7 +7,7 @@ from sdcw.rng import stream
 
 from oracles import (
     adam_dense, cross_entropy64, gelu_f32, gelu_grad_f32, grad_rel_err, kl_soft64, layer_norm64,
-    naive_matmul, softmax64,
+    layer_norm_f32, naive_matmul, softmax64,
 )
 
 
@@ -239,6 +239,20 @@ def test_gelu_bitwise_equal_to_shared_kernel_and_reference():
     assert out.data.tobytes() == T._gelu_np(x).tobytes() == gelu_f32(x).tobytes()
     T.backward(T.tsum(T.mul(out, tensor(g))))
     assert a.grad.tobytes() == gelu_grad_f32(x, g).tobytes()
+
+
+def test_layer_norm_bitwise_equal_to_shared_kernel_and_reference():
+    gen = stream(17, "layer-norm-bits")
+    x = gen.normal(0, 3, (64, 24)).astype(np.float32)
+    x[1] = 7.0  # constant row: zero variance
+    x[2] = gen.normal(1e4, 1e-3, 24)  # large offset, tiny spread
+    x[3] = gen.normal(0, 1e-20, 24)
+    x = x.reshape(4, 16, 24)
+    gain = gen.normal(1, 0.5, 24).astype(np.float32)
+    bias = gen.normal(0, 0.5, 24).astype(np.float32)
+    out = T.layer_norm(tensor(x, grad=True), tensor(gain, grad=True), tensor(bias, grad=True), 1e-5)
+    assert out.data.tobytes() == T._layer_norm_np(x, gain, bias, 1e-5).tobytes()
+    assert out.data.tobytes() == layer_norm_f32(x, gain, bias, 1e-5).tobytes()
 
 
 def test_embedding_grad_adds_to_an_existing_grad():
