@@ -481,12 +481,20 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
         model_path = _resolve_model_path(cfg.model_in, seed)
         model, _ = _load_fp32_model(model_path)
         vocab = _vocab_for(cfg, model_path, train)
-        timed = [measure_inference_time(handle, eval_split, vocab, reps=cfg.reps,
-                                        warmup=cfg.warmup, **_eval_kwargs(cfg))
-                 for handle in (model, quantize_model_dynamic(model),
-                                quantize_model_int8_mixed(model, cfg.outlier_threshold))]
-        return {"subcommand": "bench", "dataset": _dataset_id(cfg),
-                "modes": {stats["mode"]: stats for stats in timed}}
+
+        def timed(handle) -> dict:
+            return measure_inference_time(handle, eval_split, vocab, reps=cfg.reps,
+                                          warmup=cfg.warmup, **_eval_kwargs(cfg))
+
+        modes = {"fp32": timed(model)}
+        # time what a saved file gives: a reloaded mixed handle has fp16
+        # extras and no fp_ref, unlike the one quantization returns
+        for qm in (quantize_model_dynamic(model),
+                   quantize_model_int8_mixed(model, cfg.outlier_threshold)):
+            qpath = out / f"bench_{qm.mode}_seed{seed}.sdcw"
+            save_model(qm, qpath)
+            modes[qm.mode] = {**timed(load_model(qpath)[0]), "model_path": qpath.name}
+        return {"subcommand": "bench", "dataset": _dataset_id(cfg), "modes": modes}
 
     with output_lock(out):
         reports = _per_seed(cfg, out, tag, run_one)

@@ -188,7 +188,7 @@ class _Reader:
         return np.frombuffer(self.take(count * itemsize), dtype=dtype).copy()
 
 
-def _read_payload(r: _Reader, tag: int, shape: tuple[int, ...]):
+def _read_payload(r: _Reader, name: str, tag: int, shape: tuple[int, ...]):
     n = int(np.prod(shape, dtype=np.int64)) if shape else 1
     if tag == DT_F32:
         return r.array("<f4", n).reshape(shape)
@@ -200,14 +200,23 @@ def _read_payload(r: _Reader, tag: int, shape: tuple[int, ...]):
         return flat.reshape(shape)
     if tag == DT_INT8:
         (axis,) = r.unpack("<B")
+        if len(shape) != 2 or axis not in (0, 1):
+            raise PersistError(f"'{r.path}' int8 record '{name}' is not a matrix with axis 0 or 1")
+        # axis 0: one scale per column, rows are the contraction vectors
+        n_vectors, contraction = (shape[1], shape[0]) if axis == 0 else shape
         (n_scales,) = r.unpack("<I")
         scales = r.array("<f4", n_scales)
+        if n_scales != n_vectors or not np.all(np.isfinite(scales) & (scales > 0)):
+            raise PersistError(f"'{r.path}' int8 record '{name}' has invalid scales")
         (n_out,) = r.unpack("<I")
         idx = r.array("<u4", n_out).astype(np.int64)
-        out_vec = shape[1] if axis == 0 else shape[0]
-        values = r.array("<f4", n_out * out_vec)
+        if n_out and (idx[-1] >= contraction or np.any(np.diff(idx) <= 0)):
+            raise PersistError(f"'{r.path}' int8 record '{name}' has invalid outlier indices")
+        values = r.array("<f4", n_out * n_vectors)
         values = values.reshape((n_out, shape[1]) if axis == 0 else (shape[0], n_out))
         q = r.array(np.int8, n).reshape(shape)
+        if np.any(q[idx, :] if axis == 0 else q[:, idx]):
+            raise PersistError(f"'{r.path}' int8 record '{name}' has nonzero outlier vectors")
         return QuantizedTensor(q, scales, int(axis), idx, values)
     if tag == DT_F16:
         return r.array("<f2", n).reshape(shape).astype(np.float32)
@@ -246,7 +255,7 @@ def load_model(path) -> tuple[EncoderModel | QuantizedModel, PruneMask | None]:
         name = r.take(name_len).decode("utf-8")
         tag, rank = r.unpack("<BB")
         shape = tuple(r.unpack(f"<{rank}I")) if rank else ()
-        tensors[name] = (tag, _read_payload(r, tag, shape))
+        tensors[name] = (tag, _read_payload(r, name, tag, shape))
     if r.pos != len(blob):
         raise PersistError(f"'{path}' has {len(blob) - r.pos} trailing bytes")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import DataError, ParameterError, ShapeError
 from .model import EncoderModel, TrainSpec, finetune
 
 # Prunable-parameter total behind the published sparsity sweep bookkeeping
@@ -82,22 +82,37 @@ def prunable_names(model: EncoderModel) -> list[str]:
 
 
 def compute_mask(model: EncoderModel, p: float, scope: list[str] | None = None) -> PruneMask:
-    """Global-threshold mask zeroing exactly round(p * N) in-scope weights."""
+    """Global-threshold mask zeroing exactly k = round(p * N) in-scope weights.
+
+    The pruned weights are the first k in (magnitude, flat index) order over
+    the concatenated scope, as a stable sort would give, selected without a
+    sort: with v the k-th smallest magnitude, every magnitude below v is
+    pruned, then the ties at v in ascending index until k are pruned. The
+    threshold is the smallest kept magnitude (v if a tie at v is kept), v
+    when k = N, and 0 when k = 0.
+    """
     if not 0.0 <= p <= 0.99:
         raise ParameterError(f"sparsity must be in [0, 0.99], got {p}")
     names = scope if scope is not None else prunable_names(model)
     if not names:
         raise ParameterError("prunable scope is empty")
     mags = np.concatenate([np.abs(model.param(n).data.reshape(-1)) for n in names])
+    # max propagates NaN, and inf is the max, so one reduction finds both
+    if mags.size and not np.isfinite(mags.max()):
+        bad = next(n for n in names if not np.all(np.isfinite(model.param(n).data)))
+        raise DataError(f"non-finite weights in '{bad}'")
     k = pruned_count(p, mags.size)
-    keep_flat = np.ones(mags.size, dtype=np.uint8)
     if k > 0:
-        order = np.argsort(mags, kind="stable")
-        keep_flat[order[:k]] = 0
-        # smallest kept magnitude, so |w| >= t holds for every kept weight
-        # and fails for every pruned one except ties resolved by index order
-        threshold = float(mags[order[k]]) if k < mags.size else float(mags[order[-1]])
+        v = np.partition(mags, k - 1)[k - 1]
+        keep = mags > v
+        ties = np.flatnonzero(mags == v)
+        # at least one tie is pruned, since fewer than k magnitudes are below v
+        n_pruned_ties = k - (mags.size - np.count_nonzero(keep) - ties.size)
+        keep[ties[n_pruned_ties:]] = True
+        threshold = float(v if k == mags.size else np.min(mags, where=keep, initial=np.inf))
+        keep_flat = keep.view(np.uint8)
     else:
+        keep_flat = np.ones(mags.size, dtype=np.uint8)
         threshold = 0.0
     masks: dict[str, np.ndarray] = {}
     offset = 0

@@ -27,11 +27,27 @@ def derive(seed: int, name: str) -> int:
 def truncated_normal(
     rng: np.random.Generator, shape, std: float = 0.02, clip_sigmas: float = 2.0
 ) -> np.ndarray:
-    """Normal(0, std) samples, resampled until all lie within clip_sigmas*std."""
+    """Normal(0, std) samples, resampled until all lie within clip_sigmas*std.
+
+    Each round redraws exactly the values still out of bounds, assigned in
+    ascending flat-index order. That is what re-scanning the whole array and
+    assigning through its boolean mask does, so the generator stream and the
+    values are fixed by the seed alone. A value drawn in bounds is never
+    redrawn, so a round only checks the values it has just drawn.
+    """
     out = rng.normal(0.0, std, size=shape)
     bound = clip_sigmas * std
-    bad = np.abs(out) > bound
-    while np.any(bad):
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > bound
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(_outside(flat, bound))
+    while bad.size:
+        redraw = rng.normal(0.0, std, size=bad.size)
+        flat[bad] = redraw
+        bad = bad[_outside(redraw, bound)]
     return out.astype(np.float32)
+
+
+def _outside(x: np.ndarray, bound: float) -> np.ndarray:
+    """|x| > bound, without a float64 |x| temporary."""
+    mask = x > bound
+    mask |= x < -bound
+    return mask

@@ -5,14 +5,18 @@ finite-difference gradients are limited by truncation error only. The
 float32 references after them are the whole-array expressions that the
 optimized tape kernels must reproduce byte for byte, and the last section
 keeps the hand-written quantized forward that the shared encoder topology
-must reproduce byte for byte.
+must reproduce byte for byte. The set-up references at the end are the
+sort-based magnitude mask and the full re-scan truncated normal that the
+linear-time versions must reproduce bit for bit.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import erf
 
-from sdcw.model import ATTN_MASK_BIAS, LN_EPS, _validate_inputs
+from sdcw.errors import ParameterError
+from sdcw.model import ATTN_MASK_BIAS, LN_EPS, EncoderModel, _validate_inputs
+from sdcw.prune import PruneMask, prunable_names, pruned_count
 from sdcw.quant import (QuantizedModel, QuantizedTensor, absmax_quantize, int8_bmm, int8_matmul,
                         quantize_with_outliers)
 from sdcw.tensor import _gelu_np, _layer_norm_np, _softmax_np
@@ -279,3 +283,47 @@ def quantized_forward_ref(qm: QuantizedModel, token_ids, attention_mask) -> np.n
                            qm.extras[f"{p}.ffn_norm.bias"], LN_EPS)
     logits = _q_linear(qm, "head.weight", x)
     return logits.reshape(b, s, c.num_classes)
+
+
+# ---------------------------------------------------------------------------
+# set-up references: a stable argsort for the magnitude mask, and a
+# rejection loop that re-scans the whole array after every round
+
+def compute_mask_sorted(model: EncoderModel, p: float, scope: list[str] | None = None) -> PruneMask:
+    """Global-threshold mask zeroing exactly round(p * N) in-scope weights."""
+    if not 0.0 <= p <= 0.99:
+        raise ParameterError(f"sparsity must be in [0, 0.99], got {p}")
+    names = scope if scope is not None else prunable_names(model)
+    if not names:
+        raise ParameterError("prunable scope is empty")
+    mags = np.concatenate([np.abs(model.param(n).data.reshape(-1)) for n in names])
+    k = pruned_count(p, mags.size)
+    keep_flat = np.ones(mags.size, dtype=np.uint8)
+    if k > 0:
+        order = np.argsort(mags, kind="stable")
+        keep_flat[order[:k]] = 0
+        # smallest kept magnitude, so |w| >= t holds for every kept weight
+        # and fails for every pruned one except ties resolved by index order
+        threshold = float(mags[order[k]]) if k < mags.size else float(mags[order[-1]])
+    else:
+        threshold = 0.0
+    masks: dict[str, np.ndarray] = {}
+    offset = 0
+    for n in names:
+        size = model.param(n).size
+        masks[n] = keep_flat[offset : offset + size].reshape(model.param(n).shape)
+        offset += size
+    return PruneMask(masks, threshold, float(p))
+
+
+def truncated_normal_rescan(
+    rng: np.random.Generator, shape, std: float = 0.02, clip_sigmas: float = 2.0
+) -> np.ndarray:
+    """Normal(0, std) samples, resampled until all lie within clip_sigmas*std."""
+    out = rng.normal(0.0, std, size=shape)
+    bound = clip_sigmas * std
+    bad = np.abs(out) > bound
+    while np.any(bad):
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > bound
+    return out.astype(np.float32)

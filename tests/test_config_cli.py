@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sdcw import cli, config, data, evaluation, persist, quant
@@ -356,6 +357,31 @@ def test_bench_runs_warmup_passes_before_the_timed_reps(workspace, tmp_path, mon
     assert calls == {"fp32": 10, "dynamic_int8": 10, "int8_mixed": 10}
     for stats in json.loads((out / "bench_desk_seed1.json").read_text())["modes"].values():
         assert (stats["warmup"], stats["reps"]) == (2, 3)
+
+
+def test_bench_times_the_handles_its_saved_files_give(workspace, tmp_path, monkeypatch):
+    timed = {}
+    original = evaluation.forward_logits
+
+    def recorded(handle, token_ids, attention_mask):
+        timed[evaluation.handle_mode(handle)] = handle
+        return original(handle, token_ids, attention_mask)
+
+    monkeypatch.setattr(evaluation, "forward_logits", recorded)
+    rc, out = _bench(workspace, tmp_path, "reps=3\n")
+    assert rc == 0
+    modes = json.loads((out / "bench_desk_seed1.json").read_text())["modes"]
+    assert "model_path" not in modes["fp32"]
+    for mode in ("dynamic_int8", "int8_mixed"):
+        assert modes[mode]["model_path"] == f"bench_{mode}_seed1.sdcw"
+        saved, _ = persist.load_model(out / modes[mode]["model_path"])
+        assert saved.mode == mode
+        handle = timed[mode]
+        for name, lin in handle.linears.items():
+            assert lin.weight.fp_ref is None, name
+            np.testing.assert_array_equal(lin.weight.q, saved.linears[name].weight.q)
+    for name, extra in timed["int8_mixed"].extras.items():  # fp16 in the file
+        np.testing.assert_array_equal(extra, extra.astype(np.float16).astype(np.float32))
 
 
 def test_report_cli_regenerates_sweep_csv(workspace, tmp_path):

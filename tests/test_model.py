@@ -1,12 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sdcw import data, model
+from sdcw import data, model, rng
 from sdcw import tensor as T
 from sdcw.errors import DataError, ParameterError, ShapeError
 from sdcw.rng import stream
 
-from oracles import grad_rel_err
+from oracles import grad_rel_err, truncated_normal_rescan
 
 TINY = model.EncoderConfig(num_layers=2, num_heads=2, hidden_size=16, ffn_size=32,
                            vocab_size=100, max_positions=32, num_classes=9)
@@ -48,6 +52,48 @@ def test_init_weight_statistics():
     assert np.all(np.abs(w) <= 0.04 + 1e-7)
     assert np.all(m.param("layers.0.attn_norm.gain").data == 1.0)
     assert np.all(m.param("layers.0.attn.bq").data == 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@example(seed=3, shape=(4, 0, 2), std=0.02, clip_sigmas=0.25)
+@example(seed=4, shape=(300, 200), std=0.02, clip_sigmas=0.25)
+@given(seed=st.integers(0, 2**63 - 1),
+       shape=st.one_of(st.integers(0, 400),
+                       st.lists(st.integers(0, 24), min_size=1, max_size=3).map(tuple)),
+       std=st.sampled_from([0.02, 1.0, 3.5]),
+       clip_sigmas=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]))
+def test_truncated_normal_equals_the_full_rescan(seed, shape, std, clip_sigmas):
+    # clip_sigmas 0.25 keeps ~20 % of each round, so most draws take many rounds
+    got_gen, want_gen = stream(seed, "tn"), stream(seed, "tn")
+    got = rng.truncated_normal(got_gen, shape, std=std, clip_sigmas=clip_sigmas)
+    want = truncated_normal_rescan(want_gen, shape, std=std, clip_sigmas=clip_sigmas)
+    assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert _same_state(got_gen.bit_generator.state, want_gen.bit_generator.state)
+
+
+def _same_state(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def _param_digest(m: model.EncoderModel) -> str:
+    h = hashlib.sha256()
+    for name, p in m.params.items():
+        h.update(name.encode())
+        h.update(str(p.data.dtype).encode() + str(p.data.shape).encode())
+        h.update(p.data.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("cfg", [model.desk_config(),
+                                 model.reference_config(num_layers=2, vocab_size=4000)],
+                         ids=["desk", "reference-2-layer"])
+def test_init_model_digest_equals_the_one_drawn_with_the_full_rescan(cfg, monkeypatch):
+    digest = _param_digest(model.init_model(cfg, seed=11))
+    monkeypatch.setattr(rng, "truncated_normal", truncated_normal_rescan)
+    assert digest == _param_digest(model.init_model(cfg, seed=11))
 
 
 def test_param_names_unique_and_stable():

@@ -218,6 +218,48 @@ def test_quantized_file_missing_a_record_rejected(tmp_path, monkeypatch, dropped
     assert "do not match its config" in str(exc.value)
 
 
+def _damage(qt: quant.QuantizedTensor, how: str) -> None:
+    """Damage a weight whose rows 2 and 5 are outliers, as a bad file would."""
+    if how == "index_past_contraction":
+        qt.outlier_cols[-1] = qt.q.shape[0]
+    elif how == "duplicate_index":
+        qt.outlier_cols[0] = qt.outlier_cols[1]
+    elif how == "decreasing_indices":
+        qt.outlier_cols[:] = qt.outlier_cols[::-1].copy()
+    elif how.startswith("scale_"):
+        qt.scales[1] = {"scale_zero": 0.0, "scale_negative": -1.0,
+                        "scale_nan": np.nan, "scale_inf": np.inf}[how]
+    elif how == "too_few_scales":
+        qt.scales = qt.scales[:-1]
+    elif how == "bad_axis":
+        qt.axis = 2
+    elif how == "q_on_outlier_vector":
+        qt.q[qt.outlier_cols[0], 3] = 7
+    else:
+        raise AssertionError(how)
+
+
+@pytest.mark.parametrize("how", ["index_past_contraction", "duplicate_index",
+                                 "decreasing_indices", "scale_zero", "scale_negative",
+                                 "scale_nan", "scale_inf", "too_few_scales", "bad_axis",
+                                 "q_on_outlier_vector"])
+def test_damaged_int8_record_rejected_at_load(tmp_path, how):
+    m = _random_model(8)
+    m.param("layers.1.ffn.w1").data[[2, 5], :] *= 60.0
+    qm = quant.quantize_model_int8_mixed(m, threshold=6.0)
+    qt = qm.linears["layers.1.ffn.w1"].weight
+    assert qt.outlier_cols.tolist() == [2, 5]
+    path = tmp_path / "good.sdcw"
+    persist.save_model(qm, path)
+    persist.load_model(path)  # the undamaged file loads
+    _damage(qt, how)
+    path = tmp_path / "bad.sdcw"
+    persist.save_model(qm, path)
+    with pytest.raises(PersistError) as exc:
+        persist.load_model(path)
+    assert "'layers.1.ffn.w1'" in str(exc.value)
+
+
 def test_missing_file_errors_with_path(tmp_path):
     with pytest.raises(PersistError) as exc:
         persist.load_model(tmp_path / "absent.sdcw")

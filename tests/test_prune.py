@@ -1,9 +1,15 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdcw import data, model, prune
-from sdcw.errors import ParameterError, ShapeError
+from sdcw.errors import DataError, ParameterError, ShapeError
 from sdcw.rng import stream
+
+from oracles import compute_mask_sorted
 
 TINY = model.EncoderConfig(num_layers=2, num_heads=2, hidden_size=16, ffn_size=32,
                            vocab_size=120, max_positions=32, num_classes=9)
@@ -76,6 +82,72 @@ def test_exact_count_property_across_seeds_and_levels():
         for p in PUBLISHED_SWEEP:
             mask = prune.compute_mask(m, p)
             assert mask.zeros() == prune.pruned_count(p, total), (seed, p)
+
+
+def _assert_same_mask(got: prune.PruneMask, want: prune.PruneMask) -> None:
+    assert list(got.masks) == list(want.masks)
+    for n, w in want.masks.items():
+        assert got.masks[n].dtype == w.dtype and got.masks[n].shape == w.shape, n
+        np.testing.assert_array_equal(got.masks[n], w, err_msg=n)
+    assert type(got.threshold) is float
+    assert np.float64(got.threshold).tobytes() == np.float64(want.threshold).tobytes()
+    assert got.target_sparsity == want.target_sparsity
+
+
+# a few magnitudes with random signs (0 gives both zeros), so that ties at the
+# k-th magnitude are the rule and must be cut by index, not by signed value
+_TIED_MAGNITUDES = (0.0, 0.25, 0.5, 1.0, 3.0)
+_LEVELS = (0.0, 0.99, *PUBLISHED_SWEEP)
+
+
+def _fill(m: model.EncoderModel, seed: int, palette) -> None:
+    gen = np.random.default_rng(seed)
+    for prm in m.params.values():
+        if palette is None:
+            prm.data = gen.normal(0, 1, prm.shape).astype(np.float32)
+        else:
+            mags = gen.choice(np.array(palette, dtype=np.float32), size=prm.shape)
+            prm.data = np.where(gen.random(prm.shape) < 0.5, -mags, mags)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       palette=st.one_of(st.none(), st.lists(st.sampled_from(_TIED_MAGNITUDES), min_size=1,
+                                             max_size=3)),
+       p=st.one_of(st.sampled_from(_LEVELS), st.floats(0.0, 0.99)),
+       scope=st.one_of(st.none(), st.lists(st.sampled_from(model.param_names(TINY)),
+                                           min_size=1, max_size=4, unique=True)))
+def test_mask_and_threshold_equal_the_stable_sort(seed, palette, p, scope):
+    m = model.init_model(TINY, seed=1)
+    _fill(m, seed, palette)
+    _assert_same_mask(prune.compute_mask(m, p, scope=scope),
+                      compute_mask_sorted(m, p, scope=scope))
+
+
+@pytest.mark.parametrize("palette", [None, (0.5,), (0.0, 1.0)])
+@pytest.mark.parametrize("p", [0.95, 0.99])
+def test_mask_of_a_tiny_scope_pruned_whole_equals_the_stable_sort(palette, p):
+    # 9 head biases: round(0.95 * 9) = round(0.99 * 9) = 9, so k = N
+    m = model.init_model(TINY, seed=1)
+    _fill(m, 5, palette)
+    mask = prune.compute_mask(m, p, scope=["head.bias"])
+    assert mask.zeros() == mask.total() == 9
+    _assert_same_mask(mask, compute_mask_sorted(m, p, scope=["head.bias"]))
+
+
+def test_non_finite_weights_in_scope_raise_naming_the_tensor():
+    m = model.init_model(TINY, seed=1)
+    names = prune.prunable_names(m)
+    m.param(names[2]).data[1, 3] = np.nan
+    m.param(names[5]).data[0, 0] = np.inf
+    for p in (0.0, 0.5):
+        with pytest.raises(DataError, match=re.escape(f"non-finite weights in '{names[2]}'")):
+            prune.compute_mask(m, p)
+    with pytest.raises(DataError, match=re.escape(f"non-finite weights in '{names[5]}'")):
+        prune.compute_mask(m, 0.5, scope=names[3:])
+    clean = names[:2] + names[3:5]
+    _assert_same_mask(prune.compute_mask(m, 0.5, scope=clean),
+                      compute_mask_sorted(m, 0.5, scope=clean))
 
 
 def test_threshold_consistency_kept_vs_pruned():
@@ -241,6 +313,25 @@ def test_gradual_ramp_is_monotone_and_exact_at_the_end():
     total = sum(m.param(n).size for n in prune.prunable_names(m))
     assert mask.zeros() == prune.pruned_count(0.8, total)
     assert abs(prune.measure_sparsity(m) - 0.8) <= 1.0 / total
+
+
+def test_gradual_ramp_equals_the_one_with_the_sorted_mask(monkeypatch):
+    train, vocab = _toy_data()
+    spec = model.TrainSpec(learning_rate=1e-3, batch_size=8, max_seq_len=16, epochs=3)
+    sched = prune.PruneSchedule("during", start_epoch=0, end_epoch=3, steps=4)
+    runs = []
+    for compute in (prune.compute_mask, compute_mask_sorted):
+        monkeypatch.setattr(prune, "compute_mask", compute)
+        m = model.init_model(TINY, seed=17)
+        log: list[float] = []
+        mask, trace = prune.gradual_prune_finetune(m, 0.9, sched, train, vocab, spec, seed=17,
+                                                   sparsity_log=log)
+        runs.append((m, mask, trace, log))
+    (a, mask_a, trace_a, log_a), (b, mask_b, trace_b, log_b) = runs
+    _assert_same_mask(mask_a, mask_b)
+    assert trace_a == trace_b and log_a == log_b and len(log_a) == 4
+    for n in a.params:
+        assert a.param(n).data.tobytes() == b.param(n).data.tobytes(), n
 
 
 def test_gradual_schedule_window_past_training_still_lands_on_target():
