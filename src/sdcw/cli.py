@@ -31,7 +31,9 @@ from .distill import (
     init_student, pretrain_mlm,
 )
 from .errors import ConfigError, DataError, WorkbenchError
-from .evaluation import TIMING_FIELDS, compare, evaluate, measure_inference_time
+from .evaluation import (
+    TIMING_FIELDS, EvalReport, compare, evaluate, measure_inference_time,
+)
 from .model import EncoderModel, count_params, finetune, init_model
 from .persist import load_model, save_model
 from .prune import run_schedule
@@ -158,11 +160,22 @@ def _resolve_model_path(template: str, seed: int) -> str:
     return template.replace("{seed}", str(seed))
 
 
-def _load_fp32_model(path: str):
-    handle, mask = load_model(path)
+def _training_splits(cfg: ExperimentConfig, sub: str) -> tuple[list[Sentence], list[Sentence]]:
+    """The train split, and the split a training subcommand reports on."""
+    train, dev, test = _load_splits(cfg)
+    if not train:
+        raise DataError(f"'{sub}' needs a train split")
+    return train, test or dev or train
+
+
+def _fp32(handle, path) -> EncoderModel:
     if not isinstance(handle, EncoderModel):
         raise DataError(f"'{path}' holds a quantized model; an fp32 model is required")
-    return handle, mask
+    return handle
+
+
+def _load_fp32_model(path: str) -> EncoderModel:
+    return _fp32(load_model(path)[0], path)
 
 
 def _vocab_for(cfg: ExperimentConfig, model_path: str, train: list[Sentence]) -> Vocabulary:
@@ -175,15 +188,49 @@ def _vocab_for(cfg: ExperimentConfig, model_path: str, train: list[Sentence]) ->
     return build_vocab(corpus_token_lists(train), cfg.vocab_size)
 
 
-def _save_with_vocab(obj, path: Path, vocab: Vocabulary, mask=None) -> int:
-    n = save_model(obj, path, mask=mask)
-    vocab.save(str(path) + ".vocab")
-    return n
+def _start_model(cfg: ExperimentConfig, seed: int,
+                 train: list[Sentence]) -> tuple[EncoderModel, Vocabulary]:
+    """The model a training subcommand starts from (the seed's `model_in`
+    file, or a fresh init) and its vocabulary."""
+    model_path = _resolve_model_path(cfg.model_in, seed) if cfg.model_in else ""
+    vocab = _vocab_for(cfg, model_path, train)
+    if model_path:
+        return _load_fp32_model(model_path), vocab
+    return init_model(cfg.encoder_config(), seed), vocab
 
 
 def _eval_kwargs(cfg: ExperimentConfig) -> dict:
     return dict(entity_types=cfg.entity_types, batch_size=cfg.batch_size,
                 max_seq_len=cfg.max_seq_len)
+
+
+# Every number a report gives comes from a file: the handler saves what it
+# made, loads it back, and measures the loaded handle. `measure(handle,
+# n_bytes)` gets the file's size, mask records included.
+
+def _report_on_file(path: Path, measure):
+    """Load the file at `path`; return the handle and its measurement."""
+    handle, _ = load_model(path)
+    return handle, measure(handle, path.stat().st_size)
+
+
+def _save_and_report(obj, path: Path, vocab: Vocabulary, measure, mask=None) -> dict:
+    """Save `obj` and its vocabulary, then report on the file, naming it."""
+    save_model(obj, path, mask=mask)
+    vocab.save(str(path) + ".vocab")
+    report = _report_on_file(path, measure)[1]
+    if isinstance(report, EvalReport):
+        report = report.to_dict()
+    return {**report, "model_path": path.name}
+
+
+def _evaluator(cfg: ExperimentConfig, split: list[Sentence], vocab: Vocabulary):
+    """A measure: the EvalReport on `split`, with the file's bytes."""
+    def measure(handle, n_bytes: int) -> EvalReport:
+        report = evaluate(handle, split, vocab, dataset_id=_dataset_id(cfg), **_eval_kwargs(cfg))
+        report.model_bytes = n_bytes
+        return report
+    return measure
 
 
 def _run_tag(cfg: ExperimentConfig, sub: str) -> str:
@@ -199,14 +246,17 @@ def _run_tag(cfg: ExperimentConfig, sub: str) -> str:
     return "_".join(parts)
 
 
-def _per_seed(cfg: ExperimentConfig, out: Path, tag: str, run_one) -> list[dict]:
+def _per_seed(cfg: ExperimentConfig, sub: str, run_one) -> list[dict]:
+    """Run and report every seed, holding the output directory's lock."""
+    out, tag = Path(cfg.out_dir), _run_tag(cfg, sub)
     reports = []
-    for seed in cfg.seeds:
-        report = run_one(seed)
-        report["seed"] = seed
-        write_json(out / f"{tag}_seed{seed}.json", report)
-        reports.append(report)
-    write_json(out / f"{tag}_agg.json", aggregate_runs(reports, cfg.seeds))
+    with output_lock(out):
+        for seed in cfg.seeds:
+            report = run_one(seed)
+            report["seed"] = seed
+            write_json(out / f"{tag}_seed{seed}.json", report)
+            reports.append(report)
+        write_json(out / f"{tag}_agg.json", aggregate_runs(reports, cfg.seeds))
     return reports
 
 
@@ -243,50 +293,37 @@ def cmd_pretrain(cfg: ExperimentConfig) -> int:
         raise DataError(f"corpus {cfg.corpus} is empty after preprocessing")
     vocab = build_vocab(corpus_token_lists(lines), cfg.vocab_size)
     out = Path(cfg.out_dir)
-    tag = _run_tag(cfg, "pretrain")
 
     def run_one(seed: int) -> dict:
         model = init_model(cfg.encoder_config(), seed)
         trace = pretrain_mlm(model, lines, vocab, cfg.train_spec(), seed,
                              mask_rate=cfg.mlm_mask_rate)
-        path = out / f"pretrained_seed{seed}.sdcw"
-        n_bytes = _save_with_vocab(model, path, vocab)
-        return {"subcommand": "pretrain", "loss_trace": trace, "final_loss": trace[-1],
-                "model_path": path.name, "model_bytes": n_bytes,
-                "total_params": count_params(model), "vocab_size": vocab.size}
+        report = _save_and_report(
+            model, out / f"pretrained_seed{seed}.sdcw", vocab,
+            lambda handle, n_bytes: {"model_bytes": n_bytes, "total_params": count_params(handle)})
+        report.update({"subcommand": "pretrain", "loss_trace": trace, "final_loss": trace[-1],
+                       "vocab_size": vocab.size})
+        return report
 
-    with output_lock(out):
-        _per_seed(cfg, out, tag, run_one)
+    _per_seed(cfg, "pretrain", run_one)
     print(f"pretrain: {len(cfg.seeds)} run(s) -> {out}")
     return 0
 
 
 def _finetune_like(cfg: ExperimentConfig, sub: str) -> int:
-    train, dev, test = _load_splits(cfg)
-    if not train:
-        raise DataError(f"'{sub}' needs a train split")
-    eval_split = test or dev or train
+    train, eval_split = _training_splits(cfg, sub)
     out = Path(cfg.out_dir)
-    tag = _run_tag(cfg, sub)
 
     def run_one(seed: int) -> dict:
-        model_path = _resolve_model_path(cfg.model_in, seed) if cfg.model_in else ""
-        vocab = _vocab_for(cfg, model_path, train)
-        if model_path:
-            model, _ = _load_fp32_model(model_path)
-        else:
-            model = init_model(cfg.encoder_config(), seed)
+        model, vocab = _start_model(cfg, seed, train)
         trace = finetune(model, train, vocab, cfg.train_spec(), seed,
                          entity_types=cfg.entity_types)
-        path = out / f"{sub}_seed{seed}.sdcw"
-        _save_with_vocab(model, path, vocab)
-        report = evaluate(model, eval_split, vocab, dataset_id=_dataset_id(cfg),
-                          **_eval_kwargs(cfg)).to_dict()
-        report.update({"subcommand": sub, "loss_trace": trace, "model_path": path.name})
+        report = _save_and_report(model, out / f"{sub}_seed{seed}.sdcw", vocab,
+                                  _evaluator(cfg, eval_split, vocab))
+        report.update({"subcommand": sub, "loss_trace": trace})
         return report
 
-    with output_lock(out):
-        _per_seed(cfg, out, tag, run_one)
+    _per_seed(cfg, sub, run_one)
     print(f"{sub}: {len(cfg.seeds)} run(s) -> {out}")
     return 0
 
@@ -302,36 +339,24 @@ def cmd_transfer(cfg: ExperimentConfig) -> int:
 
 
 def cmd_prune(cfg: ExperimentConfig) -> int:
-    train, dev, test = _load_splits(cfg)
-    if not train:
-        raise DataError("'prune' needs a train split")
-    eval_split = test or dev or train
+    train, eval_split = _training_splits(cfg, "prune")
     out = Path(cfg.out_dir)
-    tag = _run_tag(cfg, "prune")
     schedule = cfg.prune_schedule()
 
     def run_one(seed: int) -> dict:
-        model_path = _resolve_model_path(cfg.model_in, seed) if cfg.model_in else ""
-        vocab = _vocab_for(cfg, model_path, train)
-        if model_path:
-            model, _ = _load_fp32_model(model_path)
-        else:
-            model = init_model(cfg.encoder_config(), seed)
+        model, vocab = _start_model(cfg, seed, train)
         model, mask, trace = run_schedule(model, cfg.sparsity, schedule, train, vocab,
                                           cfg.train_spec(), seed, cfg.entity_types)
         path = out / f"pruned_p{cfg.sparsity:.2f}_{schedule.kind}_seed{seed}.sdcw"
-        _save_with_vocab(model, path, vocab, mask=mask)
-        report = evaluate(model, eval_split, vocab, dataset_id=_dataset_id(cfg),
-                          **_eval_kwargs(cfg)).to_dict()
+        report = _save_and_report(model, path, vocab, _evaluator(cfg, eval_split, vocab),
+                                  mask=mask)
         report.update({
             "subcommand": "prune", "prune_rate": cfg.sparsity,
-            "schedule": schedule.kind, "pruned_params": mask.zeros(),
-            "loss_trace": trace, "model_path": path.name,
+            "schedule": schedule.kind, "pruned_params": mask.zeros(), "loss_trace": trace,
         })
         return report
 
-    with output_lock(out):
-        _per_seed(cfg, out, tag, run_one)
+    _per_seed(cfg, "prune", run_one)
     print(f"prune: {len(cfg.seeds)} run(s) at p={cfg.sparsity} ({schedule.kind}) -> {out}")
     return 0
 
@@ -339,15 +364,12 @@ def cmd_prune(cfg: ExperimentConfig) -> int:
 def cmd_distill(cfg: ExperimentConfig) -> int:
     if not cfg.teacher:
         raise ConfigError("'teacher' is required for distill")
-    train, dev, test = _load_splits(cfg)
-    if not train:
-        raise DataError("'distill' needs a train split")
-    eval_split = test or dev or train
+    train, eval_split = _training_splits(cfg, "distill")
     out = Path(cfg.out_dir)
-    tag = _run_tag(cfg, "distill")
     temperature = cfg.temperature or None
-    cells = (grid_specs(cfg.student_layers, cfg.student_heads) if cfg.grid
-             else [StudentSpec(cfg.student_layers[0], cfg.student_heads[0])])
+    cells = grid_specs(cfg.student_layers, cfg.student_heads)
+    # a task-specific run from `model_in` trains on the student that file holds
+    from_file = cfg.mode == "task_specific" and bool(cfg.model_in)
 
     corpus_lines: list[str] = []
     if cfg.mode == "task_agnostic":
@@ -359,18 +381,31 @@ def cmd_distill(cfg: ExperimentConfig) -> int:
 
     def run_one(seed: int) -> dict:
         teacher_path = _resolve_model_path(cfg.teacher, seed)
-        teacher, _ = _load_fp32_model(teacher_path)
+        teacher = _load_fp32_model(teacher_path)
         vocab = _vocab_for(cfg, teacher_path, train)
         dspec = DistillSpec(mode=cfg.mode, temperature=temperature,
                             alpha_soft=cfg.alpha_soft, alpha_hard=1.0 - cfg.alpha_soft,
                             mlm_mask_rate=cfg.mlm_mask_rate)
+
+        def name_of(spec: StudentSpec) -> str:
+            return artifact_name(Path(teacher_path).stem, spec, dspec.temperature, cfg.mode)
+
         cell_reports = []
-        for spec in cells:
-            name = artifact_name(Path(teacher_path).stem, spec, dspec.temperature, cfg.mode)
-            if cfg.mode == "task_specific" and cfg.from_distilled and cfg.model_in:
-                student, _ = _load_fp32_model(_resolve_model_path(cfg.model_in, seed))
+        for cell in cells:
+            if from_file:
+                student_path = _resolve_model_path(cfg.model_in, seed)
+                student = _load_fp32_model(student_path)
+                held = (student.config.num_layers, student.config.num_heads)
+                if held != (cell.num_layers, cell.num_heads):
+                    raise ConfigError(
+                        f"'{student_path}' holds a student with {held[0]} layer(s) and "
+                        f"{held[1]} head(s), but the grid cell asks for "
+                        f"{cell.num_layers} layer(s) and {cell.num_heads} head(s)")
             else:
-                student = init_student(teacher, spec, rng.derive(seed, name))
+                student = init_student(teacher, cell, rng.derive(seed, name_of(cell)))
+            # the file's name and the report describe the student as it is
+            spec = StudentSpec(student.config.num_layers, student.config.num_heads)
+            name = name_of(spec)
             if cfg.mode == "task_agnostic":
                 kd_trace = distill_task_agnostic(teacher, student, corpus_lines, vocab,
                                                  dspec, cfg.train_spec(), seed)
@@ -378,26 +413,22 @@ def cmd_distill(cfg: ExperimentConfig) -> int:
                                     entity_types=cfg.entity_types)
             else:
                 kd_trace = distill_task_specific(teacher, student, train, vocab, dspec,
-                                                 cfg.train_spec(), seed, cfg.entity_types,
-                                                 cache_teacher=cfg.cache_teacher)
+                                                 cfg.train_spec(), seed, cfg.entity_types)
                 ft_trace = []
-            path = out / f"{name}_seed{seed}.sdcw"
-            _save_with_vocab(student, path, vocab)
-            rep = evaluate(student, eval_split, vocab, dataset_id=_dataset_id(cfg),
-                           **_eval_kwargs(cfg)).to_dict()
+            rep = _save_and_report(student, out / f"{name}_seed{seed}.sdcw", vocab,
+                                   _evaluator(cfg, eval_split, vocab))
             rep.update({
                 "artifact": name, "layers": spec.num_layers, "heads": spec.num_heads,
                 "params": count_params(student), "teacher_params": count_params(teacher),
                 "temperature": dspec.temperature, "kd_loss_trace": kd_trace,
-                "finetune_loss_trace": ft_trace, "model_path": path.name,
+                "finetune_loss_trace": ft_trace,
             })
             cell_reports.append(rep)
         best = max(cell_reports, key=lambda r: r["f1"])
         return {"subcommand": "distill", "mode": cfg.mode, "cells": cell_reports,
                 "f1": best["f1"], "best_artifact": best["artifact"]}
 
-    with output_lock(out):
-        _per_seed(cfg, out, tag, run_one)
+    _per_seed(cfg, "distill", run_one)
     print(f"distill ({cfg.mode}): {len(cells)} cell(s) x {len(cfg.seeds)} seed(s) -> {out}")
     return 0
 
@@ -410,15 +441,22 @@ def cmd_quantize(cfg: ExperimentConfig) -> int:
     if not eval_split:
         raise DataError("'quantize' needs a dev or test split to evaluate on")
     out = Path(cfg.out_dir)
-    tag = _run_tag(cfg, "quantize")
     modes = ("dynamic", "mixed") if cfg.quant_mode == "both" else (cfg.quant_mode,)
 
     def run_one(seed: int) -> dict:
-        model_path = _resolve_model_path(cfg.model_in, seed)
-        model, _ = _load_fp32_model(model_path)
-        vocab = _vocab_for(cfg, model_path, [])
-        baseline = evaluate(model, eval_split, vocab, dataset_id=_dataset_id(cfg),
-                            **_eval_kwargs(cfg))
+        model_path = Path(_resolve_model_path(cfg.model_in, seed))
+        vocab = _vocab_for(cfg, str(model_path), [])
+        evaluated = _evaluator(cfg, eval_split, vocab)
+        model, baseline = _report_on_file(
+            model_path, lambda handle, n_bytes: evaluated(_fp32(handle, model_path), n_bytes))
+
+        # a reloaded mixed handle has no fp_ref and fp16 extras, so its
+        # logits differ from those of the handle quantization returns
+        def against_baseline(handle, n_bytes: int) -> dict:
+            qrep = evaluated(handle, n_bytes)
+            return {"report": qrep.to_dict(), "delta": compare(baseline, qrep),
+                    "model_bytes": n_bytes}
+
         report = {"subcommand": "quantize", "baseline": baseline.to_dict(),
                   "f1": baseline.f1, "modes": {}}
         for mode in modes:
@@ -426,22 +464,11 @@ def cmd_quantize(cfg: ExperimentConfig) -> int:
                 qm = quantize_model_dynamic(model)
             else:
                 qm = quantize_model_int8_mixed(model, cfg.outlier_threshold)
-            qpath = out / f"quantized_{mode}_seed{seed}.sdcw"
-            n_bytes = _save_with_vocab(qm, qpath, vocab)
-            # report the saved artifact: a reloaded mixed handle has no fp_ref
-            # and fp16 extras, so its logits differ from the in-memory one
-            qrep = evaluate(load_model(qpath)[0], eval_split, vocab,
-                            dataset_id=_dataset_id(cfg), **_eval_kwargs(cfg))
-            report["modes"][mode] = {
-                "report": qrep.to_dict(),
-                "delta": compare(baseline, qrep),
-                "model_path": qpath.name,
-                "model_bytes": n_bytes,
-            }
+            report["modes"][mode] = _save_and_report(
+                qm, out / f"quantized_{mode}_seed{seed}.sdcw", vocab, against_baseline)
         return report
 
-    with output_lock(out):
-        _per_seed(cfg, out, tag, run_one)
+    _per_seed(cfg, "quantize", run_one)
     print(f"quantize: modes {modes} x {len(cfg.seeds)} seed(s) -> {out}")
     return 0
 
@@ -452,19 +479,14 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
     train, dev, test = _load_splits(cfg)
     eval_split = test or dev or train
     out = Path(cfg.out_dir)
-    tag = _run_tag(cfg, "eval")
 
     def run_one(seed: int) -> dict:
-        model_path = _resolve_model_path(cfg.model_in, seed)
-        handle, _ = load_model(model_path)
-        vocab = _vocab_for(cfg, model_path, train)
-        report = evaluate(handle, eval_split, vocab, dataset_id=_dataset_id(cfg),
-                          **_eval_kwargs(cfg)).to_dict()
-        report.update({"subcommand": "eval", "model_path": Path(model_path).name})
-        return report
+        model_path = Path(_resolve_model_path(cfg.model_in, seed))
+        vocab = _vocab_for(cfg, str(model_path), train)
+        _, report = _report_on_file(model_path, _evaluator(cfg, eval_split, vocab))
+        return {**report.to_dict(), "subcommand": "eval", "model_path": model_path.name}
 
-    with output_lock(out):
-        _per_seed(cfg, out, tag, run_one)
+    _per_seed(cfg, "eval", run_one)
     print(f"eval: {len(cfg.seeds)} run(s) -> {out}")
     return 0
 
@@ -475,42 +497,42 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
     train, dev, test = _load_splits(cfg)
     eval_split = test or dev or train
     out = Path(cfg.out_dir)
-    tag = _run_tag(cfg, "bench")
 
     def run_one(seed: int) -> dict:
-        model_path = _resolve_model_path(cfg.model_in, seed)
-        model, _ = _load_fp32_model(model_path)
-        vocab = _vocab_for(cfg, model_path, train)
+        model_path = Path(_resolve_model_path(cfg.model_in, seed))
+        vocab = _vocab_for(cfg, str(model_path), train)
 
-        def timed(handle) -> dict:
-            return measure_inference_time(handle, eval_split, vocab, reps=cfg.reps,
-                                          warmup=cfg.warmup, **_eval_kwargs(cfg))
+        def timed(handle, n_bytes: int) -> dict:
+            return {**measure_inference_time(handle, eval_split, vocab, reps=cfg.reps,
+                                             warmup=cfg.warmup, **_eval_kwargs(cfg)),
+                    "model_bytes": n_bytes}
 
-        modes = {"fp32": timed(model)}
-        # time what a saved file gives: a reloaded mixed handle has fp16
-        # extras and no fp_ref, unlike the one quantization returns
+        model, fp32 = _report_on_file(
+            model_path, lambda handle, n_bytes: timed(_fp32(handle, model_path), n_bytes))
+        modes = {"fp32": {**fp32, "model_path": model_path.name}}
         for qm in (quantize_model_dynamic(model),
                    quantize_model_int8_mixed(model, cfg.outlier_threshold)):
-            qpath = out / f"bench_{qm.mode}_seed{seed}.sdcw"
-            save_model(qm, qpath)
-            modes[qm.mode] = {**timed(load_model(qpath)[0]), "model_path": qpath.name}
+            modes[qm.mode] = _save_and_report(qm, out / f"bench_{qm.mode}_seed{seed}.sdcw",
+                                              vocab, timed)
         return {"subcommand": "bench", "dataset": _dataset_id(cfg), "modes": modes}
 
-    with output_lock(out):
-        reports = _per_seed(cfg, out, tag, run_one)
-        rows = [[rep["dataset"], rep["seed"]]
-                + [f"{rep['modes'][m]['median_ms'] / max(1, rep['modes'][m]['n_batches']):.3f}"
-                   for m in ("fp32", "dynamic_int8", "int8_mixed")]
-                for rep in reports]
-        write_csv(out / f"{tag}_latency.csv",
-                  ["dataset", "seed", "baseline_ms", "dynamic_ms", "int8_mixed_ms"], rows)
+    rows = [[rep["dataset"], rep["seed"]]
+            + [f"{rep['modes'][m]['median_ms'] / max(1, rep['modes'][m]['n_batches']):.3f}"
+               for m in ("fp32", "dynamic_int8", "int8_mixed")]
+            for rep in _per_seed(cfg, "bench", run_one)]
+    write_csv(out / f"{_run_tag(cfg, 'bench')}_latency.csv",
+              ["dataset", "seed", "baseline_ms", "dynamic_ms", "int8_mixed_ms"], rows)
     print(f"bench: latency table -> {out}")
     return 0
 
 
-REPORT_COLUMNS = ("prune_rate", "dataset", "loss", "precision", "recall", "f1",
-                  "inference_time", "pruned_params", "mode", "sparsity", "seed",
-                  "subcommand")
+# report.csv column -> run JSON key
+REPORT_COLUMNS = {
+    "prune_rate": "prune_rate", "dataset": "dataset_id", "loss": "loss",
+    "precision": "precision", "recall": "recall", "f1": "f1",
+    "inference_time": "inference_time_ms", "pruned_params": "pruned_params",
+    "mode": "mode", "sparsity": "sparsity", "seed": "seed", "subcommand": "subcommand",
+}
 
 
 def cmd_report(cfg: ExperimentConfig) -> int:
@@ -523,20 +545,7 @@ def cmd_report(cfg: ExperimentConfig) -> int:
         payload = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(payload, dict) or "f1" not in payload or "seed" not in payload:
             continue
-        rows.append({
-            "prune_rate": payload.get("prune_rate", ""),
-            "dataset": payload.get("dataset_id", ""),
-            "loss": payload.get("loss", ""),
-            "precision": payload.get("precision", ""),
-            "recall": payload.get("recall", ""),
-            "f1": payload.get("f1", ""),
-            "inference_time": payload.get("inference_time_ms", ""),
-            "pruned_params": payload.get("pruned_params", ""),
-            "mode": payload.get("mode", ""),
-            "sparsity": payload.get("sparsity", ""),
-            "seed": payload.get("seed", ""),
-            "subcommand": payload.get("subcommand", ""),
-        })
+        rows.append({col: payload.get(key, "") for col, key in REPORT_COLUMNS.items()})
     rows.sort(key=lambda r: (str(r["prune_rate"]), str(r["dataset"]), str(r["seed"])))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

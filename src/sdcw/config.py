@@ -7,11 +7,11 @@ so explicit keys always win. Unknown keys are rejected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .model import EncoderConfig, TrainSpec
+from .model import EncoderConfig, TrainSpec, desk_config, desk_train_spec, reference_config
 from .prune import PruneSchedule
 
 
@@ -39,11 +39,9 @@ class ExperimentConfig:
     temperature: float = 0.0  # 0 -> mode default (2 agnostic, 8 specific)
     alpha_soft: float = 0.5
     mlm_mask_rate: float = 0.15
-    student_layers: tuple[int, ...] = (4, 6)
-    student_heads: tuple[int, ...] = (4, 6)
-    from_distilled: bool = True
-    cache_teacher: bool = False
-    grid: bool = False
+    # the student grid: every (layers, heads) pair of the two lists
+    student_layers: tuple[int, ...] = (4,)
+    student_heads: tuple[int, ...] = (4,)
     # quantization
     quant_mode: str = "both"
     outlier_threshold: float = 6.0
@@ -77,16 +75,19 @@ class ExperimentConfig:
         return parse_schedule(self.schedule)
 
 
+def _preset(encoder: EncoderConfig, spec: TrainSpec, **keys) -> dict:
+    """Config keys that reproduce `encoder` and `spec`; the class count
+    follows from `entity_types`."""
+    dims = {k: v for k, v in asdict(encoder).items() if k != "num_classes"}
+    return {**dims, **asdict(spec), **keys}
+
+
 PRESETS: dict[str, dict] = {
     # CI-scale model and schedule (2 layers, 2 heads, hidden 64, 2k vocab)
-    "desk": dict(num_layers=2, num_heads=2, hidden_size=64, ffn_size=256,
-                 vocab_size=2000, max_positions=64, dropout=0.0,
-                 learning_rate=1.5e-3, max_seq_len=32, epochs=15, n_sentences=800),
+    "desk": _preset(desk_config(), desk_train_spec(), n_sentences=800),
     # published-dimension accounting presets (hidden/ffn/vocab are assumptions)
-    "reference-base": dict(num_layers=8, num_heads=6, hidden_size=768, ffn_size=3072,
-                       vocab_size=70_000, max_positions=512, dropout=0.1),
-    "reference-large": dict(num_layers=10, num_heads=6, hidden_size=768, ffn_size=3072,
-                        vocab_size=70_000, max_positions=512, dropout=0.1),
+    "reference-base": _preset(reference_config("base"), TrainSpec()),
+    "reference-large": _preset(reference_config("large"), TrainSpec()),
 }
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
@@ -100,12 +101,6 @@ def _parse_value(key: str, raw: str):
             return int(raw)
         if f.type in ("float",):
             return float(raw)
-        if f.type == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if f.type == "tuple[int, ...]":
             return tuple(int(v) for v in raw.split(",") if v.strip())
         if f.type == "tuple[str, ...]":

@@ -23,7 +23,7 @@ from .model import (
     EncoderModel, TrainSpec, count_params, count_params_config,
     forward, forward_hidden, init_model, mlm_logits,
 )
-from .tensor import IGNORE_INDEX, Tensor
+from .tensor import IGNORE_INDEX
 
 AGNOSTIC_TEMPERATURES = (2.0, 3.0, 6.0)
 TASK_SPECIFIC_TEMPERATURE = 8.0
@@ -202,7 +202,7 @@ def _run_mlm(teacher, student, lines, vocab, dspec, tspec, seed) -> list[float]:
 def distill_task_specific(teacher: EncoderModel, student: EncoderModel,
                           sentences: list[Sentence], vocab: Vocabulary,
                           dspec: DistillSpec, tspec: TrainSpec, seed: int,
-                          entity_types=None, cache_teacher: bool = False) -> list[float]:
+                          entity_types=None) -> list[float]:
     """Distill a fine-tuned NER teacher into the student on labeled data."""
     from .data import DEFAULT_ENTITY_TYPES
 
@@ -219,7 +219,6 @@ def distill_task_specific(teacher: EncoderModel, student: EncoderModel,
     entity_types = entity_types or DEFAULT_ENTITY_TYPES
     n_classes = student.config.num_classes
     adam_state = T.init_adam(student.params, tspec.learning_rate)
-    teacher_cache: dict[tuple, np.ndarray] = {}
     trace = []
     for epoch in range(tspec.epochs):
         batches = make_batches(sentences, vocab, tspec.max_seq_len, tspec.batch_size,
@@ -233,18 +232,10 @@ def distill_task_specific(teacher: EncoderModel, student: EncoderModel,
                 continue
             logits = forward(student, tb.token_ids, tb.attention_mask)
             s_rows = T.take_rows(T.reshape(logits, (-1, n_classes)), sel)
-            # the teacher rows depend on the ids, their shape, the mask and the selected rows
-            cache_key = (tb.token_ids.shape, tb.token_ids.tobytes(), tb.attention_mask.tobytes(),
-                         sel.tobytes()) if cache_teacher else None
-            if cache_key is not None and cache_key in teacher_cache:
-                t_rows_data = teacher_cache[cache_key]
-            else:
-                with T.no_grad():
-                    t_logits = forward(teacher, tb.token_ids, tb.attention_mask)
-                    t_rows_data = T.take_rows(T.reshape(t_logits, (-1, n_classes)), sel).data
-                if cache_key is not None:
-                    teacher_cache[cache_key] = t_rows_data
-            soft = T.kl_soft_targets(s_rows, Tensor(t_rows_data), dspec.temperature)
+            with T.no_grad():
+                t_logits = forward(teacher, tb.token_ids, tb.attention_mask)
+                t_rows = T.take_rows(T.reshape(t_logits, (-1, n_classes)), sel)
+            soft = T.kl_soft_targets(s_rows, t_rows, dspec.temperature)
             hard = T.cross_entropy(s_rows, labels[sel])
             loss = T.add(T.scale(soft, dspec.alpha_soft), T.scale(hard, dspec.alpha_hard))
             T.backward(loss)

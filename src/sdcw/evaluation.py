@@ -44,7 +44,8 @@ class EvalReport:
         return asdict(self)
 
 
-TIMING_FIELDS = ("inference_time_ms", "median_ms", "mean_ms", "iqr_ms")
+# wall-clock fields, and fields derived from them
+TIMING_FIELDS = ("inference_time_ms", "median_ms", "mean_ms", "iqr_ms", "latency_reduction_pct")
 
 
 def extract_spans(tags) -> list[EntitySpan]:

@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdcw import cli, config, data, evaluation, persist, quant
+from sdcw import cli, config, data, evaluation, model, persist, quant
 from sdcw.errors import ConfigError, DataError, ParameterError, WorkbenchError
 
 
@@ -60,6 +62,40 @@ def test_reference_presets_set_accounting_dims():
     assert base.encoder_config().vocab_size == 70_000
 
 
+@pytest.mark.parametrize("name, encoder, spec", [
+    ("desk", model.desk_config(), model.desk_train_spec()),
+    ("reference-base", model.reference_config("base"), model.TrainSpec()),
+    ("reference-large", model.reference_config("large"), model.TrainSpec()),
+])
+def test_presets_equal_the_model_side_configs(name, encoder, spec):
+    cfg = config.parse_config(f"preset={name}\n")
+    assert cfg.encoder_config() == encoder
+    assert cfg.train_spec() == spec
+
+
+def test_student_grid_defaults_to_one_l4_a4_cell():
+    cfg = config.parse_config("")
+    assert (cfg.student_layers, cfg.student_heads) == ((4,), (4,))
+
+
+def _attributes_read(tree: ast.AST, owner: str) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == owner}
+
+
+def test_every_config_key_is_read_by_the_cli_or_the_config():
+    """A key that nothing reads selects nothing: static guard against dead keys."""
+    def parsed(module) -> ast.Module:
+        return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+    experiment = next(node for node in parsed(config).body
+                      if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
+    read = _attributes_read(parsed(cli), "cfg") | _attributes_read(experiment, "self")
+    keys = {f.name for f in dataclasses.fields(config.ExperimentConfig)}
+    assert keys - read == set()
+
+
 def test_seed_and_type_lists_parse():
     cfg = config.parse_config("seeds=7,8\nentity_types=PER,LOC\nstudent_layers=1,2\n")
     assert cfg.seeds == (7, 8)
@@ -88,7 +124,7 @@ def test_bad_value_type_rejected():
     with pytest.raises(ConfigError):
         config.parse_config("epochs=three\n")
     with pytest.raises(ConfigError):
-        config.parse_config("grid=perhaps\n")
+        config.parse_config("student_layers=four\n")
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +407,10 @@ def test_bench_times_the_handles_its_saved_files_give(workspace, tmp_path, monke
     rc, out = _bench(workspace, tmp_path, "reps=3\n")
     assert rc == 0
     modes = json.loads((out / "bench_desk_seed1.json").read_text())["modes"]
-    assert "model_path" not in modes["fp32"]
+    assert modes["fp32"]["model_path"] == "finetune_seed1.sdcw"
+    saved, _ = persist.load_model(workspace[2] / "finetune_seed1.sdcw")
+    for name, p in timed["fp32"].params.items():
+        np.testing.assert_array_equal(p.data, saved.param(name).data)
     for mode in ("dynamic_int8", "int8_mixed"):
         assert modes[mode]["model_path"] == f"bench_{mode}_seed1.sdcw"
         saved, _ = persist.load_model(out / modes[mode]["model_path"])
@@ -513,14 +552,155 @@ def test_report_cli_failing_mid_write_keeps_the_previous_table(tmp_path, fail_mi
     assert not [f for f in tmp_path.iterdir() if f.name.endswith(".tmp")]
 
 
-def test_replay_produces_byte_identical_reports(workspace, tmp_path):
-    root, data_dir, _, base = workspace
+REPLAYED = {  # subcommand -> (config keys, the report it writes for seed 1)
+    "finetune": ("epochs=2\n", "finetune_desk_seed1.json"),
+    "prune": ("epochs=3\nsparsity=0.3\nschedule=before\n", "prune_desk_p0.30-before_seed1.json"),
+    "distill": ("epochs=1\nmode=task_specific\nteacher={ft}\nstudent_layers=1\nstudent_heads=2\n",
+                "distill_desk_task_specific-T8_seed1.json"),
+    "quantize": ("model_in={ft}\n", "quantize_desk_both_seed1.json"),
+    "eval": ("model_in={ft}\n", "eval_desk_seed1.json"),
+    "bench": ("model_in={ft}\nreps=3\n", "bench_desk_seed1.json"),
+}
+
+
+@pytest.mark.parametrize("sub", list(REPLAYED))
+def test_replay_produces_byte_identical_reports(workspace, tmp_path, sub):
+    root, data_dir, ft_dir, base = workspace
+    keys, report = REPLAYED[sub]
+    keys = keys.format(ft=ft_dir / "finetune_seed{seed}.sdcw")
 
     def run(out):
-        cfg = _write_cfg(tmp_path / "det.cfg",
-                         base + f"out_dir={out}\nepochs=3\nsparsity=0.3\nschedule=before\n")
-        assert cli.run_cli(["prune", cfg]) == 0
-        payload = json.loads((out / "prune_desk_p0.30-before_seed1.json").read_text())
+        cfg = _write_cfg(tmp_path / "det.cfg", base + f"out_dir={out}\n" + keys)
+        assert cli.run_cli([sub, cfg]) == 0
+        payload = json.loads((out / report).read_text())
         return json.dumps(cli.strip_timing(payload), sort_keys=True)
 
     assert run(tmp_path / "r1") == run(tmp_path / "r2")
+
+
+@pytest.fixture(scope="module")
+def kd_student(workspace, tmp_path_factory):
+    """A task-specific 1-layer, 2-head student of the workspace model."""
+    root, data_dir, ft_dir, base = workspace
+    out = tmp_path_factory.mktemp("kd-student")
+    cfg = _write_cfg(out / "kd.cfg",
+                     base + f"out_dir={out}\nepochs=1\nmode=task_specific\n"
+                     f"teacher={ft_dir}/finetune_seed{{seed}}.sdcw\n"
+                     f"student_layers=1\nstudent_heads=2\n")
+    assert cli.run_cli(["distill", cfg]) == 0
+    report = json.loads((out / "distill_desk_task_specific-T8_seed1.json").read_text())
+    return out, report
+
+
+def _named_files(report, where: Path):
+    """(file, model_bytes) of every dict in `report` that names a file in `where`."""
+    if isinstance(report, dict):
+        if "model_path" in report:
+            yield where / report["model_path"], report["model_bytes"]
+        report = list(report.values())
+    if isinstance(report, list):
+        for value in report:
+            yield from _named_files(value, where)
+
+
+def test_every_report_gives_the_size_of_the_file_it_names(workspace, kd_student, tmp_path):
+    root, data_dir, ft_dir, base = workspace
+    model_in = f"model_in={ft_dir}/finetune_seed{{seed}}.sdcw\n"
+    reports = [(ft_dir, json.loads((ft_dir / "finetune_desk_seed1.json").read_text())),
+               (kd_student[0], kd_student[1])]
+    for sub, keys, name in (
+            ("prune", "epochs=2\nsparsity=0.5\nschedule=after\n", "prune_desk_p0.50-after_seed1.json"),
+            ("quantize", model_in, "quantize_desk_both_seed1.json")):
+        out = tmp_path / sub
+        assert cli.run_cli([sub, _write_cfg(tmp_path / f"{sub}.cfg",
+                                            base + f"out_dir={out}\n" + keys)]) == 0
+        reports.append((out, json.loads((out / name).read_text())))
+    pruned = reports[2][0] / reports[2][1]["model_path"]
+    out = tmp_path / "eval"
+    cfg = _write_cfg(tmp_path / "eval.cfg", base + f"out_dir={out}\nmodel_in={pruned}\n")
+    assert cli.run_cli(["eval", cfg]) == 0
+    reports.append((pruned.parent, json.loads((out / "eval_desk_seed1.json").read_text())))
+
+    named = [pair for where, rep in reports for pair in _named_files(rep, where)]
+    assert len(named) == 6  # finetune, distill, prune, two quantize modes, eval
+    for path, n_bytes in named:
+        assert n_bytes == path.stat().st_size, path.name
+    for mode in reports[3][1]["modes"].values():
+        assert mode["report"]["model_bytes"] == mode["delta"]["compressed_bytes"] == mode["model_bytes"]
+
+
+def test_every_measured_handle_is_one_a_file_gave(workspace, tmp_path, monkeypatch):
+    root, data_dir, ft_dir, base = workspace
+    loaded, measured = [], []
+
+    def load(path):
+        handle, mask = persist.load_model(path)
+        loaded.append(handle)
+        return handle, mask
+
+    def recorded(measure):
+        def run(handle, *args, **kwargs):
+            measured.append(handle)
+            return measure(handle, *args, **kwargs)
+        return run
+
+    monkeypatch.setattr(cli, "load_model", load)
+    monkeypatch.setattr(cli, "evaluate", recorded(evaluation.evaluate))
+    monkeypatch.setattr(cli, "measure_inference_time", recorded(evaluation.measure_inference_time))
+    model_in = f"model_in={ft_dir}/finetune_seed{{seed}}.sdcw\n"
+    for sub, keys in (("finetune", "epochs=1\n"),
+                      ("prune", "epochs=1\nsparsity=0.5\nschedule=after\n"),
+                      ("distill", f"epochs=1\nmode=task_specific\nteacher={ft_dir}/finetune_seed{{seed}}.sdcw\n"
+                                  "student_layers=1\nstudent_heads=2\n"),
+                      ("quantize", model_in), ("eval", model_in), ("bench", model_in + "reps=3\n")):
+        cfg = _write_cfg(tmp_path / f"{sub}.cfg", base + f"out_dir={tmp_path / sub}\n" + keys)
+        assert cli.run_cli([sub, cfg]) == 0, sub
+    # finetune, prune, distill, eval: 1 each; quantize: baseline + 2 modes; bench: 3 handles
+    assert len(measured) == 10
+    assert all(any(handle is file_handle for file_handle in loaded) for handle in measured)
+
+
+@pytest.mark.parametrize("sub", ["quantize", "bench"])
+def test_quantized_model_in_rejected_before_it_is_measured(workspace, tmp_path, monkeypatch,
+                                                          capsys, sub):
+    root, data_dir, ft_dir, base = workspace
+    fp32, _ = persist.load_model(ft_dir / "finetune_seed1.sdcw")
+    persist.save_model(quant.quantize_model_dynamic(fp32), tmp_path / "q_seed1.sdcw")
+    data.Vocabulary.load(ft_dir / "finetune_seed1.sdcw.vocab").save(tmp_path / "q_seed1.sdcw.vocab")
+    passes = []
+    monkeypatch.setattr(evaluation, "forward_logits", lambda *args: passes.append(args))
+    cfg = _write_cfg(tmp_path / "q.cfg", base + f"out_dir={tmp_path / 'out'}\nreps=3\n"
+                     f"model_in={tmp_path}/q_seed{{seed}}.sdcw\n")
+    assert cli.run_cli([sub, cfg]) == 1
+    assert "an fp32 model is required" in capsys.readouterr().err
+    assert passes == []
+
+
+def test_distill_from_model_in_reports_the_student_it_loads(workspace, kd_student, tmp_path):
+    root, data_dir, ft_dir, base = workspace
+    student = kd_student[0] / kd_student[1]["cells"][0]["model_path"]
+    out = tmp_path / "kd-again"
+    cfg = _write_cfg(tmp_path / "kd.cfg",
+                     base + f"out_dir={out}\nepochs=1\nmode=task_specific\n"
+                     f"teacher={ft_dir}/finetune_seed{{seed}}.sdcw\nmodel_in={student}\n"
+                     f"student_layers=1\nstudent_heads=2\n")
+    assert cli.run_cli(["distill", cfg]) == 0
+    cell = json.loads((out / "distill_desk_task_specific-T8_seed1.json").read_text())["cells"][0]
+    assert (cell["layers"], cell["heads"]) == (1, 2)
+    assert "_L1_A2_" in cell["artifact"] and cell["model_path"] == cell["artifact"] + "_seed1.sdcw"
+    saved, _ = persist.load_model(out / cell["model_path"])
+    assert (saved.config.num_layers, saved.config.num_heads) == (1, 2)
+
+
+def test_distill_from_model_in_rejects_a_cell_its_student_does_not_match(
+        workspace, kd_student, tmp_path, capsys):
+    root, data_dir, ft_dir, base = workspace
+    student = kd_student[0] / kd_student[1]["cells"][0]["model_path"]
+    out = tmp_path / "kd-mismatch"
+    cfg = _write_cfg(tmp_path / "kd.cfg",  # the grid keeps its 4-layer, 4-head default
+                     base + f"out_dir={out}\nepochs=1\nmode=task_specific\n"
+                     f"teacher={ft_dir}/finetune_seed{{seed}}.sdcw\nmodel_in={student}\n")
+    assert cli.run_cli(["distill", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "1 layer(s) and 2 head(s)" in err and "4 layer(s) and 4 head(s)" in err
+    assert not list(out.glob("*.json")) and not list(out.glob("*.sdcw"))

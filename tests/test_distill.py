@@ -260,44 +260,19 @@ def test_task_specific_student_closes_on_teacher(desk_corpus, trained_model):
     assert teacher_f1 - student_f1 <= 0.05
 
 
-def test_teacher_cache_does_not_change_result():
+def test_task_specific_distillation_replays_bit_identically():
     train, _, vocab = _toy(n=40)
     spec = model.TrainSpec(learning_rate=1e-3, batch_size=8, max_seq_len=16, epochs=2)
     teacher = model.init_model(TEACHER_CFG, seed=14)
 
-    def run(cache):
+    def run():
         student = distill.init_student(teacher, distill.StudentSpec(2, 2), seed=15)
         dspec = distill.DistillSpec(mode="task_specific")
-        distill.distill_task_specific(teacher, student, train, vocab, dspec, spec,
-                                      seed=15, cache_teacher=cache)
-        return {n: p.data.copy() for n, p in student.params.items()}
-
-    a, b = run(False), run(True)
-    for n in a:
-        np.testing.assert_array_equal(a[n], b[n])
-
-
-def test_teacher_cache_keys_on_selected_rows(monkeypatch):
-    # same token ids, same number of labelled positions, different rows selected
-    train, _, vocab = _toy(n=40)
-    spec = model.TrainSpec(learning_rate=1e-3, batch_size=4, max_seq_len=16, epochs=2)
-    tb = data.batch(train[:4], vocab, spec.max_seq_len, spec.batch_size)[0]
-    variants = []
-    for ignored in (1, 2):
-        labels = tb.label_ids.copy()
-        labels[0, ignored] = T.IGNORE_INDEX
-        variants.append(data.TokenizedBatch(tb.token_ids.copy(), tb.attention_mask.copy(), labels))
-    monkeypatch.setattr(distill, "make_batches", lambda *args, **kwargs: variants)
-    teacher = model.init_model(TEACHER_CFG, seed=14)
-
-    def run(cache):
-        student = distill.init_student(teacher, distill.StudentSpec(2, 2), seed=15)
-        dspec = distill.DistillSpec(mode="task_specific")
-        trace = distill.distill_task_specific(teacher, student, train[:4], vocab, dspec, spec,
-                                              seed=15, cache_teacher=cache)
+        trace = distill.distill_task_specific(teacher, student, train, vocab, dspec, spec,
+                                              seed=15)
         return trace, {n: p.data.copy() for n, p in student.params.items()}
 
-    (trace_a, a), (trace_b, b) = run(False), run(True)
+    (trace_a, a), (trace_b, b) = run(), run()
     assert trace_a == trace_b
     for n in a:
         np.testing.assert_array_equal(a[n], b[n])
