@@ -2,6 +2,7 @@
 and a synthetic tagged corpus for desk-scale experiments."""
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -208,22 +209,47 @@ _POOLS: dict[str, list[str]] = {
 }
 
 
-def _synth_sentence(gen: np.random.Generator, entity_types, mix) -> Sentence:
-    n_entities = int(gen.choice([1, 2, 3], p=[0.40, 0.45, 0.15]))
+# Every draw below takes from `gen` exactly what `Generator.choice` would:
+# choice(seq) draws integers(0, len(seq)), and choice(seq, p=p) draws one
+# random() and looks it up in the CDF p.cumsum() / p.cumsum()[-1]. So the
+# corpora equal those of choice-based code, without converting a list or
+# checking p on every draw.
+
+def _cdf(p: np.ndarray) -> list[float]:
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+_N_ENTITIES_CDF = _cdf(np.array([0.40, 0.45, 0.15]))  # 1, 2 or 3 entities
+_SPAN_LEN_CDF = _cdf(np.array([0.25, 0.40, 0.35]))    # 1, 2 or 3 tokens
+
+
+def _pick(gen: np.random.Generator, seq: Sequence[str]) -> str:
+    return seq[int(gen.integers(0, len(seq)))]
+
+
+def _pick_index(gen: np.random.Generator, cdf: list[float]) -> int:
+    return bisect_right(cdf, gen.random())
+
+
+def _synth_sentence(gen: np.random.Generator, entity_types: Sequence[str],
+                    mix_cdf: list[float]) -> Sentence:
+    n_entities = 1 + _pick_index(gen, _N_ENTITIES_CDF)
     tokens: list[str] = []
     tags: list[str] = []
     for _ in range(n_entities):
         for _ in range(int(gen.integers(1, 4))):
-            tokens.append(str(gen.choice(_FILLERS)))
+            tokens.append(_pick(gen, _FILLERS))
             tags.append("O")
-        etype = str(gen.choice(entity_types, p=mix))
+        etype = entity_types[_pick_index(gen, mix_cdf)]
         pool = _POOLS[etype]
-        span_len = int(gen.choice([1, 2, 3], p=[0.25, 0.40, 0.35]))
+        span_len = 1 + _pick_index(gen, _SPAN_LEN_CDF)
         for j in range(span_len):
-            tokens.append(str(gen.choice(pool)))
+            tokens.append(_pick(gen, pool))
             tags.append(("B-" if j == 0 else "I-") + etype)
     for _ in range(int(gen.integers(1, 3))):
-        tokens.append(str(gen.choice(_FILLERS)))
+        tokens.append(_pick(gen, _FILLERS))
         tags.append("O")
     return Sentence(tokens, tags)
 
@@ -235,9 +261,14 @@ def synth_ner_corpus(
     entity_mix: Sequence[float] | None = None,
 ) -> tuple[list[Sentence], list[Sentence], list[Sentence]]:
     """Template-generated NER corpus with disjoint surface vocabulary per
-    entity type, split 70/10/20 into train/dev/test. Deterministic per seed."""
+    entity type, split 70/10/20 into train/dev/test. Deterministic per seed.
+
+    `entity_mix` weighs the entity types: one finite, non-negative weight
+    per type, not all zero."""
     if n_sentences < 10:
         raise ParameterError(f"n_sentences must be >= 10, got {n_sentences}")
+    if not entity_types:
+        raise ParameterError("entity_types is empty")
     unknown = [t for t in entity_types if t not in _POOLS]
     if unknown:
         raise ParameterError(f"no surface pool for entity types {unknown}")
@@ -245,9 +276,16 @@ def synth_ner_corpus(
         mix = np.full(len(entity_types), 1.0 / len(entity_types))
     else:
         mix = np.asarray(entity_mix, dtype=float)
-        mix = mix / mix.sum()
+        with np.errstate(over="ignore"):
+            total = mix.sum() if mix.shape == (len(entity_types),) else np.nan
+        if not (np.all(np.isfinite(mix)) and np.all(mix >= 0) and 0 < total < np.inf):
+            raise ParameterError(f"entity_mix must hold one finite, non-negative weight per "
+                                 f"entity type, not all zero; got {mix.tolist()} for "
+                                 f"{len(entity_types)} types")
+        mix = mix / total
     gen = rng.stream(seed, "synth-ner")
-    sentences = [_synth_sentence(gen, list(entity_types), mix) for _ in range(n_sentences)]
+    types, mix_cdf = list(entity_types), _cdf(mix)
+    sentences = [_synth_sentence(gen, types, mix_cdf) for _ in range(n_sentences)]
     n_train = round(0.7 * n_sentences)
     n_dev = round(0.1 * n_sentences)
     return (
@@ -268,9 +306,9 @@ def synth_pretrain_corpus(seed: int, n_lines: int, min_tokens: int = 12, max_tok
         toks = []
         for _ in range(n):
             if gen.random() < 0.25:
-                toks.append(str(gen.choice(all_entities)))
+                toks.append(_pick(gen, all_entities))
             else:
-                toks.append(str(gen.choice(_FILLERS)))
+                toks.append(_pick(gen, _FILLERS))
         lines.append(" ".join(toks))
     return lines
 

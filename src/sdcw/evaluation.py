@@ -39,6 +39,7 @@ class EvalReport:
     nonzero_params: int
     total_params: int
     sparsity: float
+    truncated_tokens: int  # tokens past max_seq_len, scored as predicted O
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -129,13 +130,17 @@ def _accounting(handle) -> tuple[int, int, int, float]:
 def evaluate(handle, sentences: list[Sentence], vocab: Vocabulary,
              entity_types=DEFAULT_ENTITY_TYPES, batch_size: int = 16,
              max_seq_len: int = 32, dataset_id: str = "") -> EvalReport:
-    """Argmax decoding per token (padding ignored) plus size/sparsity accounting."""
+    """Argmax decoding per token (padding ignored) plus size/sparsity accounting.
+
+    Spans are scored against each sentence's full tag sequence: the tokens
+    that truncation to `max_seq_len` drops count as predicted O, so a gold
+    entity past the cut is a miss. The loss covers the scored-in tokens."""
     if not sentences:
         raise DataError("evaluate requires a non-empty dataset")
     labels = bio_labels(entity_types)
     batches = make_batches(sentences, vocab, max_seq_len, batch_size,
                            entity_types=entity_types)
-    gold: list[list[str]] = []
+    gold = [s.tags for s in sentences]
     pred: list[list[str]] = []
     losses: list[tuple[float, int]] = []
     t0 = time.perf_counter()
@@ -145,13 +150,21 @@ def evaluate(handle, sentences: list[Sentence], vocab: Vocabulary,
         logp = _log_softmax_np(logits, axis=-1)
         for r in range(tb.token_ids.shape[0]):
             live = tb.label_ids[r] != IGNORE_INDEX
-            gold.append([labels[t] for t in tb.label_ids[r][live]])
             pred.append([labels[t] for t in choice[r][live]])
             n_live = int(live.sum())
             if n_live:
                 nll = -logp[r][live, tb.label_ids[r][live]].sum()
                 losses.append((float(nll), n_live))
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    truncated = 0
+    for tags, p in zip(gold, pred):
+        cut = tags[len(p):]
+        if cut:
+            unknown = set(cut).difference(labels)
+            if unknown:
+                raise DataError(f"tag(s) {sorted(unknown)} not in the label set {sorted(labels)}")
+            truncated += len(cut)
+            p.extend(["O"] * len(cut))
     precision, recall, f1 = span_prf(gold, pred)
     total_tokens = sum(n for _, n in losses)
     loss = sum(v for v, _ in losses) / total_tokens if total_tokens else 0.0
@@ -161,6 +174,7 @@ def evaluate(handle, sentences: list[Sentence], vocab: Vocabulary,
         precision=precision, recall=recall, f1=f1,
         inference_time_ms=elapsed_ms, model_bytes=model_bytes,
         nonzero_params=nonzero, total_params=total, sparsity=sparsity,
+        truncated_tokens=truncated,
     )
 
 

@@ -28,6 +28,22 @@ and the exact block results are added in float64; the contraction length is
 capped at 2^24, so those sums stay below 2^38 and are exact in 53 bits. The
 accumulator thus holds the same integers as an int64 GEMM; it is divided by
 the outer product of the scales in float64 and rounded once to float32.
+
+The GEMMs read a float32 image of each operand's int8 payload. A weight's
+image is built once (the quantizers hand over the float32 integers they
+computed; a loaded weight builds it on first use) and is never written to a
+file; an activation's image is the float32 integers its quantizer computed.
+The product runs on the images as they are, without zeroing the union of
+both operands' outlier vectors: each operand's own outlier vectors are zero
+in its payload (the quantizers make them so and `persist.load_model`
+rejects a file where they are not), so every k-index in the union
+contributes 0 to the exact integer sum either way. The rescale runs in row
+blocks through one reused float64 buffer and writes into the GEMM's own
+float32 output. Two float32 scales multiply exactly in float64 (48
+significant bits), so the per-block outer product equals the whole one; the
+float64 quotient is the same, and storing it into float32 rounds as
+`astype` does. So the output is the same bit for bit as zeroing the union
+and rescaling through one full-size float64 array.
 """
 from __future__ import annotations
 
@@ -43,6 +59,8 @@ MAX_CONTRACTION = 1 << 24
 # longest float32 sum of int8 x int8 products that stays exact:
 # 1,040 * 127^2 = 16,774,160 < 2^24
 EXACT_BLOCK = (1 << 24) // (127 * 127)
+# float64 elements per rescale block: 256 KiB, so the buffer stays in L2
+RESCALE_BLOCK = 1 << 15
 DEFAULT_OUTLIER_THRESHOLD = 6.0
 
 _LINEAR_WEIGHTS = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "ffn.w1", "ffn.w2", "head.weight")
@@ -57,6 +75,8 @@ class QuantizedTensor:
     input x output). `outlier_cols` indexes the contraction dimension
     (columns of a per-row operand, rows of a per-column operand); those
     vectors are zeroed in `q` and kept exactly in fp32 `outlier_values`.
+    `q_image` is `q` as float32, the operand of the int8 GEMMs; it is built
+    on first use if absent, and never serialized.
     """
 
     q: np.ndarray                 # int8 [m, k]
@@ -65,10 +85,16 @@ class QuantizedTensor:
     outlier_cols: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     outlier_values: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=np.float32))
     fp_ref: np.ndarray | None = None  # exact source values (in-memory handles only)
+    q_image: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(self.q.shape)
+
+    def image(self) -> np.ndarray:
+        if self.q_image is None:
+            self.q_image = self.q.astype(np.float32)
+        return self.q_image
 
     def dequant(self) -> np.ndarray:
         if self.axis == 1:
@@ -161,7 +187,7 @@ def absmax_quantize(x, axis: int = 1) -> QuantizedTensor:
         arr, axis = arr[None, :], 1
     arr = _matrix(arr, axis, "absmax_quantize")
     q, scales, _ = _quantize_vectors(arr, axis, None, "absmax_quantize")
-    return QuantizedTensor(q.astype(np.int8), scales.reshape(-1), axis)
+    return QuantizedTensor(q.astype(np.int8), scales.reshape(-1), axis, q_image=q)
 
 
 def quantize_with_outliers(x, threshold: float, axis: int = 1) -> QuantizedTensor:
@@ -171,7 +197,7 @@ def quantize_with_outliers(x, threshold: float, axis: int = 1) -> QuantizedTenso
         raise ParameterError(f"outlier threshold must be > 0, got {threshold}")
     arr = _matrix(x, axis, "quantize_with_outliers")
     q, scales, outliers = _quantize_vectors(arr, axis, threshold, "quantize_with_outliers")
-    qt = QuantizedTensor(q.astype(np.int8), scales.reshape(-1), axis)
+    qt = QuantizedTensor(q.astype(np.int8), scales.reshape(-1), axis, q_image=q)
     cols = np.nonzero(outliers.reshape(-1))[0]
     if cols.size:
         qt.outlier_cols = cols
@@ -193,11 +219,36 @@ def _int_matmul(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
 
 
 def _rescale(acc: np.ndarray, scales_a: np.ndarray, scales_b: np.ndarray) -> np.ndarray:
-    """acc / (scales_a * scales_b) in float64, rounded once to float32; the
-    scales broadcast to acc's shape."""
-    outer = scales_a.astype(np.float64) * scales_b.astype(np.float64)
-    np.divide(acc, outer, out=outer)
-    return outer.astype(np.float32)
+    """acc / (scales_a * scales_b) in float64, rounded once to float32: in
+    place when acc is float32 (a GEMM's own output), else into a new array.
+
+    acc is [m, n] or [N, m, n]; the float32 scales broadcast to it as
+    [..., m, 1] and [..., 1, n]. The work runs over blocks of whole slices,
+    or of rows of one slice, of at most RESCALE_BLOCK elements through one
+    float64 buffer."""
+    out = acc if acc.dtype == np.float32 else np.empty(acc.shape, dtype=np.float32)
+    if not acc.size:
+        return out
+    sa, sb = scales_a.astype(np.float64), scales_b.astype(np.float64)
+    if acc.ndim == 2:
+        acc, out3, sa, sb = acc[None], out[None], sa[None], sb[None]
+    else:
+        out3 = out
+    n_slices, m, n = acc.shape
+    rows = max(1, RESCALE_BLOCK // n)
+    if m <= rows:
+        step = rows // m
+        blocks = [(slice(i, i + step), slice(None)) for i in range(0, n_slices, step)]
+    else:
+        blocks = [(i, slice(r, r + rows)) for i in range(n_slices) for r in range(0, m, rows)]
+    buf = np.empty(min(acc.size, rows * n), dtype=np.float64)
+    for s, r in blocks:
+        block = acc[s, r]
+        outer = buf[:block.size].reshape(block.shape)
+        np.multiply(sa[s, r], sb[s], out=outer)
+        np.divide(block, outer, out=outer)
+        out3[s, r] = outer
+    return out
 
 
 def int8_matmul(aq: QuantizedTensor, bq: QuantizedTensor) -> np.ndarray:
@@ -211,13 +262,8 @@ def int8_matmul(aq: QuantizedTensor, bq: QuantizedTensor) -> np.ndarray:
         raise ShapeError(f"int8_matmul dimension mismatch: {aq.q.shape} x {bq.q.shape}")
     if k > MAX_CONTRACTION:
         raise ShapeError(f"contraction length {k} exceeds the exactness bound 2^24")
+    out = _rescale(_int_matmul(aq.image(), bq.image()), aq.scales[:, None], bq.scales[None, :])
     union = np.union1d(aq.outlier_cols, bq.outlier_cols).astype(np.int64)
-    qa, qb = aq.q.astype(np.float32), bq.q.astype(np.float32)
-    if union.size:
-        # both integer operands skip every outlier k-index to avoid double counting
-        qa[:, union] = 0
-        qb[union, :] = 0
-    out = _rescale(_int_matmul(qa, qb), aq.scales[:, None], bq.scales[None, :])
     if union.size:
         out += aq.contraction_fp(union) @ bq.contraction_fp(union)
     return out
@@ -229,8 +275,9 @@ def int8_bmm(a, b, threshold: float) -> np.ndarray:
     quantize_with_outliers(b[i], threshold, axis=0)) bit for bit.
 
     Each operand stack is quantized in one pass and the integer products run
-    as one batched GEMM; the fp32 outlier term is computed only for the
-    slices that have outlier vectors in either operand.
+    as one batched GEMM on the stacks as quantized (each operand's own
+    outlier vectors are zero in them); the fp32 outlier term is computed
+    only for the slices that have outlier vectors in either operand.
     """
     if threshold <= 0:
         raise ParameterError(f"outlier threshold must be > 0, got {threshold}")
@@ -254,8 +301,6 @@ def int8_bmm(a, b, threshold: float) -> np.ndarray:
         fa[:, own_a] = a[i][:, u[own_a]]
         fb[own_b, :] = b[i][u[own_b], :]
         terms.append((i, fa @ fb))
-        qa[i][:, u] = 0
-        qb[i][u, :] = 0
     out = _rescale(_int_matmul(qa, qb), scales_a, scales_b)
     for i, term in terms:
         out[i] += term
@@ -349,7 +394,9 @@ class Int8Kernel:
             xq = quantize_with_outliers(x, self.qm.outlier_threshold, axis=1)
         else:
             xq = absmax_quantize(x, axis=1)
-        return int8_matmul(xq, lin.weight) + lin.bias
+        out = int8_matmul(xq, lin.weight)
+        out += lin.bias
+        return out
 
     def attn_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return int8_bmm(a, b, self.qm.outlier_threshold) if self.mixed else a @ b

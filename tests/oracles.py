@@ -3,22 +3,29 @@
 Everything here is float64 numpy with no autodiff involvement, so
 finite-difference gradients are limited by truncation error only. The
 float32 references after them are the whole-array expressions that the
-optimized tape kernels must reproduce byte for byte, and the last section
-keeps the hand-written quantized forward that the shared encoder topology
-must reproduce byte for byte. The set-up references at the end are the
-sort-based magnitude mask and the full re-scan truncated normal that the
-linear-time versions must reproduce bit for bit.
+optimized tape kernels must reproduce byte for byte. The int8 section keeps
+the int8 product that zeroes the outlier union in converted copies of both
+operands and rescales through one full-size float64 array, and the next one
+the hand-written quantized forward over that product; `quant.int8_matmul`
+and the shared encoder topology must reproduce them byte for byte. The
+set-up references after them are the sort-based magnitude mask and the full
+re-scan truncated normal that the linear-time versions must reproduce bit
+for bit, and the last section the `Generator.choice` corpus draws that the
+synthetic corpora must equal.
 """
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erf
 
-from sdcw.errors import ParameterError
+from sdcw import data, rng
+from sdcw.errors import ParameterError, ShapeError
 from sdcw.model import ATTN_MASK_BIAS, LN_EPS, EncoderModel, _validate_inputs
 from sdcw.prune import PruneMask, prunable_names, pruned_count
-from sdcw.quant import (QuantizedModel, QuantizedTensor, absmax_quantize, int8_bmm, int8_matmul,
-                        quantize_with_outliers)
+from sdcw.quant import (EXACT_BLOCK, MAX_CONTRACTION, QuantizedModel, QuantizedTensor,
+                        absmax_quantize, quantize_with_outliers)
 from sdcw.tensor import _gelu_np, _layer_norm_np, _softmax_np
 
 
@@ -218,12 +225,56 @@ def quantize_with_outliers_ref(x, threshold: float, axis: int = 1):
     return q, scales, cols
 
 
+def _int_matmul_ref(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Exact (..., m, k) @ (..., k, n) of float32 arrays holding int8 values:
+    one float32 GEMM per block of at most EXACT_BLOCK contraction indices,
+    blocks added in float64."""
+    k = qa.shape[-1]
+    if k <= EXACT_BLOCK:
+        return qa @ qb
+    acc = np.zeros(qa.shape[:-1] + qb.shape[-1:], dtype=np.float64)
+    for start in range(0, k, EXACT_BLOCK):
+        acc += qa[..., start:start + EXACT_BLOCK] @ qb[..., start:start + EXACT_BLOCK, :]
+    return acc
+
+
+def _rescale_ref(acc: np.ndarray, scales_a: np.ndarray, scales_b: np.ndarray) -> np.ndarray:
+    """acc / (scales_a * scales_b) in float64, rounded once to float32; the
+    scales broadcast to acc's shape."""
+    outer = scales_a.astype(np.float64) * scales_b.astype(np.float64)
+    np.divide(acc, outer, out=outer)
+    return outer.astype(np.float32)
+
+
+def int8_matmul_ref(aq: QuantizedTensor, bq: QuantizedTensor) -> np.ndarray:
+    """[m,k] x [k,n] with exact integer accumulation, rescaled by the outer
+    product of row/column scales; outlier vectors recombined in fp32."""
+    if aq.axis != 1 or bq.axis != 0:
+        raise ShapeError("int8_matmul expects a per-row A (axis=1) and per-column B (axis=0)")
+    m, k = aq.q.shape
+    k2, n = bq.q.shape
+    if k != k2:
+        raise ShapeError(f"int8_matmul dimension mismatch: {aq.q.shape} x {bq.q.shape}")
+    if k > MAX_CONTRACTION:
+        raise ShapeError(f"contraction length {k} exceeds the exactness bound 2^24")
+    union = np.union1d(aq.outlier_cols, bq.outlier_cols).astype(np.int64)
+    qa, qb = aq.q.astype(np.float32), bq.q.astype(np.float32)
+    if union.size:
+        # both integer operands skip every outlier k-index to avoid double counting
+        qa[:, union] = 0
+        qb[union, :] = 0
+    out = _rescale_ref(_int_matmul_ref(qa, qb), aq.scales[:, None], bq.scales[None, :])
+    if union.size:
+        out += aq.contraction_fp(union) @ bq.contraction_fp(union)
+    return out
+
+
 def attention_matmul_loop(a: np.ndarray, b: np.ndarray, threshold: float) -> np.ndarray:
     """Mixed-mode [N,m,k] x [N,k,n], one 2D quantize-and-multiply per slice."""
     out = np.empty((a.shape[0], a.shape[1], b.shape[2]), dtype=np.float32)
     for i in range(a.shape[0]):
-        out[i] = int8_matmul(quantize_with_outliers(a[i], threshold, axis=1),
-                             quantize_with_outliers(b[i], threshold, axis=0))
+        out[i] = int8_matmul_ref(quantize_with_outliers(a[i], threshold, axis=1),
+                                 quantize_with_outliers(b[i], threshold, axis=0))
     return out
 
 
@@ -239,14 +290,14 @@ def _act_quant(qm: QuantizedModel, x: np.ndarray) -> QuantizedTensor:
 
 def _q_linear(qm: QuantizedModel, name: str, x: np.ndarray) -> np.ndarray:
     lin = qm.linears[name]
-    return int8_matmul(_act_quant(qm, x), lin.weight) + lin.bias
+    return int8_matmul_ref(_act_quant(qm, x), lin.weight) + lin.bias
 
 
 def _q_attention_matmul(qm: QuantizedModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched [B,m,k] x [B,k,n]; int8 in mixed mode, fp32 in dynamic mode."""
     if qm.mode != "int8_mixed":
         return a @ b
-    return int8_bmm(a, b, qm.outlier_threshold)
+    return attention_matmul_loop(a, b, qm.outlier_threshold)
 
 
 def quantized_forward_ref(qm: QuantizedModel, token_ids, attention_mask) -> np.ndarray:
@@ -327,3 +378,74 @@ def truncated_normal_rescan(
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
         bad = np.abs(out) > bound
     return out.astype(np.float32)
+
+
+# ---------------------------------------------------------------------------
+# synthetic corpora drawn with Generator.choice, one call per token; the
+# draws without it must give the same corpora
+
+def _synth_sentence_choice(gen: np.random.Generator, entity_types, mix) -> data.Sentence:
+    n_entities = int(gen.choice([1, 2, 3], p=[0.40, 0.45, 0.15]))
+    tokens: list[str] = []
+    tags: list[str] = []
+    for _ in range(n_entities):
+        for _ in range(int(gen.integers(1, 4))):
+            tokens.append(str(gen.choice(data._FILLERS)))
+            tags.append("O")
+        etype = str(gen.choice(entity_types, p=mix))
+        pool = data._POOLS[etype]
+        span_len = int(gen.choice([1, 2, 3], p=[0.25, 0.40, 0.35]))
+        for j in range(span_len):
+            tokens.append(str(gen.choice(pool)))
+            tags.append(("B-" if j == 0 else "I-") + etype)
+    for _ in range(int(gen.integers(1, 3))):
+        tokens.append(str(gen.choice(data._FILLERS)))
+        tags.append("O")
+    return data.Sentence(tokens, tags)
+
+
+def synth_ner_corpus_choice(
+    seed: int,
+    n_sentences: int,
+    entity_types: Sequence[str] = data.DEFAULT_ENTITY_TYPES,
+    entity_mix: Sequence[float] | None = None,
+) -> tuple[list[data.Sentence], list[data.Sentence], list[data.Sentence]]:
+    """Template-generated NER corpus with disjoint surface vocabulary per
+    entity type, split 70/10/20 into train/dev/test. Deterministic per seed."""
+    if n_sentences < 10:
+        raise ParameterError(f"n_sentences must be >= 10, got {n_sentences}")
+    unknown = [t for t in entity_types if t not in data._POOLS]
+    if unknown:
+        raise ParameterError(f"no surface pool for entity types {unknown}")
+    if entity_mix is None:
+        mix = np.full(len(entity_types), 1.0 / len(entity_types))
+    else:
+        mix = np.asarray(entity_mix, dtype=float)
+        mix = mix / mix.sum()
+    gen = rng.stream(seed, "synth-ner")
+    sentences = [_synth_sentence_choice(gen, list(entity_types), mix) for _ in range(n_sentences)]
+    n_train = round(0.7 * n_sentences)
+    n_dev = round(0.1 * n_sentences)
+    return (
+        sentences[:n_train],
+        sentences[n_train : n_train + n_dev],
+        sentences[n_train + n_dev :],
+    )
+
+
+def synth_pretrain_corpus_choice(seed: int, n_lines: int, min_tokens: int = 12, max_tokens: int = 18) -> list[str]:
+    """Unlabeled synthetic text (entity surface forms mixed into filler text),
+    long enough to survive the >11-token corpus filter."""
+    gen = rng.stream(seed, "synth-pretrain")
+    all_entities = [tok for pool in data._POOLS.values() for tok in pool]
+    lines = []
+    for _ in range(n_lines):
+        n = int(gen.integers(min_tokens, max_tokens + 1))
+        toks = []
+        for _ in range(n):
+            if gen.random() < 0.25:
+                toks.append(str(gen.choice(all_entities)))
+            else:
+                toks.append(str(gen.choice(data._FILLERS)))
+        lines.append(" ".join(toks))
+    return lines

@@ -7,6 +7,8 @@ from sdcw import data
 from sdcw.errors import DataError, ParameterError
 from sdcw.tensor import IGNORE_INDEX
 
+from oracles import synth_ner_corpus_choice, synth_pretrain_corpus_choice
+
 TYPES = data.DEFAULT_ENTITY_TYPES
 
 
@@ -203,6 +205,51 @@ def test_synth_pools_are_disjoint_across_types():
 def test_synth_pretrain_corpus_survives_preprocessing():
     lines = data.synth_pretrain_corpus(2, 100)
     assert data.preprocess_corpus(lines) == lines
+
+
+def _mixes(n_types: int):
+    weight = st.one_of(st.just(0.0), st.floats(1e-6, 1e3))
+    return st.one_of(st.none(), st.lists(weight, min_size=n_types, max_size=n_types)
+                     .filter(lambda w: sum(w) > 0))
+
+
+@st.composite
+def _corpus_args(draw):
+    types = draw(st.lists(st.sampled_from(TYPES), min_size=1, max_size=4, unique=True))
+    return draw(st.integers(0, 2**32 - 1)), draw(st.integers(10, 120)), tuple(types), \
+        draw(_mixes(len(types)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_corpus_args())
+def test_synth_corpus_equals_the_choice_draws(args):
+    seed, n, types, mix = args
+    got = data.synth_ner_corpus(seed, n, types, mix)
+    want = synth_ner_corpus_choice(seed, n, types, mix)
+    assert [[(s.tokens, s.tags) for s in split] for split in got] \
+        == [[(s.tokens, s.tags) for s in split] for split in want]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40), lo=st.integers(1, 12),
+       extra=st.integers(0, 8))
+def test_synth_pretrain_corpus_equals_the_choice_draws(seed, n, lo, extra):
+    assert data.synth_pretrain_corpus(seed, n, lo, lo + extra) \
+        == synth_pretrain_corpus_choice(seed, n, lo, lo + extra)
+
+
+@pytest.mark.parametrize("mix", [(1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0, 1.0), (1.0, -0.5, 1.0, 1.0),
+                                 (1.0, np.nan, 1.0, 1.0), (1.0, np.inf, 1.0, 1.0),
+                                 (0.0, 0.0, 0.0, 0.0), (1e308, 1e308, 1e308, 1e308), 0.5,
+                                 ((0.25, 0.25), (0.25, 0.25))])
+def test_synth_rejects_a_bad_entity_mix_before_drawing(mix):
+    with pytest.raises(ParameterError):
+        data.synth_ner_corpus(1, 20, TYPES, mix)
+
+
+def test_synth_rejects_no_entity_types():
+    with pytest.raises(ParameterError):
+        data.synth_ner_corpus(1, 20, ())
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sdcw import data, evaluation, model, prune
@@ -180,6 +181,49 @@ def test_evaluate_identical_after_save_load_round_trip(desk_corpus, trained_mode
         assert getattr(a, field) == getattr(b, field), field
 
 
+def _tagging_oracle(monkeypatch, vocab: data.Vocabulary, tag_of: dict[str, str]):
+    """Make every handle predict tag_of[token] for each token it sees."""
+    labels = data.bio_labels(TYPES)
+    label_of_id = np.zeros(vocab.size, dtype=np.int64)
+    for tok, tag in tag_of.items():
+        label_of_id[vocab.encode(tok)] = labels.index(tag)
+
+    def logits(handle, token_ids, attention_mask):
+        out = np.zeros(token_ids.shape + (len(labels),), dtype=np.float32)
+        np.put_along_axis(out, label_of_id[token_ids][..., None], 1.0, axis=-1)
+        return out
+
+    monkeypatch.setattr(evaluation, "forward_logits", logits)
+
+
+def test_evaluate_counts_a_gold_entity_past_the_cut_as_a_miss(monkeypatch):
+    # 40 tokens, the only entity at tokens 36-37: max_seq_len 32 keeps 31
+    long = data.Sentence(["w"] * 36 + ["Kwame", "Mensah", "w", "w"],
+                         ["O"] * 36 + ["B-PER", "I-PER", "O", "O"])
+    short = data.Sentence(["w", "Mopti"], ["O", "B-LOC"])
+    vocab = data.build_vocab(data.corpus_token_lists([long, short]), 20)
+    _tagging_oracle(monkeypatch, vocab, {"w": "O", "Kwame": "B-PER", "Mensah": "I-PER",
+                                         "Mopti": "B-LOC"})
+    handle = model.init_model(model.EncoderConfig(num_layers=0, num_heads=1, hidden_size=4,
+                                                  ffn_size=4, vocab_size=vocab.size,
+                                                  max_positions=64, num_classes=9), seed=1)
+    rep = evaluate(handle, [long, short], vocab, max_seq_len=32)
+    # every token the model sees is tagged right; the cut entity is missed
+    assert (rep.precision, rep.recall, rep.f1) == (1.0, 0.5, pytest.approx(2 / 3))
+    assert rep.truncated_tokens == 9
+    full = evaluate(handle, [long, short], vocab, max_seq_len=41)
+    assert (full.precision, full.recall, full.truncated_tokens) == (1.0, 1.0, 0)
+    cut_type = data.Sentence(long.tokens, long.tags[:36] + ["B-XYZ", "O", "O", "O"])
+    with pytest.raises(DataError):
+        evaluate(handle, [cut_type], vocab, max_seq_len=32)
+
+
+def test_evaluate_truncates_nothing_at_desk_size(desk_corpus, trained_model):
+    _, _, test, vocab = desk_corpus
+    assert max(len(s.tokens) for s in test) < 31
+    assert evaluate(trained_model, test, vocab).truncated_tokens == 0
+
+
 # ---------------------------------------------------------------------------
 # timing
 
@@ -215,7 +259,7 @@ def test_more_batches_take_longer(desk_corpus, trained_model):
 def _report(**kw):
     base = dict(dataset_id="d", mode="fp32", loss=0.2, precision=0.9, recall=0.9,
                 f1=0.9, inference_time_ms=10.0, model_bytes=100, nonzero_params=90,
-                total_params=100, sparsity=0.0)
+                total_params=100, sparsity=0.0, truncated_tokens=0)
     base.update(kw)
     return evaluation.EvalReport(**base)
 

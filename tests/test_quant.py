@@ -1,20 +1,26 @@
+import hashlib
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdcw import data, model, quant
 from sdcw.errors import DataError, ParameterError, ShapeError
 from sdcw.model import forward
-from sdcw.persist import load_model, save_model
+from sdcw.persist import load_model, save_model, serialized_bytes
 from sdcw.rng import stream
 from sdcw.tensor import no_grad
 
-from oracles import (absmax_quantize_ref, attention_matmul_loop, quantize_with_outliers_ref,
-                     quantized_forward_ref)
+from oracles import (absmax_quantize_ref, attention_matmul_loop, int8_matmul_ref,
+                     quantize_with_outliers_ref, quantized_forward_ref)
 
 TINY = model.EncoderConfig(num_layers=2, num_heads=2, hidden_size=16, ffn_size=32,
                            vocab_size=120, max_positions=32, num_classes=9)
+# FFN2 contracts over 1,100 > EXACT_BLOCK indices, as it does at the published width
+WIDE = replace(TINY, num_layers=1, ffn_size=1100)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +197,59 @@ def test_int8_matmul_shape_and_axis_validation():
         quant.int8_matmul(a, a)
 
 
+@st.composite
+def _int8_operands(draw):
+    """A per-row A and a per-column B as the kernels see them: absmax
+    (threshold None) or outlier-split at the threshold, with outlier vectors
+    in A, in B, in both or at the same index, all-zero rows and columns,
+    values that round to zero from below, B with or without its fp32 source,
+    and either operand as a file loads it (no float32 image)."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    k = draw(st.sampled_from([1, 2, 9, quant.EXACT_BLOCK, quant.EXACT_BLOCK + 1,
+                              2 * quant.EXACT_BLOCK + 3]))
+    a = gen.normal(0, 1, (m, k)).astype(np.float32)
+    b = gen.normal(0, 1, (k, n)).astype(np.float32)
+    a[:, : min(k, 2)] = -1e-4
+    if draw(st.booleans()):
+        a[gen.integers(m)] = 0.0
+        b[:, gen.integers(n)] = 0.0
+    i, j = gen.integers(k), gen.integers(k)
+    where = draw(st.sampled_from(["neither", "a", "b", "both", "same"]))
+    if where in ("a", "both", "same"):
+        a[:, i] *= 40.0
+    if where in ("b", "both"):
+        b[j, :] *= 40.0
+    if where == "same":
+        b[i, :] *= 40.0
+    threshold = draw(st.sampled_from([None, 6.0, 0.5, 1e-30]))
+    if threshold is None:
+        aq, bq = quant.absmax_quantize(a, axis=1), quant.absmax_quantize(b, axis=0)
+    else:
+        aq = quant.quantize_with_outliers(a, threshold, axis=1)
+        bq = quant.quantize_with_outliers(b, threshold, axis=0)
+    if draw(st.booleans()):
+        bq.fp_ref = b
+    loaded = draw(st.sampled_from(["neither", "a", "b"]))
+    if loaded != "neither":
+        qt = aq if loaded == "a" else bq
+        qt = quant.QuantizedTensor(qt.q.copy(), qt.scales.copy(), qt.axis, qt.outlier_cols.copy(),
+                                   qt.outlier_values.copy())
+        aq, bq = (qt, bq) if loaded == "a" else (aq, qt)
+    return aq, bq, draw(st.sampled_from([1, 7, quant.RESCALE_BLOCK]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int8_operands())
+def test_int8_matmul_equals_the_reference_product_byte_for_byte(operands):
+    aq, bq, block = operands
+    want = int8_matmul_ref(aq, bq)
+    with mock.patch.object(quant, "RESCALE_BLOCK", block):
+        got = quant.int8_matmul(aq, bq)
+        assert _same_bits(got, want)
+        assert _same_bits(quant.int8_matmul(aq, bq), want)  # with both images built
+
+
 def test_int8_matmul_outlier_union_no_double_count():
     gen = stream(5, "quant-union")
     a = gen.normal(0, 1, (4, 6)).astype(np.float32)
@@ -226,6 +285,14 @@ def test_int8_bmm_bitwise_equal_to_per_slice_loop(case, threshold):
     a, b = _attention_stacks(case)
     got = quant.int8_bmm(a, b, threshold)
     assert _same_bits(got, attention_matmul_loop(a, b, threshold))
+
+
+@pytest.mark.parametrize("block", [1, 100])  # row blocks of one slice; two whole slices
+@pytest.mark.parametrize("case", ["neither", "both"])
+def test_int8_bmm_rescale_blocks_keep_the_bits(case, block, monkeypatch):
+    a, b = _attention_stacks(case)
+    monkeypatch.setattr(quant, "RESCALE_BLOCK", block)
+    assert _same_bits(quant.int8_bmm(a, b, 6.0), attention_matmul_loop(a, b, 6.0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -383,14 +450,21 @@ def test_serialized_reduction_bands_on_weight_dominated_model(tmp_path):
 # ---------------------------------------------------------------------------
 # the shared topology against the hand-written quantized forward
 
+def _planted_model(cfg: model.EncoderConfig):
+    """A model whose large LN gains give outlier columns at threshold 6, and
+    the generator that drew them."""
+    m = model.init_model(cfg, seed=12)
+    gen = stream(12, "quant-ref")
+    for name, p in m.params.items():
+        if name.endswith("norm.gain"):
+            p.data[gen.choice(cfg.hidden_size, 2, replace=False)] = 20.0
+    return m, gen
+
+
 @pytest.mark.parametrize("num_layers", [0, 1, 2])
 def test_quantized_forward_equals_the_hand_written_reference(num_layers, tmp_path, monkeypatch):
     cfg = replace(TINY, num_layers=num_layers)
-    m = model.init_model(cfg, seed=12)
-    gen = stream(12, "quant-ref")
-    for name, p in m.params.items():  # large LN gains give outlier columns at threshold 6
-        if name.endswith("norm.gain"):
-            p.data[gen.choice(cfg.hidden_size, 2, replace=False)] = 20.0
+    m, gen = _planted_model(cfg)
     ids, mask = _inputs(gen, b=4, s=10)
     mask[1, 1:] = False  # a row with one live token
     ids[1, 1:] = data.PAD
@@ -416,3 +490,61 @@ def test_quantized_forward_equals_the_hand_written_reference(num_layers, tmp_pat
         assert got.tobytes() == quantized_forward_ref(qm, ids, mask).tobytes(), tag
         if tag.startswith("mixed6.0"):
             assert sum(outliers) > 0, "the fp32 outlier path is not exercised"
+
+
+@pytest.mark.parametrize("mode", ["dynamic_int8", "int8_mixed"])
+def test_quantized_forward_over_the_float64_accumulator_equals_the_reference(mode, tmp_path,
+                                                                              monkeypatch):
+    m, gen = _planted_model(WIDE)
+    ids, mask = _inputs(gen, b=4, s=10)
+    qm = quant.quantize_model(m, mode, threshold=6.0)
+    save_model(qm, tmp_path / "q.sdcw")
+    contractions = []
+    original = quant._int_matmul
+
+    def recorded(qa, qb):
+        contractions.append(qa.shape[-1])
+        return original(qa, qb)
+
+    for tag, handle in (("in memory", qm), ("reloaded", load_model(tmp_path / "q.sdcw")[0])):
+        with monkeypatch.context() as patch:
+            patch.setattr(quant, "_int_matmul", recorded)
+            got = quant.quantized_forward(handle, ids, mask)
+        assert got.tobytes() == quantized_forward_ref(handle, ids, mask).tobytes(), tag
+    assert max(contractions) == 1100 > quant.EXACT_BLOCK
+
+
+# SHA-256 and size of the files that the code before the float32 images
+# wrote for these handles
+SAVED_FILES = {
+    ("desk", "dynamic_int8"):
+        ("342755d273572ab1dd4b8c41b93744b510ec83b2b13faa86e706c318477f5fa1", 640_291),
+    ("desk", "int8_mixed"):
+        ("67757ac101b2f6b61a7aa7a03c8fdc00f370daade200ddae61b589b7ac3be4b5", 372_497),
+    ("wide", "dynamic_int8"):
+        ("63c7fb73bc3a4a35783ffc77e579876b9572632f7a59b1c97d7933e7bb673a3f", 56_687),
+    ("wide", "int8_mixed"):
+        ("a9b422800534dd72db2b304215912f50dfca7a1a41cfce72faf579b75878ab38", 49_253),
+}
+
+
+@pytest.mark.parametrize("which,mode", sorted(SAVED_FILES))
+def test_saved_files_hold_no_float32_image(which, mode, tmp_path):
+    if which == "wide":
+        m, gen = _planted_model(WIDE)
+    else:
+        m, gen = model.init_model(model.desk_config(), seed=12), stream(12, "quant-files")
+    ids = gen.integers(4, m.config.vocab_size, size=(3, 12))
+    mask = np.ones(ids.shape, dtype=bool)
+    qm = quant.quantize_model(m, mode, threshold=6.0)
+    want_sha, want_bytes = SAVED_FILES[which, mode]
+    path = tmp_path / "q.sdcw"
+    assert save_model(qm, path) == serialized_bytes(qm) == want_bytes == path.stat().st_size
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want_sha
+    loaded = load_model(path)[0]
+    assert all(lin.weight.q_image is None for lin in loaded.linears.values())
+    logits = quant.quantized_forward(loaded, ids, mask)  # builds the loaded images
+    if mode == "dynamic_int8":
+        assert logits.tobytes() == quant.quantized_forward(qm, ids, mask).tobytes()
+    save_model(loaded, tmp_path / "again.sdcw")
+    assert (tmp_path / "again.sdcw").read_bytes() == path.read_bytes()
