@@ -18,18 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import rng
 from .atomic import atomic_write
 from .config import ExperimentConfig, load_config
 from .data import (
     Sentence, Vocabulary, build_vocab, corpus_token_lists, load_conll,
     preprocess_corpus, synth_ner_corpus, synth_pretrain_corpus, write_conll,
 )
-from .distill import (
-    AGNOSTIC_TEMPERATURES, TASK_SPECIFIC_TEMPERATURE, DistillSpec, StudentSpec,
-    artifact_name, distill_task_agnostic, distill_task_specific, grid_specs,
-    init_student, pretrain_mlm,
-)
+from .distill import default_temperature, distill_grid, grid_specs, pretrain_mlm
 from .errors import ConfigError, DataError, WorkbenchError
 from .evaluation import (
     TIMING_FIELDS, EvalReport, compare, evaluate, measure_inference_time,
@@ -238,9 +233,7 @@ def _run_tag(cfg: ExperimentConfig, sub: str) -> str:
     if sub == "prune":
         parts.append(f"p{cfg.sparsity:.2f}-{cfg.schedule.split(':')[0]}")
     elif sub == "distill":
-        t = cfg.temperature or (TASK_SPECIFIC_TEMPERATURE if cfg.mode == "task_specific"
-                                else AGNOSTIC_TEMPERATURES[0])
-        parts.append(f"{cfg.mode}-T{t:g}")
+        parts.append(f"{cfg.mode}-T{cfg.temperature or default_temperature(cfg.mode):g}")
     elif sub == "quantize":
         parts.append(cfg.quant_mode)
     return "_".join(parts)
@@ -366,62 +359,47 @@ def cmd_distill(cfg: ExperimentConfig) -> int:
         raise ConfigError("'teacher' is required for distill")
     train, eval_split = _training_splits(cfg, "distill")
     out = Path(cfg.out_dir)
-    temperature = cfg.temperature or None
     cells = grid_specs(cfg.student_layers, cfg.student_heads)
-    # a task-specific run from `model_in` trains on the student that file holds
-    from_file = cfg.mode == "task_specific" and bool(cfg.model_in)
-
-    corpus_lines: list[str] = []
+    temperature = cfg.temperature or default_temperature(cfg.mode)
+    task_data = train
     if cfg.mode == "task_agnostic":
         if not cfg.corpus:
             raise ConfigError("'corpus' is required for task-agnostic distillation")
-        corpus_lines = preprocess_corpus(
-            Path(cfg.corpus).read_text(encoding="utf-8").splitlines()
-        )
+        task_data = preprocess_corpus(Path(cfg.corpus).read_text(encoding="utf-8").splitlines())
 
     def run_one(seed: int) -> dict:
         teacher_path = _resolve_model_path(cfg.teacher, seed)
         teacher = _load_fp32_model(teacher_path)
         vocab = _vocab_for(cfg, teacher_path, train)
-        dspec = DistillSpec(mode=cfg.mode, temperature=temperature,
-                            alpha_soft=cfg.alpha_soft, alpha_hard=1.0 - cfg.alpha_soft,
-                            mlm_mask_rate=cfg.mlm_mask_rate)
-
-        def name_of(spec: StudentSpec) -> str:
-            return artifact_name(Path(teacher_path).stem, spec, dspec.temperature, cfg.mode)
-
-        cell_reports = []
-        for cell in cells:
-            if from_file:
-                student_path = _resolve_model_path(cfg.model_in, seed)
-                student = _load_fp32_model(student_path)
-                held = (student.config.num_layers, student.config.num_heads)
+        given = None
+        # a task-specific run from `model_in` trains on the student that file holds
+        if cfg.mode == "task_specific" and cfg.model_in:
+            student_path = _resolve_model_path(cfg.model_in, seed)
+            given = _load_fp32_model(student_path)
+            held = (given.config.num_layers, given.config.num_heads)
+            for cell in cells:
                 if held != (cell.num_layers, cell.num_heads):
                     raise ConfigError(
                         f"'{student_path}' holds a student with {held[0]} layer(s) and "
                         f"{held[1]} head(s), but the grid cell asks for "
                         f"{cell.num_layers} layer(s) and {cell.num_heads} head(s)")
-            else:
-                student = init_student(teacher, cell, rng.derive(seed, name_of(cell)))
-            # the file's name and the report describe the student as it is
-            spec = StudentSpec(student.config.num_layers, student.config.num_heads)
-            name = name_of(spec)
+        grid = distill_grid({Path(teacher_path).stem: teacher}, cfg.mode, task_data, vocab,
+                            cells, [temperature], cfg.train_spec(), seed,
+                            entity_types=cfg.entity_types, alpha_soft=cfg.alpha_soft,
+                            mlm_mask_rate=cfg.mlm_mask_rate, student=given)
+        cell_reports = []
+        for name, (student, kd_trace) in grid.items():
+            ft_trace = []
             if cfg.mode == "task_agnostic":
-                kd_trace = distill_task_agnostic(teacher, student, corpus_lines, vocab,
-                                                 dspec, cfg.train_spec(), seed)
                 ft_trace = finetune(student, train, vocab, cfg.train_spec(), seed,
                                     entity_types=cfg.entity_types)
-            else:
-                kd_trace = distill_task_specific(teacher, student, train, vocab, dspec,
-                                                 cfg.train_spec(), seed, cfg.entity_types)
-                ft_trace = []
             rep = _save_and_report(student, out / f"{name}_seed{seed}.sdcw", vocab,
                                    _evaluator(cfg, eval_split, vocab))
             rep.update({
-                "artifact": name, "layers": spec.num_layers, "heads": spec.num_heads,
-                "params": count_params(student), "teacher_params": count_params(teacher),
-                "temperature": dspec.temperature, "kd_loss_trace": kd_trace,
-                "finetune_loss_trace": ft_trace,
+                "artifact": name, "layers": student.config.num_layers,
+                "heads": student.config.num_heads, "params": count_params(student),
+                "teacher_params": count_params(teacher), "temperature": temperature,
+                "kd_loss_trace": kd_trace, "finetune_loss_trace": ft_trace,
             })
             cell_reports.append(rep)
         best = max(cell_reports, key=lambda r: r["f1"])

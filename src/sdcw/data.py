@@ -85,22 +85,6 @@ def write_conll(sentences: Iterable[Sentence], path) -> None:
             fh.write("\n")
 
 
-def bio_violations(sentences: Iterable[Sentence]) -> list[tuple[int, int, str]]:
-    """Report I-X tags not preceded by B-X/I-X of the same type.
-
-    Such corpora still parse (span extraction repairs them), but the
-    violations are surfaced so data problems are visible.
-    """
-    out = []
-    for si, sent in enumerate(sentences):
-        prev = "O"
-        for ti, tag in enumerate(sent.tags):
-            if tag.startswith("I-") and prev not in (f"B-{tag[2:]}", f"I-{tag[2:]}"):
-                out.append((si, ti, tag))
-            prev = tag
-    return out
-
-
 # ---------------------------------------------------------------------------
 # corpus preprocessing
 

@@ -5,6 +5,11 @@ softened distribution plus alpha_hard * cross-entropy against the hard
 target (true token / gold tag), computed on masked positions (agnostic) or
 non-padding tokens (specific). The published temperature settings are a
 {2, 3, 6} grid for the agnostic mode and 8 for the specific mode.
+
+Both modes, and `pretrain_mlm`, train through `model.train_loop` like
+fine-tuning does, but run the student's forward pass without dropout, while
+`model.finetune` runs it with dropout on. The desk preset has dropout 0.0, so
+only the reference presets (0.1) see the difference.
 """
 from __future__ import annotations
 
@@ -14,14 +19,10 @@ import numpy as np
 
 from . import rng
 from . import tensor as T
-from .data import (
-    BOS, MASK, SPECIAL_TOKENS, Sentence, TokenizedBatch, Vocabulary,
-    batch as make_batches,
-)
+from .data import BOS, MASK, SPECIAL_TOKENS, Sentence, TokenizedBatch, Vocabulary
 from .errors import DataError, ParameterError
 from .model import (
-    EncoderModel, TrainSpec, count_params, count_params_config,
-    forward, forward_hidden, init_model, mlm_logits,
+    EncoderModel, TrainSpec, forward, forward_hidden, init_model, mlm_logits, train_loop,
 )
 from .tensor import IGNORE_INDEX
 
@@ -48,14 +49,16 @@ class DistillSpec:
         if self.mode not in ("task_agnostic", "task_specific"):
             raise ParameterError(f"unknown distillation mode '{self.mode}'")
         if self.temperature is None:
-            self.temperature = (
-                TASK_SPECIFIC_TEMPERATURE if self.mode == "task_specific"
-                else AGNOSTIC_TEMPERATURES[0]
-            )
+            self.temperature = default_temperature(self.mode)
         if self.temperature <= 0:
             raise ParameterError(f"temperature must be > 0, got {self.temperature}")
         if self.alpha_soft < 0 or self.alpha_hard < 0:
             raise ParameterError("loss weights must be non-negative")
+
+
+def default_temperature(mode: str) -> float:
+    """The published temperature: 8 task-specific, the grid's first task-agnostic."""
+    return TASK_SPECIFIC_TEMPERATURE if mode == "task_specific" else AGNOSTIC_TEMPERATURES[0]
 
 
 def init_student(teacher: EncoderModel, spec: StudentSpec, seed: int) -> EncoderModel:
@@ -77,9 +80,8 @@ def init_student(teacher: EncoderModel, spec: StudentSpec, seed: int) -> Encoder
     for name in ("embeddings.token", "embeddings.position",
                  "embeddings.norm.gain", "embeddings.norm.bias"):
         student.param(name).data[...] = teacher.param(name).data
-    if spec.num_layers > 0 and tc.num_heads % spec.num_heads == 0:
-        for i in range(spec.num_layers):
-            src = (i * tc.num_layers) // spec.num_layers
+    if tc.num_heads % spec.num_heads == 0:
+        for i, src in enumerate(student_layer_map(tc.num_layers, spec.num_layers)):
             for name, p in student.params.items():
                 if name.startswith(f"layers.{i}."):
                     suffix = name.split(".", 2)[2]
@@ -89,14 +91,6 @@ def init_student(teacher: EncoderModel, spec: StudentSpec, seed: int) -> Encoder
 
 def student_layer_map(teacher_layers: int, student_layers: int) -> list[int]:
     return [(i * teacher_layers) // student_layers for i in range(student_layers)]
-
-
-def compression_ratio(teacher, student) -> float:
-    """1 - params(student) / params(teacher); accepts models or configs."""
-    def n(x) -> int:
-        return count_params(x) if isinstance(x, EncoderModel) else count_params_config(x)
-
-    return 1.0 - n(student) / n(teacher)
 
 
 # ---------------------------------------------------------------------------
@@ -131,69 +125,52 @@ def _lines_to_sentences(lines) -> list[Sentence]:
     return out
 
 
-def _mlm_epoch(student, teacher, batches, vocab_size, dspec, corrupt_gen, adam_state):
-    losses = []
-    for tb in batches:
-        ids, labels = mlm_corrupt(tb, vocab_size, corrupt_gen, dspec.mlm_mask_rate)
-        sel = np.nonzero(labels.reshape(-1) != IGNORE_INDEX)[0]
-        if sel.size == 0:
-            continue
-        hidden = forward_hidden(student, ids, tb.attention_mask)
-        logits = T.take_rows(mlm_logits(student, hidden), sel)
-        hard = T.cross_entropy(logits, labels.reshape(-1)[sel])
-        if teacher is not None and dspec.alpha_soft > 0:
-            with T.no_grad():
-                t_hidden = forward_hidden(teacher, ids, tb.attention_mask)
-                t_logits = T.take_rows(mlm_logits(teacher, t_hidden), sel)
-            soft = T.kl_soft_targets(logits, t_logits, dspec.temperature)
-            loss = T.add(T.scale(soft, dspec.alpha_soft), T.scale(hard, dspec.alpha_hard))
-        else:
-            loss = T.scale(hard, dspec.alpha_hard) if teacher is not None else hard
-        T.backward(loss)
-        T.adam_step(student.params, {n: p.grad for n, p in student.params.items()}, adam_state)
-        T.zero_grads(student.params)
-        losses.append(loss.item())
-    return losses
-
-
 def pretrain_mlm(model: EncoderModel, lines, vocab: Vocabulary, tspec: TrainSpec,
                  seed: int, mask_rate: float = MLM_MASK_RATE) -> list[float]:
     """Plain masked-LM training (builds desk-scale teachers)."""
     dspec = DistillSpec(mode="task_agnostic", alpha_soft=0.0, alpha_hard=1.0,
                         mlm_mask_rate=mask_rate)
-    return _run_mlm(None, model, lines, vocab, dspec, tspec, seed)
+    return distill_task_agnostic(None, model, lines, vocab, dspec, tspec, seed)
 
 
-def distill_task_agnostic(teacher: EncoderModel, student: EncoderModel, lines,
+def distill_task_agnostic(teacher: EncoderModel | None, student: EncoderModel, lines,
                           vocab: Vocabulary, dspec: DistillSpec, tspec: TrainSpec,
                           seed: int) -> list[float]:
-    """Masked-LM distillation of a pretrained teacher into the student.
+    """Masked-LM distillation of a pretrained teacher into the student; with
+    no teacher, plain masked-LM training.
 
     The returned student is a pretrained-style model: callers fine-tune it on
     the downstream task afterwards.
     """
     if dspec.mode != "task_agnostic":
         raise ParameterError(f"expected task_agnostic spec, got '{dspec.mode}'")
-    if teacher.config.vocab_size != student.config.vocab_size:
+    if teacher is not None and teacher.config.vocab_size != student.config.vocab_size:
         raise DataError("teacher and student vocabularies differ")
-    return _run_mlm(teacher, student, lines, vocab, dspec, tspec, seed)
-
-
-def _run_mlm(teacher, student, lines, vocab, dspec, tspec, seed) -> list[float]:
     tspec.validate()
     sentences = _lines_to_sentences(lines)
-    adam_state = T.init_adam(student.params, tspec.learning_rate)
     corrupt_gen = rng.stream(seed, "mlm-corrupt")
-    trace = []
-    for epoch in range(tspec.epochs):
-        batches = make_batches(sentences, vocab, tspec.max_seq_len, tspec.batch_size,
-                               shuffle_seed=rng.derive(seed, f"mlm-shuffle{epoch}"))
+
+    def batch_loss(tb: TokenizedBatch):
         # random-token corruption draws from the real vocabulary, which may be
         # smaller than the embedding-table capacity
-        losses = _mlm_epoch(student, teacher, batches, vocab.size,
-                            dspec, corrupt_gen, adam_state)
-        trace.append(float(np.mean(losses)) if losses else 0.0)
-    return trace
+        ids, labels = mlm_corrupt(tb, vocab.size, corrupt_gen, dspec.mlm_mask_rate)
+        sel = np.nonzero(labels.reshape(-1) != IGNORE_INDEX)[0]
+        if sel.size == 0:
+            return None
+        hidden = forward_hidden(student, ids, tb.attention_mask)
+        logits = T.take_rows(mlm_logits(student, hidden), sel)
+        hard = T.cross_entropy(logits, labels.reshape(-1)[sel])
+        if teacher is None:
+            return hard
+        if dspec.alpha_soft > 0:
+            with T.no_grad():
+                t_hidden = forward_hidden(teacher, ids, tb.attention_mask)
+                t_logits = T.take_rows(mlm_logits(teacher, t_hidden), sel)
+            soft = T.kl_soft_targets(logits, t_logits, dspec.temperature)
+            return T.add(T.scale(soft, dspec.alpha_soft), T.scale(hard, dspec.alpha_hard))
+        return T.scale(hard, dspec.alpha_hard)
+
+    return train_loop(student, tspec, sentences, vocab, seed, "mlm-shuffle", batch_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +181,6 @@ def distill_task_specific(teacher: EncoderModel, student: EncoderModel,
                           dspec: DistillSpec, tspec: TrainSpec, seed: int,
                           entity_types=None) -> list[float]:
     """Distill a fine-tuned NER teacher into the student on labeled data."""
-    from .data import DEFAULT_ENTITY_TYPES
-
     if dspec.mode != "task_specific":
         raise ParameterError(f"expected task_specific spec, got '{dspec.mode}'")
     if teacher.config.num_classes != student.config.num_classes:
@@ -216,34 +191,24 @@ def distill_task_specific(teacher: EncoderModel, student: EncoderModel,
     tspec.validate()
     if not sentences:
         raise DataError("distillation dataset is empty")
-    entity_types = entity_types or DEFAULT_ENTITY_TYPES
     n_classes = student.config.num_classes
-    adam_state = T.init_adam(student.params, tspec.learning_rate)
-    trace = []
-    for epoch in range(tspec.epochs):
-        batches = make_batches(sentences, vocab, tspec.max_seq_len, tspec.batch_size,
-                               shuffle_seed=rng.derive(seed, f"kd-shuffle{epoch}"),
-                               entity_types=entity_types)
-        losses = []
-        for tb in batches:
-            labels = tb.label_ids.reshape(-1)
-            sel = np.nonzero(labels != IGNORE_INDEX)[0]
-            if sel.size == 0:
-                continue
-            logits = forward(student, tb.token_ids, tb.attention_mask)
-            s_rows = T.take_rows(T.reshape(logits, (-1, n_classes)), sel)
-            with T.no_grad():
-                t_logits = forward(teacher, tb.token_ids, tb.attention_mask)
-                t_rows = T.take_rows(T.reshape(t_logits, (-1, n_classes)), sel)
-            soft = T.kl_soft_targets(s_rows, t_rows, dspec.temperature)
-            hard = T.cross_entropy(s_rows, labels[sel])
-            loss = T.add(T.scale(soft, dspec.alpha_soft), T.scale(hard, dspec.alpha_hard))
-            T.backward(loss)
-            T.adam_step(student.params, {n: p.grad for n, p in student.params.items()}, adam_state)
-            T.zero_grads(student.params)
-            losses.append(loss.item())
-        trace.append(float(np.mean(losses)) if losses else 0.0)
-    return trace
+
+    def batch_loss(tb: TokenizedBatch):
+        labels = tb.label_ids.reshape(-1)
+        sel = np.nonzero(labels != IGNORE_INDEX)[0]
+        if sel.size == 0:
+            return None
+        logits = forward(student, tb.token_ids, tb.attention_mask)
+        s_rows = T.take_rows(T.reshape(logits, (-1, n_classes)), sel)
+        with T.no_grad():
+            t_logits = forward(teacher, tb.token_ids, tb.attention_mask)
+            t_rows = T.take_rows(T.reshape(t_logits, (-1, n_classes)), sel)
+        soft = T.kl_soft_targets(s_rows, t_rows, dspec.temperature)
+        hard = T.cross_entropy(s_rows, labels[sel])
+        return T.add(T.scale(soft, dspec.alpha_soft), T.scale(hard, dspec.alpha_hard))
+
+    return train_loop(student, tspec, sentences, vocab, seed, "kd-shuffle", batch_loss,
+                      entity_types)
 
 
 # ---------------------------------------------------------------------------
@@ -260,26 +225,34 @@ def artifact_name(teacher_tag: str, spec: StudentSpec, temperature: float, mode:
 
 def distill_grid(teachers: dict[str, EncoderModel], mode: str, task_data, vocab: Vocabulary,
                  specs: list[StudentSpec], temperatures, tspec: TrainSpec, seed: int,
-                 entity_types=None) -> dict[str, EncoderModel]:
-    """Train one student per (teacher, spec, temperature) cell.
-
-    `task_data` is corpus lines for the agnostic mode and tagged sentences
-    for the specific mode. Returns {artifact name: student}; names are unique
-    by construction so each cell lands in its own file downstream.
-    """
-    out: dict[str, EncoderModel] = {}
+                 entity_types=None, alpha_soft: float = 0.5,
+                 mlm_mask_rate: float = MLM_MASK_RATE,
+                 student: EncoderModel | None = None,
+                 ) -> dict[str, tuple[EncoderModel, list[float]]]:
+    """Train one student per (teacher, spec, temperature) cell; returns
+    {artifact name: (student, distillation loss trace)}. `task_data` is corpus
+    lines (agnostic mode) or tagged sentences (specific mode). A student
+    starts from `init_student` seeded by its cell's name, or is `student`,
+    which fills a one-cell grid. A repeated cell fails before any training."""
+    cells: dict[str, tuple[EncoderModel, StudentSpec, float]] = {}
     for tag, teacher in teachers.items():
         for spec in specs:
             for temperature in temperatures:
                 name = artifact_name(tag, spec, temperature, mode)
-                if name in out:
+                if name in cells:
                     raise ParameterError(f"duplicate grid cell '{name}'")
-                student = init_student(teacher, spec, rng.derive(seed, name))
-                dspec = DistillSpec(mode=mode, temperature=temperature)
-                if mode == "task_agnostic":
-                    distill_task_agnostic(teacher, student, task_data, vocab, dspec, tspec, seed)
-                else:
-                    distill_task_specific(teacher, student, task_data, vocab, dspec, tspec,
+                cells[name] = (teacher, spec, temperature)
+    if student is not None and len(cells) != 1:
+        raise ParameterError(f"a given student fills one grid cell, not {len(cells)}")
+    out = {}
+    for name, (teacher, spec, temperature) in cells.items():
+        trainee = student or init_student(teacher, spec, rng.derive(seed, name))
+        dspec = DistillSpec(mode=mode, temperature=temperature, alpha_soft=alpha_soft,
+                            alpha_hard=1.0 - alpha_soft, mlm_mask_rate=mlm_mask_rate)
+        if mode == "task_agnostic":
+            trace = distill_task_agnostic(teacher, trainee, task_data, vocab, dspec, tspec, seed)
+        else:
+            trace = distill_task_specific(teacher, trainee, task_data, vocab, dspec, tspec,
                                           seed, entity_types=entity_types)
-                out[name] = student
+        out[name] = (trainee, trace)
     return out

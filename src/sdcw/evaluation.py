@@ -35,11 +35,11 @@ class EvalReport:
     recall: float
     f1: float
     inference_time_ms: float
-    model_bytes: int
     nonzero_params: int
     total_params: int
     sparsity: float
     truncated_tokens: int  # tokens past max_seq_len, scored as predicted O
+    model_bytes: int | None = None  # size of the file measured, set by its holder
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -110,9 +110,7 @@ def handle_mode(handle) -> str:
     return "fp32" if isinstance(handle, EncoderModel) else handle.mode
 
 
-def _accounting(handle) -> tuple[int, int, int, float]:
-    from .persist import serialized_bytes
-
+def _accounting(handle) -> tuple[int, int, float]:
     if isinstance(handle, EncoderModel):
         total = count_params(handle)
         nonzero = sum(int(np.count_nonzero(p.data)) for p in handle.params.values())
@@ -124,13 +122,15 @@ def _accounting(handle) -> tuple[int, int, int, float]:
         total = sum(int(p.size) for p in payloads)
         nonzero = sum(int(np.count_nonzero(p)) for p in payloads)
         sparsity = 0.0
-    return serialized_bytes(handle), nonzero, total, sparsity
+    return nonzero, total, sparsity
 
 
 def evaluate(handle, sentences: list[Sentence], vocab: Vocabulary,
              entity_types=DEFAULT_ENTITY_TYPES, batch_size: int = 16,
              max_seq_len: int = 32, dataset_id: str = "") -> EvalReport:
-    """Argmax decoding per token (padding ignored) plus size/sparsity accounting.
+    """Argmax decoding per token (padding ignored) plus parameter/sparsity
+    accounting. The report has no `model_bytes`: only a caller that holds the
+    model's file knows its size.
 
     Spans are scored against each sentence's full tag sequence: the tokens
     that truncation to `max_seq_len` drops count as predicted O, so a gold
@@ -168,13 +168,12 @@ def evaluate(handle, sentences: list[Sentence], vocab: Vocabulary,
     precision, recall, f1 = span_prf(gold, pred)
     total_tokens = sum(n for _, n in losses)
     loss = sum(v for v, _ in losses) / total_tokens if total_tokens else 0.0
-    model_bytes, nonzero, total, sparsity = _accounting(handle)
+    nonzero, total, sparsity = _accounting(handle)
     return EvalReport(
         dataset_id=dataset_id, mode=handle_mode(handle), loss=float(loss),
         precision=precision, recall=recall, f1=f1,
-        inference_time_ms=elapsed_ms, model_bytes=model_bytes,
-        nonzero_params=nonzero, total_params=total, sparsity=sparsity,
-        truncated_tokens=truncated,
+        inference_time_ms=elapsed_ms, nonzero_params=nonzero, total_params=total,
+        sparsity=sparsity, truncated_tokens=truncated,
     )
 
 
@@ -208,12 +207,15 @@ def measure_inference_time(handle, sentences, vocab, reps: int = 5, warmup: int 
 
 
 def compare(baseline: EvalReport, compressed: EvalReport) -> dict:
-    """Delta report shaped for a baseline-vs-compressed table row."""
+    """Delta report shaped for a baseline-vs-compressed table row. The size
+    reduction is None unless both reports carry a file size."""
     if baseline.dataset_id != compressed.dataset_id:
         raise DataError(
             f"dataset mismatch: '{baseline.dataset_id}' vs '{compressed.dataset_id}'"
         )
-    def pct_drop(before: float, after: float) -> float:
+    def pct_drop(before, after) -> float | None:
+        if before is None or after is None:
+            return None
         return 100.0 * (1.0 - after / before) if before else 0.0
 
     return {

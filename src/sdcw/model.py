@@ -18,7 +18,9 @@ import numpy as np
 
 from . import rng
 from . import tensor as T
-from .data import Sentence, TokenizedBatch, Vocabulary, batch as make_batches
+from .data import (
+    DEFAULT_ENTITY_TYPES, Sentence, TokenizedBatch, Vocabulary, batch as make_batches, bio_labels,
+)
 from .errors import DataError, ParameterError, ShapeError
 from .tensor import Tensor
 
@@ -348,6 +350,39 @@ def desk_train_spec(**overrides) -> TrainSpec:
     return replace(spec, **overrides) if overrides else spec
 
 
+def train_loop(model: EncoderModel, spec: TrainSpec, sentences, vocab: Vocabulary, seed: int,
+               shuffle: str, batch_loss, entity_types=None, pre_step=None,
+               post_step=None) -> list[float]:
+    """The Adam loop every trainer runs; returns per-epoch mean loss (0.0 for
+    an epoch that took no step). Epoch e batches `sentences` in the order of
+    the stream `{shuffle}{e}` of `seed`. Per batch, `pre_step(step)` runs, then
+    `batch_loss(batch)` gives the loss Tensor, or None to skip the batch (no
+    update, no `post_step`, the step index stays); else one Adam update of
+    every parameter, then `post_step(step)`."""
+    state = T.init_adam(model.params, spec.learning_rate)
+    trace: list[float] = []
+    step = 0
+    for epoch in range(spec.epochs):
+        losses = []
+        for tb in make_batches(sentences, vocab, spec.max_seq_len, spec.batch_size,
+                               shuffle_seed=rng.derive(seed, f"{shuffle}{epoch}"),
+                               entity_types=entity_types or DEFAULT_ENTITY_TYPES):
+            if pre_step is not None:
+                pre_step(step)
+            loss = batch_loss(tb)
+            if loss is None:
+                continue
+            T.backward(loss)
+            T.adam_step(model.params, {n: p.grad for n, p in model.params.items()}, state)
+            T.zero_grads(model.params)
+            if post_step is not None:
+                post_step(step)
+            step += 1
+            losses.append(loss.item())
+        trace.append(float(np.mean(losses)) if losses else 0.0)
+    return trace
+
+
 def finetune(
     model: EncoderModel,
     sentences: list[Sentence],
@@ -358,14 +393,9 @@ def finetune(
     pre_step=None,
     post_step=None,
 ) -> list[float]:
-    """Cross-entropy fine-tuning on non-padding tokens; returns per-epoch mean loss.
-
-    `pre_step(step_index)` runs before each forward pass and
-    `post_step(step_index)` after every optimizer update; the pruning
-    schedules use them to recompute and re-zero masks. Deterministic per seed.
-    """
-    from .data import DEFAULT_ENTITY_TYPES, bio_labels
-
+    """Cross-entropy fine-tuning on non-padding tokens, with dropout; returns
+    per-epoch mean loss. `pre_step`/`post_step` are `train_loop`'s hooks: the
+    pruning schedules recompute and re-zero masks in them."""
     spec.validate()
     if not sentences:
         raise DataError("finetune requires a non-empty dataset")
@@ -375,41 +405,16 @@ def finetune(
         raise DataError(
             f"{n_labels} labels but the model has {model.config.num_classes} classes"
         )
-    state = T.init_adam(model.params, spec.learning_rate)
     drop_rng = rng.stream(seed, "dropout")
-    trace: list[float] = []
-    step = 0
-    for epoch in range(spec.epochs):
-        batches = make_batches(
-            sentences, vocab, spec.max_seq_len, spec.batch_size,
-            shuffle_seed=rng.derive(seed, f"shuffle-epoch{epoch}"),
-            entity_types=entity_types,
-        )
-        losses = []
-        for tb in batches:
-            if pre_step is not None:
-                pre_step(step)
-            logits = forward(model, tb.token_ids, tb.attention_mask,
-                             training=True, dropout_rng=drop_rng)
-            flat = T.reshape(logits, (-1, model.config.num_classes))
-            loss = T.cross_entropy(flat, tb.label_ids.reshape(-1))
-            T.backward(loss)
-            T.adam_step(model.params, {n: p.grad for n, p in model.params.items()}, state)
-            T.zero_grads(model.params)
-            if post_step is not None:
-                post_step(step)
-            step += 1
-            losses.append(loss.item())
-        trace.append(float(np.mean(losses)))
-    return trace
 
-
-def batch_loss(model: EncoderModel, tb: TokenizedBatch) -> float:
-    """Evaluation-mode cross-entropy of one batch."""
-    with T.no_grad():
-        logits = forward(model, tb.token_ids, tb.attention_mask)
+    def batch_loss(tb: TokenizedBatch) -> Tensor:
+        logits = forward(model, tb.token_ids, tb.attention_mask,
+                         training=True, dropout_rng=drop_rng)
         flat = T.reshape(logits, (-1, model.config.num_classes))
-        return T.cross_entropy(flat, tb.label_ids.reshape(-1)).item()
+        return T.cross_entropy(flat, tb.label_ids.reshape(-1))
+
+    return train_loop(model, spec, sentences, vocab, seed, "shuffle-epoch", batch_loss,
+                      entity_types, pre_step, post_step)
 
 
 def clone_model(model: EncoderModel) -> EncoderModel:

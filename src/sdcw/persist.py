@@ -37,8 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .errors import PersistError
-from .model import EncoderConfig, EncoderModel, _bias_name, param_names
+from .errors import ParameterError, PersistError
+from .model import EncoderConfig, EncoderModel, _bias_name, _param_shape, param_names
 from .prune import PruneMask
 from .quant import _LINEAR_WEIGHTS, QuantizedLinear, QuantizedModel, QuantizedTensor
 from .tensor import Tensor
@@ -195,15 +195,17 @@ def _read_payload(r: _Reader, name: str, tag: int, shape: tuple[int, ...]):
     if tag == DT_F32_SPARSE:
         (nnz,) = r.unpack("<Q")
         pairs = np.frombuffer(r.take(8 * nnz), dtype=[("i", "<u4"), ("v", "<f4")])
+        if nnz and pairs["i"].max() >= n:
+            raise PersistError(f"'{r.path}' sparse record '{name}' has an index past its size")
         flat = np.zeros(n, dtype=np.float32)
         flat[pairs["i"]] = pairs["v"]
         return flat.reshape(shape)
     if tag == DT_INT8:
         (axis,) = r.unpack("<B")
-        if len(shape) != 2 or axis not in (0, 1):
-            raise PersistError(f"'{r.path}' int8 record '{name}' is not a matrix with axis 0 or 1")
-        # axis 0: one scale per column, rows are the contraction vectors
-        n_vectors, contraction = (shape[1], shape[0]) if axis == 0 else shape
+        if len(shape) != 2 or axis != 0:
+            raise PersistError(f"'{r.path}' int8 record '{name}' is not a matrix with axis 0")
+        # one scale per column; rows are the contraction vectors
+        contraction, n_vectors = shape
         (n_scales,) = r.unpack("<I")
         scales = r.array("<f4", n_scales)
         if n_scales != n_vectors or not np.all(np.isfinite(scales) & (scales > 0)):
@@ -212,10 +214,9 @@ def _read_payload(r: _Reader, name: str, tag: int, shape: tuple[int, ...]):
         idx = r.array("<u4", n_out).astype(np.int64)
         if n_out and (idx[-1] >= contraction or np.any(np.diff(idx) <= 0)):
             raise PersistError(f"'{r.path}' int8 record '{name}' has invalid outlier indices")
-        values = r.array("<f4", n_out * n_vectors)
-        values = values.reshape((n_out, shape[1]) if axis == 0 else (shape[0], n_out))
+        values = r.array("<f4", n_out * n_vectors).reshape(n_out, n_vectors)
         q = r.array(np.int8, n).reshape(shape)
-        if np.any(q[idx, :] if axis == 0 else q[:, idx]):
+        if np.any(q[idx, :]):
             raise PersistError(f"'{r.path}' int8 record '{name}' has nonzero outlier vectors")
         return QuantizedTensor(q, scales, int(axis), idx, values)
     if tag == DT_F16:
@@ -224,6 +225,23 @@ def _read_payload(r: _Reader, name: str, tag: int, shape: tuple[int, ...]):
         packed = r.array(np.uint8, (n + 7) // 8)
         return np.unpackbits(packed, count=n).reshape(shape)
     raise PersistError(f"unknown dtype tag {tag} in '{r.path}'")
+
+
+def _check_record(path, name: str, tag: int, shape: tuple[int, ...], config: EncoderConfig,
+                  quantized: bool) -> None:
+    """Before its payload is read: a record names a tensor of `config` (or its
+    mask), has its shape, and a dtype tag its kind allows."""
+    base = name.removeprefix(_MASK_PREFIX)
+    try:
+        want = _param_shape(base, config)
+    except KeyError:
+        raise PersistError(f"'{path}' has a record '{name}' its config does not name") from None
+    if shape != want:
+        raise PersistError(f"'{path}' record '{name}' has shape {shape}, its config gives {want}")
+    allowed = ((DT_MASK,) if base != name else (DT_INT8,) if quantized and
+               name.endswith(_LINEAR_WEIGHTS) else (DT_F32, DT_F32_SPARSE, DT_F16))
+    if tag not in allowed:
+        raise PersistError(f"'{path}' record '{name}' has dtype tag {tag}, not one of {allowed}")
 
 
 def load_model(path) -> tuple[EncoderModel | QuantizedModel, PruneMask | None]:
@@ -247,19 +265,28 @@ def load_model(path) -> tuple[EncoderModel | QuantizedModel, PruneMask | None]:
     mode_tag, threshold = r.unpack("<Bf")
     if mode_tag not in _TAGS_MODE:
         raise PersistError(f"'{path}' has unknown quantization tag {mode_tag}")
+    mode = _TAGS_MODE[mode_tag]
     config = EncoderConfig(*cfg_ints, dropout=float(dropout))
+    try:
+        config.validate()
+    except ParameterError as exc:
+        raise PersistError(f"'{path}' has an invalid config: {exc}") from None
+    if mode != "none" and not threshold > 0:
+        raise PersistError(f"'{path}' has outlier threshold {threshold}, not > 0")
     (n_records,) = r.unpack("<I")
+    if config.num_layers > n_records:  # bounds the names its config expects
+        raise PersistError(f"'{path}' has {n_records} records for {config.num_layers} layers")
     tensors: dict[str, tuple[int, object]] = {}
     for _ in range(n_records):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        name = r.take(name_len).decode("utf-8", "replace")  # a bad name names no tensor
         tag, rank = r.unpack("<BB")
         shape = tuple(r.unpack(f"<{rank}I")) if rank else ()
+        _check_record(path, name, tag, shape, config, mode != "none")
         tensors[name] = (tag, _read_payload(r, name, tag, shape))
     if r.pos != len(blob):
         raise PersistError(f"'{path}' has {len(blob) - r.pos} trailing bytes")
 
-    mode = _TAGS_MODE[mode_tag]
     if mode == "none":
         params: dict[str, Tensor] = {}
         masks: dict[str, np.ndarray] = {}
@@ -269,19 +296,18 @@ def load_model(path) -> tuple[EncoderModel | QuantizedModel, PruneMask | None]:
             else:
                 params[name] = Tensor(payload, requires_grad=True, name=name)
         expected = set(param_names(config))
-        if set(params) != expected:
+        if set(params) != expected or not set(masks) <= expected:
             raise PersistError(f"'{path}' parameter names do not match its config")
         model = EncoderModel(config, {n: params[n] for n in param_names(config)})
         mask = PruneMask(masks, 0.0, 0.0) if masks else None
         return model, mask
 
     names = param_names(config)
-    weights = [n for n in names if n.endswith(_LINEAR_WEIGHTS)]
-    int8 = {n for n, (tag, _) in tensors.items() if tag == DT_INT8}
-    if set(tensors) != set(names) or int8 != set(weights):
+    if set(tensors) != set(names):
         raise PersistError(f"'{path}' quantized records do not match its config")
+    weights = [n for n in names if n.endswith(_LINEAR_WEIGHTS)]
     biases = {_bias_name(w) for w in weights}
     linears = {w: QuantizedLinear(tensors[w][1], tensors[_bias_name(w)][1]) for w in weights}
-    extras = {n: tensors[n][1] for n in names if n not in int8 and n not in biases}
+    extras = {n: tensors[n][1] for n in names if n not in linears and n not in biases}
     qm = QuantizedModel(config, mode, float(threshold), linears, extras)
     return qm, None

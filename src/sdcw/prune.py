@@ -219,11 +219,3 @@ def run_schedule(model, p: float, schedule: PruneSchedule, sentences, vocab, spe
             model, p, schedule, sentences, vocab, spec, seed, entity_types
         )
     return model, mask, trace
-
-
-def mask_from_zeros(model: EncoderModel, target_sparsity: float = 0.0) -> PruneMask:
-    """Recover a mask from the zero pattern of the in-scope weights."""
-    masks = {
-        n: (model.param(n).data != 0.0).astype(np.uint8) for n in prunable_names(model)
-    }
-    return PruneMask(masks, 0.0, target_sparsity)

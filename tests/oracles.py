@@ -10,23 +10,30 @@ the hand-written quantized forward over that product; `quant.int8_matmul`
 and the shared encoder topology must reproduce them byte for byte. The
 set-up references after them are the sort-based magnitude mask and the full
 re-scan truncated normal that the linear-time versions must reproduce bit
-for bit, and the last section the `Generator.choice` corpus draws that the
-synthetic corpora must equal.
+for bit, then the `Generator.choice` corpus draws that the synthetic corpora
+must equal, and last the hand-written training loops and CLI student grid
+that the shared training loop and `distill.distill_grid` must reproduce.
 """
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.special import erf
 
 from sdcw import data, rng
-from sdcw.errors import ParameterError, ShapeError
-from sdcw.model import ATTN_MASK_BIAS, LN_EPS, EncoderModel, _validate_inputs
+from sdcw import tensor as T
+from sdcw.data import batch as make_batches
+from sdcw.distill import (DistillSpec, StudentSpec, _lines_to_sentences, artifact_name,
+                          init_student, mlm_corrupt)
+from sdcw.errors import DataError, ParameterError, ShapeError
+from sdcw.model import (ATTN_MASK_BIAS, LN_EPS, EncoderModel, TrainSpec, _validate_inputs,
+                        clone_model, forward, forward_hidden, mlm_logits)
 from sdcw.prune import PruneMask, prunable_names, pruned_count
 from sdcw.quant import (EXACT_BLOCK, MAX_CONTRACTION, QuantizedModel, QuantizedTensor,
                         absmax_quantize, quantize_with_outliers)
-from sdcw.tensor import _gelu_np, _layer_norm_np, _softmax_np
+from sdcw.tensor import IGNORE_INDEX, _gelu_np, _layer_norm_np, _softmax_np
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -449,3 +456,183 @@ def synth_pretrain_corpus_choice(seed: int, n_lines: int, min_tokens: int = 12, 
                 toks.append(str(gen.choice(data._FILLERS)))
         lines.append(" ".join(toks))
     return lines
+
+
+# ---------------------------------------------------------------------------
+# the hand-written training loops: fine-tuning, masked-LM training and
+# task-specific distillation each ran their own Adam loop, and the CLI ran
+# its own student grid. `model.train_loop` and `distill.distill_grid` must
+# reproduce every loss trace and trained tensor of these byte for byte.
+
+def finetune_ref(
+    model: EncoderModel,
+    sentences: list[data.Sentence],
+    vocab: data.Vocabulary,
+    spec: TrainSpec,
+    seed: int,
+    entity_types=None,
+    pre_step=None,
+    post_step=None,
+) -> list[float]:
+    """Cross-entropy fine-tuning on non-padding tokens; returns per-epoch mean loss."""
+    from sdcw.data import DEFAULT_ENTITY_TYPES, bio_labels
+
+    spec.validate()
+    if not sentences:
+        raise DataError("finetune requires a non-empty dataset")
+    entity_types = entity_types or DEFAULT_ENTITY_TYPES
+    n_labels = len(bio_labels(entity_types))
+    if n_labels > model.config.num_classes:
+        raise DataError(
+            f"{n_labels} labels but the model has {model.config.num_classes} classes"
+        )
+    state = T.init_adam(model.params, spec.learning_rate)
+    drop_rng = rng.stream(seed, "dropout")
+    trace: list[float] = []
+    step = 0
+    for epoch in range(spec.epochs):
+        batches = make_batches(
+            sentences, vocab, spec.max_seq_len, spec.batch_size,
+            shuffle_seed=rng.derive(seed, f"shuffle-epoch{epoch}"),
+            entity_types=entity_types,
+        )
+        losses = []
+        for tb in batches:
+            if pre_step is not None:
+                pre_step(step)
+            logits = forward(model, tb.token_ids, tb.attention_mask,
+                             training=True, dropout_rng=drop_rng)
+            flat = T.reshape(logits, (-1, model.config.num_classes))
+            loss = T.cross_entropy(flat, tb.label_ids.reshape(-1))
+            T.backward(loss)
+            T.adam_step(model.params, {n: p.grad for n, p in model.params.items()}, state)
+            T.zero_grads(model.params)
+            if post_step is not None:
+                post_step(step)
+            step += 1
+            losses.append(loss.item())
+        trace.append(float(np.mean(losses)))
+    return trace
+
+
+def _mlm_epoch_ref(student, teacher, batches, vocab_size, dspec, corrupt_gen, adam_state):
+    losses = []
+    for tb in batches:
+        ids, labels = mlm_corrupt(tb, vocab_size, corrupt_gen, dspec.mlm_mask_rate)
+        sel = np.nonzero(labels.reshape(-1) != IGNORE_INDEX)[0]
+        if sel.size == 0:
+            continue
+        hidden = forward_hidden(student, ids, tb.attention_mask)
+        logits = T.take_rows(mlm_logits(student, hidden), sel)
+        hard = T.cross_entropy(logits, labels.reshape(-1)[sel])
+        if teacher is not None and dspec.alpha_soft > 0:
+            with T.no_grad():
+                t_hidden = forward_hidden(teacher, ids, tb.attention_mask)
+                t_logits = T.take_rows(mlm_logits(teacher, t_hidden), sel)
+            soft = T.kl_soft_targets(logits, t_logits, dspec.temperature)
+            loss = T.add(T.scale(soft, dspec.alpha_soft), T.scale(hard, dspec.alpha_hard))
+        else:
+            loss = T.scale(hard, dspec.alpha_hard) if teacher is not None else hard
+        T.backward(loss)
+        T.adam_step(student.params, {n: p.grad for n, p in student.params.items()}, adam_state)
+        T.zero_grads(student.params)
+        losses.append(loss.item())
+    return losses
+
+
+def run_mlm_ref(teacher, student, lines, vocab, dspec, tspec, seed) -> list[float]:
+    """Masked-LM training of `student`; with a teacher, its distillation.
+    `pretrain_mlm` is this with no teacher, alpha_soft 0 and alpha_hard 1."""
+    tspec.validate()
+    sentences = _lines_to_sentences(lines)
+    adam_state = T.init_adam(student.params, tspec.learning_rate)
+    corrupt_gen = rng.stream(seed, "mlm-corrupt")
+    trace = []
+    for epoch in range(tspec.epochs):
+        batches = make_batches(sentences, vocab, tspec.max_seq_len, tspec.batch_size,
+                               shuffle_seed=rng.derive(seed, f"mlm-shuffle{epoch}"))
+        # random-token corruption draws from the real vocabulary, which may be
+        # smaller than the embedding-table capacity
+        losses = _mlm_epoch_ref(student, teacher, batches, vocab.size,
+                                dspec, corrupt_gen, adam_state)
+        trace.append(float(np.mean(losses)) if losses else 0.0)
+    return trace
+
+
+def distill_task_specific_ref(teacher: EncoderModel, student: EncoderModel,
+                              sentences: list[data.Sentence], vocab: data.Vocabulary,
+                              dspec: DistillSpec, tspec: TrainSpec, seed: int,
+                              entity_types=None) -> list[float]:
+    """Distill a fine-tuned NER teacher into the student on labeled data."""
+    from sdcw.data import DEFAULT_ENTITY_TYPES
+
+    if dspec.mode != "task_specific":
+        raise ParameterError(f"expected task_specific spec, got '{dspec.mode}'")
+    if teacher.config.num_classes != student.config.num_classes:
+        raise DataError(
+            f"tag-set mismatch: teacher has {teacher.config.num_classes} classes, "
+            f"student {student.config.num_classes}"
+        )
+    tspec.validate()
+    if not sentences:
+        raise DataError("distillation dataset is empty")
+    entity_types = entity_types or DEFAULT_ENTITY_TYPES
+    n_classes = student.config.num_classes
+    adam_state = T.init_adam(student.params, tspec.learning_rate)
+    trace = []
+    for epoch in range(tspec.epochs):
+        batches = make_batches(sentences, vocab, tspec.max_seq_len, tspec.batch_size,
+                               shuffle_seed=rng.derive(seed, f"kd-shuffle{epoch}"),
+                               entity_types=entity_types)
+        losses = []
+        for tb in batches:
+            labels = tb.label_ids.reshape(-1)
+            sel = np.nonzero(labels != IGNORE_INDEX)[0]
+            if sel.size == 0:
+                continue
+            logits = forward(student, tb.token_ids, tb.attention_mask)
+            s_rows = T.take_rows(T.reshape(logits, (-1, n_classes)), sel)
+            with T.no_grad():
+                t_logits = forward(teacher, tb.token_ids, tb.attention_mask)
+                t_rows = T.take_rows(T.reshape(t_logits, (-1, n_classes)), sel)
+            soft = T.kl_soft_targets(s_rows, t_rows, dspec.temperature)
+            hard = T.cross_entropy(s_rows, labels[sel])
+            loss = T.add(T.scale(soft, dspec.alpha_soft), T.scale(hard, dspec.alpha_hard))
+            T.backward(loss)
+            T.adam_step(student.params, {n: p.grad for n, p in student.params.items()}, adam_state)
+            T.zero_grads(student.params)
+            losses.append(loss.item())
+        trace.append(float(np.mean(losses)) if losses else 0.0)
+    return trace
+
+
+def cli_distill_cells_ref(teacher_path: str, teacher: EncoderModel, cells: list[StudentSpec],
+                          mode: str, dspec: DistillSpec, corpus_lines: list[str],
+                          train: list[data.Sentence], vocab: data.Vocabulary, tspec: TrainSpec,
+                          seed: int, entity_types, student_in: EncoderModel | None = None) -> dict:
+    """The grid loop `sdcw distill` ran for one seed, with the reference
+    loops: {artifact name: (student, kd trace, fine-tune trace)}, the
+    students before they are saved. `student_in` stands for the `model_in`
+    student, which the CLI loaded afresh for every cell."""
+    def name_of(spec: StudentSpec) -> str:
+        return artifact_name(Path(teacher_path).stem, spec, dspec.temperature, mode)
+
+    out = {}
+    for cell in cells:
+        if student_in is not None:
+            student = clone_model(student_in)
+        else:
+            student = init_student(teacher, cell, rng.derive(seed, name_of(cell)))
+        # the file's name and the report describe the student as it is
+        spec = StudentSpec(student.config.num_layers, student.config.num_heads)
+        name = name_of(spec)
+        if mode == "task_agnostic":
+            kd_trace = run_mlm_ref(teacher, student, corpus_lines, vocab, dspec, tspec, seed)
+            ft_trace = finetune_ref(student, train, vocab, tspec, seed,
+                                    entity_types=entity_types)
+        else:
+            kd_trace = distill_task_specific_ref(teacher, student, train, vocab, dspec,
+                                                 tspec, seed, entity_types)
+            ft_trace = []
+        out[name] = (student, kd_trace, ft_trace)
+    return out

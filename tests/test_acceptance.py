@@ -188,7 +188,7 @@ def test_criterion_7_distillation_properties():
         for tag, teacher in teachers.items():
             teacher_layer_params = sum(p.size for n, p in teacher.params.items()
                                        if n.startswith("layers."))
-            for name, student in students.items():
+            for name, (student, _) in students.items():
                 if f"_{tag}_" in name:
                     student_layer_params = sum(p.size for n, p in student.params.items()
                                                if n.startswith("layers."))

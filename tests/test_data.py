@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sdcw import data
 from sdcw.errors import DataError, ParameterError
+from sdcw.evaluation import EntitySpan, extract_spans
 from sdcw.tensor import IGNORE_INDEX
 
 from oracles import synth_ner_corpus_choice, synth_pretrain_corpus_choice
@@ -55,18 +56,12 @@ def test_conll_unknown_tag_errors_with_tag_and_line(tmp_path):
     assert "B-CITY" in str(exc.value) and ":2" in str(exc.value)
 
 
-def test_i_without_b_parses_but_is_flagged(tmp_path):
+def test_i_without_b_parses_and_opens_a_span(tmp_path):
     p = tmp_path / "odd.conll"
     p.write_text("Keita I-PER\nvisited O\n", encoding="utf-8")
     sents = data.load_conll(p)
     assert sents[0].tags == ["I-PER", "O"]
-    flagged = data.bio_violations(sents)
-    assert flagged == [(0, 0, "I-PER")]
-
-
-def test_bio_violations_accepts_wellformed():
-    s = data.Sentence(["a", "b", "c"], ["B-ORG", "I-ORG", "O"])
-    assert data.bio_violations([s]) == []
+    assert extract_spans(sents[0].tags) == [EntitySpan("PER", 0, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +151,9 @@ def test_synth_tags_are_valid_bio():
     train, dev, test = data.synth_ner_corpus(5, 200)
     for sent in train + dev + test:
         assert len(sent.tokens) == len(sent.tags)
-        for tag in sent.tags:
+        for prev, tag in zip(["O"] + sent.tags, sent.tags):
             data.validate_tag(tag, TYPES)
-        assert not data.bio_violations([sent])
+            assert not tag.startswith("I-") or prev[2:] == tag[2:], (prev, tag)
 
 
 def test_synth_split_ratios():

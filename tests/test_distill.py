@@ -76,19 +76,14 @@ def test_param_count_monotone_in_layers_constant_in_heads():
 
 
 # ---------------------------------------------------------------------------
-# compression ratio
-
-def test_compression_ratio_identity_zero():
-    teacher = model.init_model(TEACHER_CFG, seed=1)
-    assert distill.compression_ratio(teacher, teacher) == 0.0
-
+# compression ratio: 1 - params(student) / params(teacher)
 
 def test_compression_ratio_published_bands():
-    large = model.reference_config("large")
+    large = model.count_params_config(model.reference_config("large"))
     six = model.EncoderConfig(6, 6, 768, 3072, 70_000, 512, 9)
     four = model.EncoderConfig(4, 4, 768, 3072, 70_000, 512, 9)
-    assert distill.compression_ratio(large, six) == pytest.approx(0.23, abs=0.01)
-    assert distill.compression_ratio(large, four) == pytest.approx(0.34, abs=0.01)
+    assert 1 - model.count_params_config(six) / large == pytest.approx(0.23, abs=0.01)
+    assert 1 - model.count_params_config(four) / large == pytest.approx(0.34, abs=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +288,8 @@ def test_grid_emits_eight_uniquely_named_students_per_mode():
                                [distill.TASK_SPECIFIC_TEMPERATURE], spec, seed=18)
     assert len(out) == 8
     for tag, teacher in teachers.items():
-        for name, student in out.items():
+        for name, (student, trace) in out.items():
+            assert len(trace) == spec.epochs
             if f"_{tag}_" in name:
                 assert model.count_params(student) < model.count_params(teacher)
 

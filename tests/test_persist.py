@@ -1,7 +1,12 @@
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdcw import model, persist, prune, quant
+from sdcw import evaluation, model, persist, prune, quant
 from sdcw.errors import PersistError
 from sdcw.rng import stream
 
@@ -271,3 +276,112 @@ def test_unwritable_path_errors(tmp_path):
     with pytest.raises(PersistError) as exc:
         persist.save_model(m, tmp_path / "no" / "such" / "dir" / "m.sdcw")
     assert "m.sdcw" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# damaged files fail at load with PersistError, or give a model that runs
+
+def test_wrong_shaped_record_rejected_at_load(tmp_path):
+    m = model.init_model(replace(TINY, num_layers=1), seed=2)
+    m.params["layers.0.ffn.b1"].data = m.param("layers.0.ffn.b1").data[:-1]  # 31 of 32
+    path = tmp_path / "short.sdcw"
+    persist.save_model(m, path)
+    with pytest.raises(PersistError) as exc:
+        persist.load_model(path)
+    assert "'layers.0.ffn.b1'" in str(exc.value) and "(31,)" in str(exc.value)
+
+
+@pytest.mark.parametrize("at, value", [
+    (10, struct.pack("<I", 0)),       # no heads
+    (34, struct.pack("<f", 1.5)),     # dropout out of [0, 1)
+    (39, struct.pack("<f", 0.0)),     # a quantized file's outlier threshold
+    (39, struct.pack("<f", np.nan)),
+    (43, struct.pack("<I", 1)),       # fewer records than layers
+], ids=["no-heads", "dropout", "zero-threshold", "nan-threshold", "few-records"])
+def test_invalid_header_rejected_at_load(tmp_path, at, value):
+    path = tmp_path / "q.sdcw"
+    persist.save_model(quant.quantize_model_int8_mixed(_random_model(3), threshold=6.0), path)
+    blob = bytearray(path.read_bytes())
+    blob[at:at + len(value)] = value
+    path.write_bytes(bytes(blob))
+    with pytest.raises(PersistError):
+        persist.load_model(path)
+
+
+HEADER_BYTES = 4 + 2 + 7 * 4 + 4 + 1 + 4 + 4
+
+
+def _layout(obj, mask=None) -> tuple[list[int], list[int]]:
+    """Record boundaries of obj's file, and the offsets of its structural
+    bytes: the header, each record's name length, name, tag, rank and shape,
+    and the counts in its payload (sparse nonzeros; int8 axis, scale count
+    and outlier count)."""
+    _, _, records = persist._records_for(obj, mask)
+    bounds, fields, pos = [HEADER_BYTES], list(range(HEADER_BYTES)), HEADER_BYTES
+    for name, tag, shape, payload in records:
+        body = pos + 2 + len(name.encode("utf-8")) + 2 + 4 * len(shape)
+        fields += range(pos, body)
+        if tag == persist.DT_F32_SPARSE:
+            fields += range(body, body + 8)
+        elif tag == persist.DT_INT8:
+            n_out_at = body + 5 + 4 * payload.scales.size
+            fields += [*range(body, body + 5), *range(n_out_at, n_out_at + 4)]
+        pos = body + persist._payload_bytes(tag, shape, payload)
+        bounds.append(pos)
+    return bounds, fields
+
+
+@pytest.fixture(scope="module")
+def desk_files(tmp_path_factory):
+    """A pruned desk model (dense, sparse and mask records) and its int8
+    mixed quantization (with outlier rows): {kind: (blob, layout)}."""
+    m = model.init_model(model.desk_config(), seed=4)
+    m.param("layers.0.ffn.w1").data[[3, 9], 0] = 7.0
+    qm = quant.quantize_model_int8_mixed(m, threshold=6.0)
+    mask = prune.compute_mask(m, 0.5)
+    prune.apply_mask(m, mask)
+    out, root = {}, tmp_path_factory.mktemp("fuzz")
+    for kind, obj, obj_mask in (("pruned", m, mask), ("mixed", qm, None)):
+        path = root / f"{kind}.sdcw"
+        persist.save_model(obj, path, mask=obj_mask)
+        out[kind] = (path.read_bytes(), _layout(obj, obj_mask))
+    assert qm.linears["layers.0.ffn.w1"].weight.outlier_cols.size == 2
+    return out, root
+
+
+def _load_and_run(path) -> None:
+    """Load `path`; a model it gives must run a forward pass."""
+    try:
+        handle, _ = persist.load_model(path)
+    except PersistError:
+        return
+    s = min(5, handle.config.max_positions)
+    evaluation.forward_logits(handle, np.zeros((2, s), dtype=np.int64), np.ones((2, s), dtype=bool))
+
+
+def test_desk_file_truncated_at_every_record_boundary_rejected(desk_files):
+    files, root = desk_files
+    for kind, (blob, (bounds, _)) in files.items():
+        assert bounds[-1] == len(blob)
+        for cut in [0, *bounds[:-1], len(blob) - 1]:
+            path = root / f"cut-{kind}.sdcw"
+            path.write_bytes(blob[:cut])
+            with pytest.raises(PersistError):
+                persist.load_model(path)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_desk_file_fails_only_with_persist_error(desk_files, data):
+    files, root = desk_files
+    kind = data.draw(st.sampled_from(sorted(files)))
+    blob, (_, fields) = files[kind]
+    damaged = bytearray(blob)
+    if data.draw(st.booleans()):
+        damaged = damaged[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        for at in data.draw(st.lists(st.sampled_from(fields), min_size=1, max_size=3)):
+            damaged[at] ^= data.draw(st.integers(1, 255))
+    path = root / f"damaged-{kind}.sdcw"
+    path.write_bytes(bytes(damaged))
+    _load_and_run(path)

@@ -353,11 +353,3 @@ def test_cubic_ramp_shape():
     vals = [prune.cubic_ramp(0.6, t) for t in ts]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-
-def test_mask_from_zeros_recovers_applied_mask():
-    m = model.init_model(TINY, seed=15)
-    mask = prune.compute_mask(m, 0.7)
-    prune.apply_mask(m, mask)
-    recovered = prune.mask_from_zeros(m)
-    for n in mask.masks:
-        np.testing.assert_array_equal(recovered.masks[n], mask.masks[n])
