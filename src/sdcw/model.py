@@ -230,7 +230,7 @@ class TapeKernel:
         return Tensor(values)
 
     def linear(self, x: Tensor, weight: str) -> Tensor:
-        return T.add(T.matmul(x, self.params[weight]), self.params[_bias_name(weight)])
+        return T.matmul(x, self.params[weight], bias=self.params[_bias_name(weight)])
 
     def attn_matmul(self, a: Tensor, b: Tensor) -> Tensor:
         return T.matmul(a, b)
@@ -240,7 +240,7 @@ class TapeKernel:
     add = property(lambda self: T.add)
     scale = property(lambda self: T.scale)
     reshape = property(lambda self: T.reshape)
-    transpose = property(lambda self: T.transpose)
+    rearrange = property(lambda self: T.rearrange)
     softmax = property(lambda self: T.softmax)
     gelu = property(lambda self: T.gelu)
 
@@ -273,17 +273,15 @@ def apply_layer(model: EncoderModel, index: int, hidden, attention_mask, *,
     h, d, a = c.hidden_size, c.head_dim, c.num_heads
     p = f"layers.{index}"
 
-    def heads(x):
-        x = ops.transpose(ops.reshape(x, (b, s, a, d)), (0, 2, 1, 3))
-        return ops.reshape(x, (b * a, s, d))
-
-    q, k, v = (heads(ops.linear(hidden, f"{p}.attn.w{m}")) for m in "qkv")
-    scores = ops.scale(ops.attn_matmul(q, ops.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(d))
+    # three linears in a row over one input: Int8Kernel quantizes `hidden` once for them
+    q, k, v = (ops.linear(hidden, f"{p}.attn.w{m}") for m in "qkv")
+    q, v = (ops.rearrange(x, (b, s, a, d), (0, 2, 1, 3), (b * a, s, d)) for x in (q, v))
+    k_t = ops.rearrange(k, (b, s, a, d), (0, 2, 3, 1), (b * a, d, s))
+    scores = ops.scale(ops.attn_matmul(q, k_t), 1.0 / np.sqrt(d))
     probs = ops.softmax(ops.add(scores, ops.constant(attention_bias(mask, a))))
     if collect_attention is not None:
         collect_attention.append(probs)
-    ctx = ops.attn_matmul(probs, v)
-    ctx = ops.reshape(ops.transpose(ops.reshape(ctx, (b, a, s, d)), (0, 2, 1, 3)), (b * s, h))
+    ctx = ops.rearrange(ops.attn_matmul(probs, v), (b, a, s, d), (0, 2, 1, 3), (b * s, h))
     attn_out = ops.dropout(ops.linear(ctx, f"{p}.attn.wo"))
     x = ops.layer_norm(ops.add(hidden, attn_out), f"{p}.attn_norm")
     ff = ops.gelu(ops.linear(x, f"{p}.ffn.w1"))

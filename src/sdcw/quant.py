@@ -381,6 +381,7 @@ class Int8Kernel:
     def __init__(self, qm: QuantizedModel):
         self.qm = qm
         self.mixed = qm.mode == "int8_mixed"
+        self._x = self._xq = None  # the last linear input and its quantization
 
     def rows(self, name: str, ids: np.ndarray) -> np.ndarray:
         return self.qm.extras[name][ids]
@@ -390,11 +391,11 @@ class Int8Kernel:
 
     def linear(self, x: np.ndarray, weight: str) -> np.ndarray:
         lin = self.qm.linears[weight]
-        if self.mixed:
-            xq = quantize_with_outliers(x, self.qm.outlier_threshold, axis=1)
-        else:
-            xq = absmax_quantize(x, axis=1)
-        out = int8_matmul(xq, lin.weight)
+        if x is not self._x:  # q, k and v share their input: quantize it once
+            self._x = x
+            self._xq = (quantize_with_outliers(x, self.qm.outlier_threshold, axis=1)
+                        if self.mixed else absmax_quantize(x, axis=1))
+        out = int8_matmul(self._xq, lin.weight)
         out += lin.bias
         return out
 
@@ -410,8 +411,9 @@ class Int8Kernel:
     def reshape(self, a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         return a.reshape(shape)
 
-    def transpose(self, a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-        return np.ascontiguousarray(a.transpose(axes))
+    def rearrange(self, a: np.ndarray, split: tuple[int, ...], axes: tuple[int, ...],
+                  shape: tuple[int, ...]) -> np.ndarray:
+        return np.ascontiguousarray(a.reshape(split).transpose(axes)).reshape(shape)
 
     def softmax(self, a: np.ndarray) -> np.ndarray:
         return _softmax_np(a, -1)

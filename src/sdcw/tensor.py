@@ -23,10 +23,18 @@ are byte-identical to the dense update. A dense contribution to the gradient
 (the tied MLM head) clears `grad_rows`, and the parameter then takes the
 dense path for good.
 
-Ops whose backward builds a new array hand it to `_accum` as `fresh`, and the
-first gradient of a tensor adopts it without a copy; views (`add`, `reshape`,
-`transpose`, `tsum`) are copied, so no gradient shares memory with another
-array.
+Gradient ownership. Every gradient array has one owner. An op's backward
+hands `_accum` either an array it built for that call or a view of the
+upstream gradient it received (`add`, `reshape`, `transpose`, `rearrange`),
+and both count as `fresh`: `backward` releases each interior node's gradient
+(`grad = None`) as soon as that node's backward has run, so nothing else
+holds the upstream array. The first gradient of a tensor adopts a fresh array
+without a copy; later ones are added into it. Only a second claim on one
+array is copied: the second operand of `add` when both operands take the
+upstream gradient unreduced, and `tsum`'s read-only `broadcast_to` view. So
+no gradient shares memory with another gradient or with any `.data`, only
+leaves keep a gradient after `backward`, and a second `backward` over the
+same graph adds the same amounts into the leaves again.
 
 The raw `_*_np` kernels are shared with the quantized inference path so that
 the full-precision branch of a quantized forward is bit-identical to the
@@ -125,9 +133,9 @@ def _from_op(data: Array, parents: tuple[Tensor, ...], backward_fn, op: str) -> 
 
 
 def _accum(t: Tensor, g: Array, fresh: bool = False, rows: Array | None = None) -> None:
-    """Add `g` into t.grad. A `fresh` g was built for this call alone, so a
-    first gradient adopts it instead of copying; `rows` is the sorted axis-0
-    support of g (None: dense)."""
+    """Add `g` into t.grad. A `fresh` g has no other owner (see the module
+    docstring), so a first gradient adopts it instead of copying; `rows` is
+    the sorted axis-0 support of g (None: dense)."""
     if not t.requires_grad:
         return
     g = np.asarray(g, dtype=np.float32)
@@ -173,6 +181,7 @@ def backward(out: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = node.grad_rows = None  # interior: handed on to its parents
 
 
 def zero_grads(params) -> None:
@@ -231,8 +240,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def bwd(g: Array) -> None:
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        ga, gb = _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        _accum(a, ga, fresh=True)
+        _accum(b, gb, fresh=gb is not ga)  # both unreduced: one array, two claims
 
     return _from_op(data, (a, b), bwd, "add")
 
@@ -266,19 +276,27 @@ def tsum(a: Tensor) -> Tensor:
     return _from_op(data, (a,), bwd, "sum")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2D x 2D or batched 3D x 3D matrix product (equal batch dims)."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """2D x 2D or batched 3D x 3D matrix product (equal batch dims). A `bias`
+    of shape (n,) is added in place into the [..., n] product: the same
+    float32 sums as `add(matmul(a, b), bias)`, in one node."""
     if a.ndim != b.ndim or a.ndim not in (2, 3):
         raise ShapeError(f"matmul supports 2D or 3D pairs, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2] or (a.ndim == 3 and a.shape[0] != b.shape[0]):
         raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
+    if bias is not None and bias.shape != (b.shape[-1],):
+        raise ShapeError(f"matmul bias must have shape ({b.shape[-1]},), got {bias.shape}")
     data = a.data @ b.data
+    if bias is not None:
+        data += bias.data
 
     def bwd(g: Array) -> None:
         _accum(a, g @ b.data.swapaxes(-1, -2), fresh=True)
         _accum(b, a.data.swapaxes(-1, -2) @ g, fresh=True)
+        if bias is not None:
+            _accum(bias, _unbroadcast(g, bias.shape), fresh=True)
 
-    return _from_op(data, (a, b), bwd, "matmul")
+    return _from_op(data, (a, b) if bias is None else (a, b, bias), bwd, "matmul")
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -286,7 +304,7 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     data = np.ascontiguousarray(a.data.transpose(axes))
 
     def bwd(g: Array) -> None:
-        _accum(a, g.transpose(inverse))
+        _accum(a, g.transpose(inverse), fresh=True)
 
     return _from_op(data, (a,), bwd, "transpose")
 
@@ -295,9 +313,23 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = a.data.reshape(shape)
 
     def bwd(g: Array) -> None:
-        _accum(a, g.reshape(a.data.shape))
+        _accum(a, g.reshape(a.data.shape), fresh=True)
 
     return _from_op(data, (a,), bwd, "reshape")
+
+
+def rearrange(a: Tensor, split: tuple[int, ...], axes: tuple[int, ...],
+              shape: tuple[int, ...]) -> Tensor:
+    """reshape(transpose(reshape(a, split), axes), shape) as one node: one
+    copy forward, one backward (splitting and merging attention heads)."""
+    permuted = tuple(split[i] for i in axes)
+    inverse = tuple(np.argsort(axes))
+    data = np.ascontiguousarray(a.data.reshape(split).transpose(axes)).reshape(shape)
+
+    def bwd(g: Array) -> None:
+        _accum(a, g.reshape(permuted).transpose(inverse).reshape(a.data.shape), fresh=True)
+
+    return _from_op(data, (a,), bwd, "rearrange")
 
 
 def embedding(table: Tensor, ids: Array) -> Tensor:

@@ -13,13 +13,18 @@ re-scan truncated normal that the linear-time versions must reproduce bit
 for bit, then the `Generator.choice` corpus draws that the synthetic corpora
 must equal, and last the hand-written training loops and CLI student grid
 that the shared training loop and `distill.distill_grid` must reproduce.
+The last section is the tape as it was before gradients were handed over,
+each bias joined its GEMM and the heads were split in one op; the leaner
+tape must reproduce its trained tensors, traces and logits byte for byte.
 """
 from __future__ import annotations
 
+import contextlib
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import pytest
 from scipy.special import erf
 
 from sdcw import data, rng
@@ -28,8 +33,8 @@ from sdcw.data import batch as make_batches
 from sdcw.distill import (DistillSpec, StudentSpec, _lines_to_sentences, artifact_name,
                           init_student, mlm_corrupt)
 from sdcw.errors import DataError, ParameterError, ShapeError
-from sdcw.model import (ATTN_MASK_BIAS, LN_EPS, EncoderModel, TrainSpec, _validate_inputs,
-                        clone_model, forward, forward_hidden, mlm_logits)
+from sdcw.model import (ATTN_MASK_BIAS, LN_EPS, EncoderModel, TapeKernel, TrainSpec, _bias_name,
+                        _validate_inputs, clone_model, forward, forward_hidden, mlm_logits)
 from sdcw.prune import PruneMask, prunable_names, pruned_count
 from sdcw.quant import (EXACT_BLOCK, MAX_CONTRACTION, QuantizedModel, QuantizedTensor,
                         absmax_quantize, quantize_with_outliers)
@@ -636,3 +641,63 @@ def cli_distill_cells_ref(teacher_path: str, teacher: EncoderModel, cells: list[
             ft_trace = []
         out[name] = (student, kd_trace, ft_trace)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the copying tape: every gradient handed to `_accum` copied, interior
+# gradients kept after `backward`, each linear an `add` node over its
+# `matmul`, and the attention heads split and merged by reshape, transpose
+# and reshape nodes (k split like q, then transposed by its own node)
+
+_ACCUM = T._accum
+
+
+def accum_copying_ref(t, g, fresh=False, rows=None) -> None:
+    _ACCUM(t, g, False, rows)
+
+
+def backward_keeping_ref(out: T.Tensor) -> None:
+    """`tensor.backward` without releasing interior gradients."""
+    if out.size != 1:
+        raise ShapeError(f"backward expects a scalar output, got shape {out.shape}")
+    topo: list[T.Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[T.Tensor, bool]] = [(out, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in visited:
+                stack.append((p, False))
+    out.grad = np.ones_like(out.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+class TapeKernelRef(TapeKernel):
+    def linear(self, x: T.Tensor, weight: str) -> T.Tensor:
+        return T.add(T.matmul(x, self.params[weight]), self.params[_bias_name(weight)])
+
+    def rearrange(self, a: T.Tensor, split, axes, shape) -> T.Tensor:
+        if axes == (0, 2, 3, 1):  # k: split into [b*a, s, d] heads, then transposed
+            heads = self.rearrange(a, split, (0, 2, 1, 3), (shape[0], shape[2], shape[1]))
+            return T.transpose(heads, (0, 2, 1))
+        return T.reshape(T.transpose(T.reshape(a, split), axes), shape)
+
+
+@contextlib.contextmanager
+def copying_tape():
+    """Within the block, every EncoderModel runs on the copying tape."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_accum", accum_copying_ref)
+        mp.setattr(T, "backward", backward_keeping_ref)
+        mp.setattr(EncoderModel, "kernel", lambda self, training=False, dropout_rng=None:
+                   TapeKernelRef(self, training, dropout_rng))
+        yield

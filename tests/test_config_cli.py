@@ -134,6 +134,23 @@ def test_every_public_function_is_used_by_the_program_or_the_benchmark():
     assert dead == {}
 
 
+def test_both_kernels_define_exactly_the_ops_the_encoder_calls():
+    """`model.TapeKernel` and `quant.Int8Kernel` expose one set of public op
+    names, and it is the set of `ops.<name>` that `model.embed`,
+    `apply_layer` and `forward` call: static guard against an op one kernel
+    lacks, and against an op nothing calls."""
+    def ops_of(cls) -> set[str]:
+        return {name for name in vars(cls) if not name.startswith("_")}
+
+    tree = ast.parse(Path(model.__file__).read_text(encoding="utf-8"))
+    called = {node.attr for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name in ("embed", "apply_layer", "forward")
+              for node in ast.walk(fn)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "ops"}
+    assert ops_of(model.TapeKernel) == ops_of(quant.Int8Kernel) == called
+
+
 def test_seed_and_type_lists_parse():
     cfg = config.parse_config("seeds=7,8\nentity_types=PER,LOC\nstudent_layers=1,2\n")
     assert cfg.seeds == (7, 8)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdcw import data, model, rng
+from sdcw import data, model, prune, rng
 from sdcw import tensor as T
 from sdcw.errors import DataError, ParameterError, ShapeError
 from sdcw.rng import stream
 
-from oracles import grad_rel_err, truncated_normal_rescan
+from oracles import copying_tape, grad_rel_err, truncated_normal_rescan
 
 TINY = model.EncoderConfig(num_layers=2, num_heads=2, hidden_size=16, ffn_size=32,
                            vocab_size=100, max_positions=32, num_classes=9)
@@ -161,6 +161,23 @@ def test_forward_equals_composed_layers():
     for i in range(TINY.num_layers):
         x = model.apply_layer(m, i, x, mask)
     np.testing.assert_array_equal(full, x.data)
+
+
+def test_fp32_and_pruned_logits_equal_the_copying_tape(trained_model, desk_corpus):
+    """The int8 modes are checked against the hand-written quantized forward
+    in `test_quant.py`."""
+    pruned = model.clone_model(trained_model)
+    prune.apply_mask(pruned, prune.compute_mask(pruned, 0.5))
+    tb = data.batch(desk_corpus[2], desk_corpus[3], 32, 16)[0]
+
+    def logits():
+        return [model.forward(m, tb.token_ids, tb.attention_mask).data.tobytes()
+                for m in (trained_model, pruned)]
+
+    got = logits()
+    with copying_tape():
+        assert logits() == got
+    assert got[0] != got[1]
 
 
 def test_attention_rows_sum_to_one():

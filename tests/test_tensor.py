@@ -323,10 +323,17 @@ def _gradcheck_cases(gen):
         loss = T.tsum(T.mul(T.embedding(table, ids), tensor(w)))
         return loss, table, lambda x: float((x[ids] * w).sum())
 
+    def rearrange_case():
+        a = tensor(gen.normal(0, 1, (6, 4)), grad=True)
+        split, axes, shape = (2, 3, 2, 2), (0, 2, 3, 1), (4, 2, 3)
+        w = gen.normal(0, 1, shape).astype(np.float32)
+        loss = T.tsum(T.mul(T.rearrange(a, split, axes, shape), tensor(w)))
+        return loss, a, lambda x: float((x.reshape(split).transpose(axes).reshape(shape) * w).sum())
+
     return {
         "matmul": matmul_case, "softmax": softmax_case, "layer_norm": layer_norm_case,
         "gelu": gelu_case, "cross_entropy": ce_case, "kl_soft_targets": kl_case,
-        "embedding": embedding_case,
+        "embedding": embedding_case, "rearrange": rearrange_case,
     }
 
 
@@ -347,7 +354,7 @@ def gradcheck_all_ops(seeds=range(5), tol=1e-3) -> dict:
 def test_gradcheck_suite_five_seeds():
     worst = gradcheck_all_ops()
     assert set(worst) == {"matmul", "softmax", "layer_norm", "gelu",
-                          "cross_entropy", "kl_soft_targets", "embedding"}
+                          "cross_entropy", "kl_soft_targets", "embedding", "rearrange"}
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +566,9 @@ def test_gradient_of_a_tied_table_is_dense():
     assert table.grad is None and table.grad_rows is None
 
 
+EVERY_OP_SHAPES = [(9, 6), (5, 6), (6,), (6,), (6, 8), (8,), (4, 8)]
+
+
 def _every_op_loss(leaves):
     """Backward through a loss that uses every tape op."""
     table, pos, gain, bias, w1, colscale, w2 = leaves
@@ -588,9 +598,12 @@ def _tape_tensors(root):
 
 
 def test_fresh_gradients_handed_over_share_no_memory(monkeypatch):
+    """Handing gradients over instead of copying them changes no bit: the
+    leaf gradients equal those of a tape that copies every gradient it
+    accumulates. After `backward` only the leaves keep a gradient, and none
+    shares memory with another gradient or with any tensor's `.data`."""
     gen = stream(23, "every-op")
-    shapes = [(9, 6), (5, 6), (6,), (6,), (6, 8), (8,), (4, 8)]
-    values = [gen.normal(0, 1, s).astype(np.float32) for s in shapes]
+    values = [gen.normal(0, 1, s).astype(np.float32) for s in EVERY_OP_SHAPES]
     original = T._accum
     runs = []
     for copy_all in (False, True):
@@ -606,8 +619,59 @@ def test_fresh_gradients_handed_over_share_no_memory(monkeypatch):
     assert len(nodes) > 30
     grads = [t.grad for t in nodes if t.grad is not None]
     datas = [t.data for t in nodes]
+    assert len(grads) == len(leaves)
     for i, g in enumerate(grads):
         assert not any(np.shares_memory(g, other) for other in grads[i + 1:] + datas)
+
+
+def test_backward_releases_every_interior_gradient():
+    gen = stream(24, "every-op")
+    leaves = [tensor(gen.normal(0, 1, s), grad=True) for s in EVERY_OP_SHAPES]
+    loss = _every_op_loss(leaves)
+    interior = [t for t in _tape_tensors(loss) if t._parents]
+    assert len(interior) > 20
+    assert all(t.grad is None and t.grad_rows is None for t in interior)
+    assert all(leaf.grad is not None for leaf in leaves)
+
+
+def test_a_second_backward_adds_the_same_gradient_again():
+    x = tensor(np.ones(3), grad=True)
+    loss = T.tsum(T.scale(T.scale(x, 2.0), 3.0))
+    T.backward(loss)
+    assert x.grad.tolist() == [6.0, 6.0, 6.0]
+    T.backward(loss)
+    assert x.grad.tolist() == [12.0, 12.0, 12.0]
+
+
+def test_add_hands_its_gradient_to_one_operand_and_a_copy_to_the_other():
+    gen = stream(25, "add-self")
+    x, y = (tensor(gen.normal(0, 1, (3, 4)), grad=True) for _ in range(2))
+    w = gen.normal(0, 1, (3, 4)).astype(np.float32)
+    T.backward(T.tsum(T.mul(T.add(x, y), tensor(w))))
+    assert x.grad.tobytes() == y.grad.tobytes() == w.tobytes()
+    assert not np.shares_memory(x.grad, y.grad)
+    x.zero_grad()
+    T.backward(T.tsum(T.mul(T.add(x, x), tensor(w))))
+    assert x.grad.tobytes() == (w + w).tobytes()
+
+
+def test_matmul_bias_equals_add_of_matmul_bytewise():
+    gen = stream(26, "matmul-bias")
+    values = [gen.normal(0, 1, s).astype(np.float32) for s in ((5, 4), (4, 3), (3,), (5, 3))]
+    runs = []
+    for fused in (True, False):
+        a, b, bias = (tensor(v, grad=True) for v in values[:3])
+        out = T.matmul(a, b, bias=bias) if fused else T.add(T.matmul(a, b), bias)
+        T.backward(T.tsum(T.mul(out, tensor(values[3]))))
+        runs.append([t.tobytes() for t in (out.data, a.grad, b.grad, bias.grad)])
+    assert runs[0] == runs[1]
+
+
+def test_matmul_bias_must_match_the_output_columns():
+    a, b = tensor(np.ones((4, 3))), tensor(np.ones((3, 5)))
+    for shape in ((4,), (1, 5), (5, 1)):
+        with pytest.raises(ShapeError, match="bias"):
+            T.matmul(a, b, bias=tensor(np.zeros(shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The shared training loop and student grid against the hand-written loops
 they replaced (`tests/oracles.py`): equal loss traces and byte-equal
-trained parameters."""
+trained parameters. The single-run references train on the copying tape
+(`oracles.copying_tape`), so these also check the lean tape against it."""
 import hashlib
 from dataclasses import replace
 
@@ -39,7 +40,8 @@ def test_finetune_with_dropout_equals_the_reference(corpus):
     cfg = replace(CFG, dropout=0.1)
     got, want = model.init_model(cfg, 1), model.init_model(cfg, 1)
     trace = model.finetune(got, train, vocab, SPEC, seed=2)
-    assert trace == oracles.finetune_ref(want, train, vocab, SPEC, seed=2)
+    with oracles.copying_tape():
+        assert trace == oracles.finetune_ref(want, train, vocab, SPEC, seed=2)
     assert digest(got) == digest(want) != digest(model.init_model(cfg, 1))
 
 
@@ -59,7 +61,8 @@ def test_prune_schedules_equal_the_reference(corpus, monkeypatch, schedule):
 
     got = run()
     monkeypatch.setattr(prune, "finetune", oracles.finetune_ref)
-    assert run() == got
+    with oracles.copying_tape():
+        assert run() == got
     assert bool(got[2]) == (sched.kind == "during")
 
 
@@ -68,7 +71,8 @@ def test_pretrain_mlm_equals_the_reference(corpus):
     got, want = model.init_model(CFG, 7), model.init_model(CFG, 7)
     trace = distill.pretrain_mlm(got, lines, vocab, SPEC, seed=8, mask_rate=0.2)
     dspec = DistillSpec(mode="task_agnostic", alpha_soft=0.0, alpha_hard=1.0, mlm_mask_rate=0.2)
-    assert trace == oracles.run_mlm_ref(None, want, lines, vocab, dspec, SPEC, 8)
+    with oracles.copying_tape():  # the tied head's transposed table gradient is handed over
+        assert trace == oracles.run_mlm_ref(None, want, lines, vocab, dspec, SPEC, 8)
     assert digest(got) == digest(want)
 
 
@@ -81,7 +85,8 @@ def test_agnostic_distillation_equals_the_reference(corpus, alpha_soft):
     got = distill.init_student(teacher, StudentSpec(1, 2), 10)
     want = model.clone_model(got)
     trace = distill.distill_task_agnostic(teacher, got, lines, vocab, dspec, SPEC, 11)
-    assert trace == oracles.run_mlm_ref(teacher, want, lines, vocab, dspec, SPEC, 11)
+    with oracles.copying_tape():
+        assert trace == oracles.run_mlm_ref(teacher, want, lines, vocab, dspec, SPEC, 11)
     assert digest(got) == digest(want)
 
 
@@ -92,7 +97,9 @@ def test_task_specific_distillation_equals_the_reference(corpus):
     got = distill.init_student(teacher, StudentSpec(1, 1), 13)
     want = model.clone_model(got)
     trace = distill.distill_task_specific(teacher, got, train, vocab, dspec, SPEC, 14)
-    assert trace == oracles.distill_task_specific_ref(teacher, want, train, vocab, dspec, SPEC, 14)
+    with oracles.copying_tape():
+        assert trace == oracles.distill_task_specific_ref(teacher, want, train, vocab, dspec,
+                                                          SPEC, 14)
     assert digest(got) == digest(want)
 
 
