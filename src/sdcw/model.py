@@ -377,6 +377,7 @@ def train_loop(model: EncoderModel, spec: TrainSpec, sentences, vocab: Vocabular
                 post_step(step)
             step += 1
             losses.append(loss.item())
+            loss = None  # frees this step's graph before the next forward
         trace.append(float(np.mean(losses)) if losses else 0.0)
     return trace
 

@@ -31,8 +31,8 @@ exactly reproducible. `model_bytes` in reports is this number.
 """
 from __future__ import annotations
 
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -52,6 +52,8 @@ _MODE_TAGS = {"none": 0, "dynamic_int8": 1, "int8_mixed": 2}
 _TAGS_MODE = {v: k for k, v in _MODE_TAGS.items()}
 
 _MASK_PREFIX = "mask:"
+_SPARSE_PAIR = np.dtype([("i", "<u4"), ("v", "<f4")])
+PIECE_BYTES = 1 << 18  # buffer for payloads read piece by piece (sparse pairs, fp16)
 
 
 def _f32_record(name: str, arr: np.ndarray) -> tuple:
@@ -114,35 +116,37 @@ def serialized_bytes(obj, mask: PruneMask | None = None) -> int:
 
 def _write_payload(fh, tag: int, shape, payload) -> None:
     if tag == DT_F32:
-        fh.write(np.ascontiguousarray(payload, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(payload, dtype="<f4"))
     elif tag == DT_F32_SPARSE:
         flat = np.ascontiguousarray(payload, dtype="<f4").reshape(-1)
         idx = np.flatnonzero(flat).astype("<u4")
         fh.write(struct.pack("<Q", idx.size))
-        pairs = np.empty(idx.size, dtype=[("i", "<u4"), ("v", "<f4")])
+        pairs = np.empty(idx.size, dtype=_SPARSE_PAIR)
         pairs["i"] = idx
         pairs["v"] = flat[idx]
-        fh.write(pairs.tobytes())
+        fh.write(pairs)
     elif tag == DT_INT8:
         qt: QuantizedTensor = payload
         fh.write(struct.pack("<B", qt.axis))
         fh.write(struct.pack("<I", qt.scales.size))
-        fh.write(np.ascontiguousarray(qt.scales, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(qt.scales, dtype="<f4"))
         fh.write(struct.pack("<I", qt.outlier_cols.size))
-        fh.write(np.ascontiguousarray(qt.outlier_cols, dtype="<u4").tobytes())
-        fh.write(np.ascontiguousarray(qt.outlier_values, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(qt.q, dtype=np.int8).tobytes())
+        fh.write(np.ascontiguousarray(qt.outlier_cols, dtype="<u4"))
+        fh.write(np.ascontiguousarray(qt.outlier_values, dtype="<f4"))
+        fh.write(np.ascontiguousarray(qt.q, dtype=np.int8))
     elif tag == DT_F16:
-        fh.write(np.ascontiguousarray(payload, dtype="<f2").tobytes())
+        fh.write(np.ascontiguousarray(payload, dtype="<f2"))
     elif tag == DT_MASK:
         bits = np.ascontiguousarray(payload, dtype=np.uint8).reshape(-1)
-        fh.write(np.packbits(bits).tobytes())
+        fh.write(np.packbits(bits))
     else:
         raise PersistError(f"unknown dtype tag {tag}")
 
 
 def save_model(obj, path, mask: PruneMask | None = None) -> int:
-    """Write a model, pruned model (+mask), or quantized handle; returns bytes."""
+    """Write a model, pruned model (+mask), or quantized handle; returns bytes.
+    Payloads are written from their arrays' own memory where the file's
+    dtype is the array's."""
     mode_tag, threshold, records = _records_for(obj, mask)
     c = obj.config
     try:
@@ -168,24 +172,53 @@ def save_model(obj, path, mask: PruneMask | None = None) -> int:
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.pos = 0
+    """Reads a model file front to back. Every read is first claimed against
+    the bytes left in the file, so a count or shape that claims more than
+    the file holds fails before anything is allocated for it."""
+
+    def __init__(self, fh, path):
+        self.fh = fh
         self.path = path
+        self.left = os.fstat(fh.fileno()).st_size
+
+    def claim(self, n: int) -> None:
+        if n > self.left:
+            raise PersistError(f"truncated model file '{self.path}'")
+        self.left -= n
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Read the next out.nbytes bytes straight into the 1-D array `out`."""
+        view = memoryview(out.view(np.uint8))
+        got = 0
+        while got < view.nbytes:
+            n = self.fh.readinto(view[got:])
+            if not n:
+                raise PersistError(f"truncated model file '{self.path}'")
+            got += n
+        return out
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
+        self.claim(n)
+        out = self.fh.read(n)
+        if len(out) != n:
             raise PersistError(f"truncated model file '{self.path}'")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
         return out
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, dtype, count: int) -> np.ndarray:
+        self.claim(count * np.dtype(dtype).itemsize)
+        return self.fill(np.empty(count, dtype=dtype))
+
+    def pieces(self, dtype, count: int):
+        """The next `count` items, claimed now and read on iteration as
+        (offset, piece) pairs through one buffer of at most PIECE_BYTES."""
         itemsize = np.dtype(dtype).itemsize
-        return np.frombuffer(self.take(count * itemsize), dtype=dtype).copy()
+        self.claim(count * itemsize)
+        buf = np.empty(max(1, min(count, PIECE_BYTES // itemsize)), dtype=dtype)
+        return ((lo, self.fill(buf[:min(buf.size, count - lo)]))
+                for lo in range(0, count, buf.size))
 
 
 def _read_payload(r: _Reader, name: str, tag: int, shape: tuple[int, ...]):
@@ -194,11 +227,12 @@ def _read_payload(r: _Reader, name: str, tag: int, shape: tuple[int, ...]):
         return r.array("<f4", n).reshape(shape)
     if tag == DT_F32_SPARSE:
         (nnz,) = r.unpack("<Q")
-        pairs = np.frombuffer(r.take(8 * nnz), dtype=[("i", "<u4"), ("v", "<f4")])
-        if nnz and pairs["i"].max() >= n:
-            raise PersistError(f"'{r.path}' sparse record '{name}' has an index past its size")
+        pairs = r.pieces(_SPARSE_PAIR, nnz)
         flat = np.zeros(n, dtype=np.float32)
-        flat[pairs["i"]] = pairs["v"]
+        for _, part in pairs:
+            if part["i"].max() >= n:
+                raise PersistError(f"'{r.path}' sparse record '{name}' has an index past its size")
+            flat[part["i"]] = part["v"]
         return flat.reshape(shape)
     if tag == DT_INT8:
         (axis,) = r.unpack("<B")
@@ -220,7 +254,11 @@ def _read_payload(r: _Reader, name: str, tag: int, shape: tuple[int, ...]):
             raise PersistError(f"'{r.path}' int8 record '{name}' has nonzero outlier vectors")
         return QuantizedTensor(q, scales, int(axis), idx, values)
     if tag == DT_F16:
-        return r.array("<f2", n).reshape(shape).astype(np.float32)
+        halves = r.pieces("<f2", n)
+        out = np.empty(n, dtype=np.float32)
+        for lo, part in halves:
+            out[lo:lo + part.size] = part
+        return out.reshape(shape)
     if tag == DT_MASK:
         packed = r.array(np.uint8, (n + 7) // 8)
         return np.unpackbits(packed, count=n).reshape(shape)
@@ -244,17 +282,9 @@ def _check_record(path, name: str, tag: int, shape: tuple[int, ...], config: Enc
         raise PersistError(f"'{path}' record '{name}' has dtype tag {tag}, not one of {allowed}")
 
 
-def load_model(path) -> tuple[EncoderModel | QuantizedModel, PruneMask | None]:
-    """Read a model file; returns (model | quantized handle, mask or None).
-
-    Unknown versions and malformed files are rejected before anything is
-    constructed; a failed load never returns a partial model.
-    """
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise PersistError(f"cannot read model file '{path}': {exc}") from exc
-    r = _Reader(blob, path)
+def _read_records(r: _Reader):
+    """(config, quant mode, threshold, {name: (tag, payload)}) of a whole file."""
+    path = r.path
     if r.take(4) != MAGIC:
         raise PersistError(f"'{path}' is not a model file (bad magic)")
     (version,) = r.unpack("<H")
@@ -284,8 +314,24 @@ def load_model(path) -> tuple[EncoderModel | QuantizedModel, PruneMask | None]:
         shape = tuple(r.unpack(f"<{rank}I")) if rank else ()
         _check_record(path, name, tag, shape, config, mode != "none")
         tensors[name] = (tag, _read_payload(r, name, tag, shape))
-    if r.pos != len(blob):
-        raise PersistError(f"'{path}' has {len(blob) - r.pos} trailing bytes")
+    if r.left:
+        raise PersistError(f"'{path}' has {r.left} trailing bytes")
+    return config, mode, threshold, tensors
+
+
+def load_model(path) -> tuple[EncoderModel | QuantizedModel, PruneMask | None]:
+    """Read a model file; returns (model | quantized handle, mask or None).
+
+    Unknown versions and malformed files are rejected before anything is
+    constructed; a failed load never returns a partial model. The file is
+    streamed into the arrays the model keeps, so a load needs about one
+    model of memory.
+    """
+    try:
+        with open(path, "rb") as fh:
+            config, mode, threshold, tensors = _read_records(_Reader(fh, path))
+    except OSError as exc:
+        raise PersistError(f"cannot read model file '{path}': {exc}") from exc
 
     if mode == "none":
         params: dict[str, Tensor] = {}

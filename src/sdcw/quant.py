@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
 from .model import LN_EPS, EncoderConfig, EncoderModel, _bias_name, forward
-from .tensor import Tensor, _gelu_np, _layer_norm_np, _softmax_np
+from .tensor import Tensor, _all_finite, _gelu_np, _layer_norm_np, _softmax_np
 
 MAX_CONTRACTION = 1 << 24
 # longest float32 sum of int8 x int8 products that stays exact:
@@ -145,6 +145,13 @@ def _quantize_vectors(arr: np.ndarray, axis: int, threshold: float | None, what:
     threshold), both with the reduced dim kept so they broadcast against
     `arr`. max propagates NaN and inf, so the finiteness check runs on the
     first reduction instead of on `arr`.
+
+    No clip to [-127, 127] is needed. With m the max magnitude of a vector
+    and s = fl32(127 / m), every |x| <= m gives |x| * s <= 127 * (1 + 2^-24)
+    before rounding, so fl32(|x| * s) <= 127 + 2^-17 (the float32 spacing at
+    127); adding 0.5 and flooring then gives at most 127. For m < 1e-30 the
+    scale is 127 / 1e-30 and |x| * s < 127. Outlier vectors are zeroed, and
+    copysign keeps them +-0.
     """
     scale_dim, vector_dim = (-1, -2) if axis == 1 else (-2, -1)
     mag = np.abs(arr)
@@ -165,7 +172,6 @@ def _quantize_vectors(arr: np.ndarray, axis: int, threshold: float | None, what:
     mag += 0.5
     np.floor(mag, out=mag)
     np.copysign(mag, arr, out=mag)
-    np.clip(mag, -127, 127, out=mag)
     return mag, scales, outliers
 
 
@@ -342,7 +348,7 @@ def quantize_model(model: EncoderModel, mode: str,
     extras: dict[str, np.ndarray] = {}
     bias_names = {_bias_name(n) for n in model.params if n.endswith(_LINEAR_WEIGHTS)}
     for name, p in model.params.items():
-        if not np.all(np.isfinite(p.data)):
+        if not _all_finite(p.data):
             raise DataError(f"non-finite weights in '{name}'")
         if name.endswith(_LINEAR_WEIGHTS):
             if mode == "int8_mixed":

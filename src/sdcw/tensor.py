@@ -71,7 +71,7 @@ def no_grad():
 
 
 def _check_finite(data: Array, op: str) -> None:
-    if not np.all(np.isfinite(data)):
+    if not _all_finite(data):
         raise NumericsError(f"non-finite values produced by {op}")
 
 
@@ -531,8 +531,13 @@ def init_adam(params: dict[str, Tensor], learning_rate: float, **kwargs) -> Adam
 ADAM_CHUNK = 1 << 16  # floats per chunk: chunks of p, g, m, v and two scratch buffers fit in L2
 
 
-def _all_finite(flat: Array, ok: Array) -> bool:
-    """np.all(np.isfinite(flat)) without a full-size temporary: chunk by chunk through `ok`."""
+def _all_finite(x: Array, ok: Array | None = None) -> bool:
+    """np.all(np.isfinite(x)) without a full-size temporary: chunk by chunk
+    through `ok` (a buffer of up to ADAM_CHUNK bools when not given). x is
+    walked in memory order, a view for any contiguous or permuted array."""
+    flat = x.ravel(order="K")
+    if ok is None:
+        ok = np.empty(min(flat.size, ADAM_CHUNK) or 1, dtype=bool)
     for lo in range(0, flat.size, ok.size):
         chunk = flat[lo:lo + ok.size]
         if not np.isfinite(chunk, out=ok[:chunk.size]).all():

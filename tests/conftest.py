@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,20 @@ def adam_feed(monkeypatch):
         return states
 
     return feed
+
+
+@pytest.fixture()
+def traced_peak():
+    """traced_peak(fn, *args) -> (fn's result, the peak bytes allocated while
+    it ran, as tracemalloc counts them; numpy's buffers are counted)."""
+    def run(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            out = fn(*args, **kwargs)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return run
 
 
 class _FailingFile:

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 from dataclasses import replace
 
@@ -174,6 +175,70 @@ def test_int8_record_roughly_quarter_of_fp32(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# byte-identical files, written and read without copies of the model
+
+def _four_handles() -> dict:
+    """{kind: (handle, mask)}: dense fp32, pruned with its mask (sparse and
+    mask records), dynamic, and mixed with two outlier rows."""
+    m = _random_model(6)
+    m.param("layers.1.ffn.w1").data[[2, 5], :] *= 60.0
+    pruned = model.clone_model(m)
+    mask = prune.compute_mask(pruned, 0.6)
+    prune.apply_mask(pruned, mask)
+    return {"fp32": (m, None), "pruned": (pruned, mask),
+            "dynamic": (quant.quantize_model_dynamic(m), None),
+            "mixed": (quant.quantize_model_int8_mixed(m, threshold=6.0), None)}
+
+
+def test_files_keep_their_bytes(tmp_path):
+    want = {  # SHA-256 of the files the whole-payload `tobytes()` writer made
+        "fp32": "3886e947031066bd056272581795a987c204a29ad5fc0c532701b82ad759ac08",
+        "pruned": "32aa29936b69428acef63dbc48c7879e9dc602961916555795c55d156fc5065c",
+        "dynamic": "3ee714dcef6170ce6037dd52a15401d643327aeeb1d67d84673219b99587abbd",
+        "mixed": "1777a8386069977dbced024495e5da1623e42aedabfb5964f4dc551fb364844e",
+    }
+    for kind, (obj, mask) in _four_handles().items():
+        path = tmp_path / f"{kind}.sdcw"
+        persist.save_model(obj, path, mask=mask)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want[kind], kind
+
+
+def _array_bytes(handle, mask) -> int:
+    """Bytes of the arrays a loaded handle (and its mask) keeps."""
+    if isinstance(handle, model.EncoderModel):
+        n = sum(p.data.nbytes for p in handle.params.values())
+    else:
+        n = sum(e.nbytes for e in handle.extras.values())
+        for lin in handle.linears.values():
+            w = lin.weight
+            n += lin.bias.nbytes + sum(a.nbytes for a in (w.q, w.scales, w.outlier_cols,
+                                                          w.outlier_values))
+    return n + (sum(m.nbytes for m in mask.masks.values()) if mask else 0)
+
+
+@pytest.mark.parametrize("kind", ["fp32", "pruned", "dynamic", "mixed"])
+def test_load_needs_about_one_model_of_memory(tmp_path, traced_peak, kind):
+    big = replace(model.desk_config(), vocab_size=16_000)  # a 4 MB token table
+    obj, mask = model.init_model(big, seed=3), None
+    if kind == "pruned":
+        mask = prune.compute_mask(obj, 0.7)
+        prune.apply_mask(obj, mask)
+    elif kind != "fp32":
+        obj = quant.quantize_model(obj, {"dynamic": "dynamic_int8", "mixed": "int8_mixed"}[kind])
+    path = tmp_path / "m.sdcw"
+    persist.save_model(obj, path, mask=mask)
+    (handle, loaded_mask), peak = traced_peak(persist.load_model, path)
+    assert peak <= _array_bytes(handle, loaded_mask) + 2**20
+
+
+def test_save_writes_a_dense_model_without_copying_its_records(tmp_path, traced_peak):
+    m = model.init_model(replace(model.desk_config(), vocab_size=16_000), seed=3)
+    largest = max(p.data.nbytes for p in m.params.values())
+    _, peak = traced_peak(persist.save_model, m, tmp_path / "m.sdcw")
+    assert peak < largest
+
+
+# ---------------------------------------------------------------------------
 # rejection paths
 
 def test_bad_magic_rejected(tmp_path):
@@ -263,6 +328,94 @@ def test_damaged_int8_record_rejected_at_load(tmp_path, how):
     with pytest.raises(PersistError) as exc:
         persist.load_model(path)
     assert "'layers.1.ffn.w1'" in str(exc.value)
+
+
+def _record_offsets(obj, mask=None) -> dict[str, tuple[int, int]]:
+    """{record name: (offset of its shape dims, offset of its payload)}."""
+    _, _, records = persist._records_for(obj, mask)
+    out, pos = {}, HEADER_BYTES
+    for name, tag, shape, payload in records:
+        dims = pos + 2 + len(name.encode("utf-8")) + 2
+        out[name] = (dims, dims + 4 * len(shape))
+        pos = dims + 4 * len(shape) + persist._payload_bytes(tag, shape, payload)
+    return out
+
+
+def _load_error(path):
+    try:
+        persist.load_model(path)
+    except PersistError as exc:
+        return exc
+    raise AssertionError(f"'{path}' loaded")
+
+
+def test_sparse_count_past_the_file_rejected_before_allocating(tmp_path, traced_peak):
+    m = _random_model(2)
+    prune.apply_mask(m, prune.compute_mask(m, 0.9))
+    assert persist._f32_record("w", m.param("layers.0.ffn.w1").data)[1] == persist.DT_F32_SPARSE
+    _, at = _record_offsets(m)["layers.0.ffn.w1"]
+    path = tmp_path / "m.sdcw"
+    persist.save_model(m, path)
+    blob = bytearray(path.read_bytes())
+    blob[at:at + 8] = struct.pack("<Q", 2**40)  # 8 TB of (index, value) pairs
+    path.write_bytes(bytes(blob))
+    exc, peak = traced_peak(_load_error, path)
+    assert "truncated" in str(exc) and peak < 2**20
+
+
+def test_shape_past_the_file_rejected_before_allocating(tmp_path, traced_peak):
+    m = _random_model(2)
+    dims, _ = _record_offsets(m)["embeddings.token"]
+    path = tmp_path / "m.sdcw"
+    persist.save_model(m, path)
+    blob = bytearray(path.read_bytes())
+    vocab = 2**26  # a 4 GB fp32 token table, in the header and the record alike
+    blob[22:26] = blob[dims:dims + 4] = struct.pack("<I", vocab)
+    path.write_bytes(bytes(blob))
+    exc, peak = traced_peak(_load_error, path)
+    assert "truncated" in str(exc) and peak < 2**20
+
+
+class _FailingReads:
+    """A file whose `reads`-th read (counting from 0) fails as a bad disk would."""
+
+    def __init__(self, fh, reads: int):
+        self._fh, self._left = fh, reads
+
+    def _tick(self) -> None:
+        if self._left == 0:
+            raise OSError(5, "Input/output error")
+        self._left -= 1
+
+    def read(self, n):
+        self._tick()
+        return self._fh.read(n)
+
+    def readinto(self, buf):
+        self._tick()
+        return self._fh.readinto(buf)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+@pytest.mark.parametrize("reads", [0, 3, 40, 200])
+def test_read_failing_mid_file_errors_with_path(tmp_path, monkeypatch, reads):
+    m = _random_model()
+    prune.apply_mask(m, prune.compute_mask(m, 0.6))
+    path = tmp_path / "m.sdcw"
+    persist.save_model(m, path)
+    monkeypatch.setattr(persist, "open", lambda *a, **kw: _FailingReads(open(*a, **kw), reads),
+                        raising=False)
+    with pytest.raises(PersistError, match="Input/output error") as exc:
+        persist.load_model(path)
+    assert "m.sdcw" in str(exc.value)
 
 
 def test_missing_file_errors_with_path(tmp_path):

@@ -105,21 +105,48 @@ def _rounding_cases() -> np.ndarray:
                      gen.normal(0, 3, ties.size).astype(np.float32)])
 
 
+def _edge_cases() -> np.ndarray:
+    """Rows whose max magnitude m is drawn from 1e-40 (subnormal) to 1e38,
+    each holding +-m, most twice (ties at the max, where |x| * 127 / m may
+    round above 127), next to rows of subnormals, rows around 1e-30 (the
+    scale's floor) and rows of values at the outlier thresholds 6 and 0.5."""
+    gen = stream(15, "quant-edges")
+    width = 24
+    m = (10.0 ** gen.uniform(-40, 38, 300)).astype(np.float32)
+    rows = gen.uniform(-1, 1, (m.size, width)).astype(np.float32) * m[:, None]
+    rows[:, 0], rows[:, 1] = m, np.where(gen.random(m.size) < 0.7, -m, m / 3)
+    tiny = np.float32(1e-30)
+    special = [
+        gen.uniform(-1, 1, width) * np.float32(1e-39),
+        np.full(width, np.float32(1.4e-45)) * gen.choice([-1, 1], width),
+        [tiny, -tiny, np.nextafter(tiny, np.float32(0)), np.nextafter(tiny, np.float32(1))]
+        + [0.0] * (width - 4),
+        np.nextafter(tiny, np.float32(0)) * gen.uniform(-1, 1, width),
+        [6.0, -6.0, np.nextafter(np.float32(6), np.float32(0)), 0.5, -0.5,
+         np.nextafter(np.float32(0.5), np.float32(1))] + [-0.0] * (width - 6),
+    ]
+    return np.vstack([rows, np.array(special, dtype=np.float32)])
+
+
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_quantizers_bitwise_equal_to_reference_expression(axis):
-    x = _rounding_cases()
-    qt = quant.absmax_quantize(x, axis=axis)
-    q, scales = absmax_quantize_ref(x, axis)
-    assert _same_bits(qt.q, q) and _same_bits(qt.scales, scales)
-    for thr in (100.0, 6.0, 1e30):
-        qt = quant.quantize_with_outliers(x, thr, axis=axis)
-        q, scales, cols = quantize_with_outliers_ref(x, thr, axis)
+    x, edges = _rounding_cases(), _edge_cases()
+    for cases in (x, edges, np.ascontiguousarray(edges.T)):
+        qt = quant.absmax_quantize(cases, axis=axis)
+        q, scales = absmax_quantize_ref(cases, axis)
         assert _same_bits(qt.q, q) and _same_bits(qt.scales, scales)
-        np.testing.assert_array_equal(qt.outlier_cols, cols)
+        # the unclipped float image is within [-127, 127], signed zeros included
+        assert _same_bits(qt.q_image, np.clip(qt.q_image, -127, 127))
+        for thr in (100.0, 6.0, 0.5, 1e-30, 1e30):
+            qt = quant.quantize_with_outliers(cases, thr, axis=axis)
+            q, scales, cols = quantize_with_outliers_ref(cases, thr, axis)
+            assert _same_bits(qt.q, q) and _same_bits(qt.scales, scales)
+            assert _same_bits(qt.q_image, np.clip(qt.q_image, -127, 127))
+            np.testing.assert_array_equal(qt.outlier_cols, cols)
     row = x[0]
     qt = quant.absmax_quantize(row)
     q, scales = absmax_quantize_ref(row)

@@ -685,6 +685,19 @@ def test_non_finite_result_raises():
         T.add(big, big)
 
 
+@pytest.mark.parametrize("layout", ["contiguous", "permuted", "strided"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_finiteness_is_checked_in_every_chunk(layout, bad):
+    base = np.ones((3, T.ADAM_CHUNK // 2 + 5), dtype=np.float32)  # more than one chunk
+    view = {"contiguous": base, "permuted": base.T, "strided": base[:, ::2]}[layout]
+    assert T._all_finite(view) and T._all_finite(view[:0])
+    for at in ((0, 0), (2, -1), (1, view.shape[1] // 2)):
+        view[at] = bad
+        with pytest.raises(NumericsError, match="tensor init"):
+            T.Tensor(view)
+        view[at] = 1.0
+
+
 def test_dropout_rate_zero_is_identity():
     x = tensor([[1.0, 2.0]], grad=True)
     assert T.dropout(x, 0.0, None) is x

@@ -3,6 +3,7 @@ they replaced (`tests/oracles.py`): equal loss traces and byte-equal
 trained parameters. The single-run references train on the copying tape
 (`oracles.copying_tape`), so these also check the lean tape against it."""
 import hashlib
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -149,6 +150,26 @@ def test_train_loop_hooks_see_only_the_steps_taken(corpus):
     assert pre == [0, 1, 1, 2, 3, 3]
     assert post == [0, 1, 2, 3]
     assert len(trace) == 2
+
+
+def test_train_loop_frees_a_step_graph_before_the_next_step(corpus):
+    train, vocab, _ = corpus
+    m = model.init_model(CFG, 24)
+    losses, alive = [], []
+
+    def batch_loss(tb):
+        logits = model.forward(m, tb.token_ids, tb.attention_mask)
+        loss = T.cross_entropy(T.reshape(logits, (-1, CFG.num_classes)), tb.label_ids.reshape(-1))
+        losses.append(weakref.ref(loss.data))
+        return loss
+
+    def pre_step(step):
+        if losses:  # the previous step's loss, and with it its graph
+            alive.append(losses[-1]() is not None)
+
+    model.train_loop(m, replace(SPEC, epochs=1), train, vocab, 0, "graph", batch_loss,
+                     pre_step=pre_step)
+    assert len(alive) >= 2 and not any(alive)
 
 
 @pytest.mark.parametrize("mode", ["task_specific", "task_agnostic"])
