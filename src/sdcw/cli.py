@@ -201,12 +201,13 @@ def _eval_kwargs(cfg: ExperimentConfig) -> dict:
 
 # Every number a report gives comes from a file: the handler saves what it
 # made, loads it back, and measures the loaded handle. `measure(handle,
-# n_bytes)` gets the file's size, mask records included.
+# n_bytes)` gets the file's size, mask bitmaps included.
 
 def _report_on_file(path: Path, measure):
-    """Load the file at `path`; return the handle and its measurement."""
-    handle, _ = load_model(path)
-    return handle, measure(handle, path.stat().st_size)
+    """Load the file at `path`; return its (handle, mask) and the handle's
+    measurement."""
+    loaded = load_model(path)
+    return loaded, measure(loaded[0], path.stat().st_size)
 
 
 def _save_and_report(obj, path: Path, vocab: Vocabulary, measure, mask=None) -> dict:
@@ -425,7 +426,7 @@ def cmd_quantize(cfg: ExperimentConfig) -> int:
         model_path = Path(_resolve_model_path(cfg.model_in, seed))
         vocab = _vocab_for(cfg, str(model_path), [])
         evaluated = _evaluator(cfg, eval_split, vocab)
-        model, baseline = _report_on_file(
+        (model, mask), baseline = _report_on_file(
             model_path, lambda handle, n_bytes: evaluated(_fp32(handle, model_path), n_bytes))
 
         # a reloaded mixed handle has no fp_ref and fp16 extras, so its
@@ -439,9 +440,9 @@ def cmd_quantize(cfg: ExperimentConfig) -> int:
                   "f1": baseline.f1, "modes": {}}
         for mode in modes:
             if mode == "dynamic":
-                qm = quantize_model_dynamic(model)
+                qm = quantize_model_dynamic(model, mask)
             else:
-                qm = quantize_model_int8_mixed(model, cfg.outlier_threshold)
+                qm = quantize_model_int8_mixed(model, cfg.outlier_threshold, mask)
             report["modes"][mode] = _save_and_report(
                 qm, out / f"quantized_{mode}_seed{seed}.sdcw", vocab, against_baseline)
         return report
@@ -485,11 +486,11 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
                                              warmup=cfg.warmup, **_eval_kwargs(cfg)),
                     "model_bytes": n_bytes}
 
-        model, fp32 = _report_on_file(
+        (model, mask), fp32 = _report_on_file(
             model_path, lambda handle, n_bytes: timed(_fp32(handle, model_path), n_bytes))
         modes = {"fp32": {**fp32, "model_path": model_path.name}}
-        for qm in (quantize_model_dynamic(model),
-                   quantize_model_int8_mixed(model, cfg.outlier_threshold)):
+        for qm in (quantize_model_dynamic(model, mask),
+                   quantize_model_int8_mixed(model, cfg.outlier_threshold, mask)):
             modes[qm.mode] = _save_and_report(qm, out / f"bench_{qm.mode}_seed{seed}.sdcw",
                                               vocab, timed)
         return {"subcommand": "bench", "dataset": _dataset_id(cfg), "modes": modes}
@@ -510,7 +511,18 @@ REPORT_COLUMNS = {
     "precision": "precision", "recall": "recall", "f1": "f1",
     "inference_time": "inference_time_ms", "pruned_params": "pruned_params",
     "mode": "mode", "sparsity": "sparsity", "seed": "seed", "subcommand": "subcommand",
+    "model_path": "model_path", "model_bytes": "model_bytes",
+    "truncated_tokens": "truncated_tokens",
 }
+
+
+def _report_rows(payload: dict) -> list[dict]:
+    """The rows a run JSON gives: one per quantized file for `quantize`,
+    else one for the run."""
+    if payload.get("subcommand") != "quantize":
+        return [payload]
+    return [{**entry["report"], "model_path": entry["model_path"], "seed": payload["seed"],
+             "subcommand": "quantize"} for entry in payload["modes"].values()]
 
 
 def cmd_report(cfg: ExperimentConfig) -> int:
@@ -523,7 +535,8 @@ def cmd_report(cfg: ExperimentConfig) -> int:
         payload = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(payload, dict) or "f1" not in payload or "seed" not in payload:
             continue
-        rows.append({col: payload.get(key, "") for col, key in REPORT_COLUMNS.items()})
+        rows += [{col: row.get(key, "") for col, key in REPORT_COLUMNS.items()}
+                 for row in _report_rows(payload)]
     rows.sort(key=lambda r: (str(r["prune_rate"]), str(r["dataset"]), str(r["seed"])))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

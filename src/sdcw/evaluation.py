@@ -121,7 +121,7 @@ def _accounting(handle) -> tuple[int, int, float]:
         payloads += list(handle.extras.values())
         total = sum(int(p.size) for p in payloads)
         nonzero = sum(int(np.count_nonzero(p)) for p in payloads)
-        sparsity = 0.0
+        sparsity = handle.mask.zeros() / handle.mask.total() if handle.mask else 0.0
     return nonzero, total, sparsity
 
 

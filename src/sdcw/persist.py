@@ -3,7 +3,8 @@
 Little-endian layout:
 
     magic  b"SDCW"
-    u16    format version (currently 1)
+    u16    format version: 2 if the file holds a masked record (tags 5, 6),
+           else 1
     u32 x7 config: layers, heads, hidden, ffn, vocab, max_positions, classes
     f32    dropout
     u8     quant mode: 0 none, 1 dynamic, 2 int8 mixed
@@ -20,14 +21,27 @@ Little-endian layout:
                            prod(dims) int8
             3 fp16 dense:  prod(dims) f16
             4 mask bitmap: ceil(prod(dims) / 8) packed bytes
+            5 fp32 masked: the tensor's mask bitmap as in 4; u64 kept count;
+                           kept f32 values in flat order
+            6 int8 masked: as 2 up to its outlier vectors; then the bitmap,
+                           u64 kept count and kept int8 values as in 5
 
-fp32 tensors are stored sparse when at least half their entries are zero
-(8 bytes/nonzero beats 4 bytes/element exactly there); either storage mode
-round-trips values bit-for-bit. Dynamic-quantized files keep non-quantized
-tensors in fp32; mixed-mode files store them in fp16, mirroring the 16-bit
-base precision of the vector-wise int8 scheme. Total bytes written equal
-header plus records with no padding, so size-reduction percentages are
-exactly reproducible. `model_bytes` in reports is this number.
+Bitmaps pack the flat mask most significant bit first; the pad bits of the
+last byte are 0, and a masked record's kept count is its bitmap's popcount.
+
+A pruned tensor, one with a prune mask that is +0.0 (int8: 0) wherever the
+mask is 0, is stored as a masked record, which stands for both the tensor
+and its mask; it round-trips the tensor bit for bit. Other fp32 tensors are
+stored sparse when at least half their entries are zero (8 bytes/nonzero
+beats 4 bytes/element exactly there), else dense; a sparse record gives back
++0.0 for every zero, -0.0 included. A mask whose tensor is not zero wherever
+it prunes is written as its own bitmap record ("mask:" + name). Pruning
+leaves +0.0 at pruned entries, so a pruned model round-trips bit for bit.
+Dynamic-quantized files keep non-quantized tensors in fp32; mixed-mode files
+store them in fp16, mirroring the 16-bit base precision of the vector-wise
+int8 scheme. Total bytes written equal header plus records with no padding,
+so size-reduction percentages are exactly reproducible. `model_bytes` in
+reports is this number.
 """
 from __future__ import annotations
 
@@ -44,16 +58,19 @@ from .quant import _LINEAR_WEIGHTS, QuantizedLinear, QuantizedModel, QuantizedTe
 from .tensor import Tensor
 
 MAGIC = b"SDCW"
-VERSION = 1
+VERSION = 1         # a file without masked records
+MASKED_VERSION = 2  # a file with at least one
 
-DT_F32, DT_F32_SPARSE, DT_INT8, DT_F16, DT_MASK = 0, 1, 2, 3, 4
+DT_F32, DT_F32_SPARSE, DT_INT8, DT_F16, DT_MASK, DT_F32_MASKED, DT_INT8_MASKED = range(7)
+_MASKED_FORM = {DT_F32: DT_F32_MASKED, DT_F32_SPARSE: DT_F32_MASKED, DT_INT8: DT_INT8_MASKED}
+_MASKED_TAGS = (DT_F32_MASKED, DT_INT8_MASKED)
 
 _MODE_TAGS = {"none": 0, "dynamic_int8": 1, "int8_mixed": 2}
 _TAGS_MODE = {v: k for k, v in _MODE_TAGS.items()}
 
 _MASK_PREFIX = "mask:"
 _SPARSE_PAIR = np.dtype([("i", "<u4"), ("v", "<f4")])
-PIECE_BYTES = 1 << 18  # buffer for payloads read piece by piece (sparse pairs, fp16)
+PIECE_BYTES = 1 << 18  # buffer for payloads read piece by piece (sparse pairs, fp16, kept values)
 
 
 def _f32_record(name: str, arr: np.ndarray) -> tuple:
@@ -63,27 +80,53 @@ def _f32_record(name: str, arr: np.ndarray) -> tuple:
     return (name, DT_F32, arr.shape, arr)
 
 
+def _kept(values: np.ndarray, m: np.ndarray | None) -> np.ndarray | None:
+    """The flat keep bitmap of a tensor whose every bit is 0 wherever `m`
+    prunes it (so -0.0 is not), else None."""
+    if m is None or m.shape != values.shape:
+        return None
+    keep = np.asarray(m).reshape(-1) != 0
+    bits = np.ascontiguousarray(values).reshape(-1).view(f"u{values.itemsize}")
+    return None if bits[~keep].any() else keep
+
+
 def _records_for(obj, mask: PruneMask | None) -> tuple[int, float, list[tuple]]:
-    """(quant mode tag, threshold, records) for a model or quantized handle."""
+    """(quant mode tag, threshold, records) for a model or quantized handle.
+    A quantized handle's own mask is saved when no other is given."""
+    if isinstance(obj, QuantizedModel) and mask is None:
+        mask = obj.mask
+    masks = mask.masks if mask is not None else {}
     records: list[tuple] = []
+
+    def add(name: str, tag: int, arr) -> None:
+        keep = _kept(arr.q if tag == DT_INT8 else arr, masks.get(name)) \
+            if tag in _MASKED_FORM else None
+        if keep is None:
+            records.append((name, tag, arr.shape, arr))
+        else:
+            records.append((name, _MASKED_FORM[tag], arr.shape, (arr, keep)))
+
     if isinstance(obj, EncoderModel):
+        mode_tag, threshold = _MODE_TAGS["none"], 0.0
         for name, p in obj.params.items():
-            records.append(_f32_record(name, p.data))
-        if mask is not None:
-            for name, m in mask.masks.items():
-                records.append((_MASK_PREFIX + name, DT_MASK, m.shape, m))
-        return _MODE_TAGS["none"], 0.0, records
-    if isinstance(obj, QuantizedModel):
+            add(name, _f32_record(name, p.data)[1], p.data)
+    elif isinstance(obj, QuantizedModel):
+        mode_tag, threshold = _MODE_TAGS[obj.mode], float(obj.outlier_threshold)
         fp_tag = DT_F32 if obj.mode == "dynamic_int8" else DT_F16
         for name in param_names(obj.config):
             if name in obj.linears:
                 lin = obj.linears[name]
-                records.append((name, DT_INT8, lin.weight.shape, lin.weight))
-                records.append((_bias_name(name), fp_tag, lin.bias.shape, lin.bias))
+                add(name, DT_INT8, lin.weight)
+                add(_bias_name(name), fp_tag, lin.bias)
             elif name in obj.extras:
-                records.append((name, fp_tag, obj.extras[name].shape, obj.extras[name]))
-        return _MODE_TAGS[obj.mode], float(obj.outlier_threshold), records
-    raise PersistError(f"cannot serialize {type(obj).__name__}")
+                add(name, fp_tag, obj.extras[name])
+    else:
+        raise PersistError(f"cannot serialize {type(obj).__name__}")
+    masked = {r[0] for r in records if r[1] in _MASKED_TAGS}
+    for name, m in masks.items():
+        if name not in masked:
+            records.append((_MASK_PREFIX + name, DT_MASK, m.shape, m))
+    return mode_tag, threshold, records
 
 
 def _payload_bytes(tag: int, shape: tuple[int, ...], payload) -> int:
@@ -92,15 +135,17 @@ def _payload_bytes(tag: int, shape: tuple[int, ...], payload) -> int:
         return 4 * n
     if tag == DT_F32_SPARSE:
         return 8 + 8 * int(np.count_nonzero(payload))
-    if tag == DT_INT8:
-        qt: QuantizedTensor = payload
+    if tag in (DT_INT8, DT_INT8_MASKED):
+        qt, keep = payload if tag == DT_INT8_MASKED else (payload, None)
         out_vec = shape[1] if qt.axis == 0 else shape[0]
-        return 1 + 4 + 4 * qt.scales.size + 4 + 4 * qt.outlier_cols.size \
-            + 4 * qt.outlier_cols.size * out_vec + n
+        head = 1 + 4 + 4 * qt.scales.size + 4 + 4 * qt.outlier_cols.size * (1 + out_vec)
+        return head + (n if keep is None else (n + 7) // 8 + 8 + int(np.count_nonzero(keep)))
     if tag == DT_F16:
         return 2 * n
     if tag == DT_MASK:
         return (n + 7) // 8
+    if tag == DT_F32_MASKED:
+        return (n + 7) // 8 + 8 + 4 * int(np.count_nonzero(payload[1]))
     raise PersistError(f"unknown dtype tag {tag}")
 
 
@@ -114,6 +159,13 @@ def serialized_bytes(obj, mask: PruneMask | None = None) -> int:
     return total
 
 
+def _write_kept(fh, flat: np.ndarray, keep: np.ndarray) -> None:
+    """A masked record's tail: bitmap, kept count, kept values."""
+    fh.write(np.packbits(keep))
+    fh.write(struct.pack("<Q", np.count_nonzero(keep)))
+    fh.write(flat[keep])
+
+
 def _write_payload(fh, tag: int, shape, payload) -> None:
     if tag == DT_F32:
         fh.write(np.ascontiguousarray(payload, dtype="<f4"))
@@ -125,34 +177,42 @@ def _write_payload(fh, tag: int, shape, payload) -> None:
         pairs["i"] = idx
         pairs["v"] = flat[idx]
         fh.write(pairs)
-    elif tag == DT_INT8:
-        qt: QuantizedTensor = payload
+    elif tag in (DT_INT8, DT_INT8_MASKED):
+        qt, keep = payload if tag == DT_INT8_MASKED else (payload, None)
         fh.write(struct.pack("<B", qt.axis))
         fh.write(struct.pack("<I", qt.scales.size))
         fh.write(np.ascontiguousarray(qt.scales, dtype="<f4"))
         fh.write(struct.pack("<I", qt.outlier_cols.size))
         fh.write(np.ascontiguousarray(qt.outlier_cols, dtype="<u4"))
         fh.write(np.ascontiguousarray(qt.outlier_values, dtype="<f4"))
-        fh.write(np.ascontiguousarray(qt.q, dtype=np.int8))
+        q = np.ascontiguousarray(qt.q, dtype=np.int8)
+        if keep is None:
+            fh.write(q)
+        else:
+            _write_kept(fh, q.reshape(-1), keep)
     elif tag == DT_F16:
         fh.write(np.ascontiguousarray(payload, dtype="<f2"))
     elif tag == DT_MASK:
         bits = np.ascontiguousarray(payload, dtype=np.uint8).reshape(-1)
         fh.write(np.packbits(bits))
+    elif tag == DT_F32_MASKED:
+        arr, keep = payload
+        _write_kept(fh, np.ascontiguousarray(arr, dtype="<f4").reshape(-1), keep)
     else:
         raise PersistError(f"unknown dtype tag {tag}")
 
 
 def save_model(obj, path, mask: PruneMask | None = None) -> int:
-    """Write a model, pruned model (+mask), or quantized handle; returns bytes.
-    Payloads are written from their arrays' own memory where the file's
-    dtype is the array's."""
+    """Write a model, pruned model (+mask), or quantized handle (+its own
+    mask, unless `mask` is given); returns bytes. Payloads are written from
+    their arrays' own memory where the file's dtype is the array's."""
     mode_tag, threshold, records = _records_for(obj, mask)
+    version = MASKED_VERSION if any(r[1] in _MASKED_TAGS for r in records) else VERSION
     c = obj.config
     try:
         with atomic_write(path, "wb") as fh:
             fh.write(MAGIC)
-            fh.write(struct.pack("<H", VERSION))
+            fh.write(struct.pack("<H", version))
             fh.write(struct.pack("<7I", c.num_layers, c.num_heads, c.hidden_size,
                                  c.ffn_size, c.vocab_size, c.max_positions, c.num_classes))
             fh.write(struct.pack("<f", c.dropout))
@@ -221,7 +281,35 @@ class _Reader:
                 for lo in range(0, count, buf.size))
 
 
+def _read_bitmap(r: _Reader, name: str, n: int) -> np.ndarray:
+    packed = r.array(np.uint8, (n + 7) // 8)
+    if n % 8 and packed[-1] & (0xFF >> (n % 8)):
+        raise PersistError(f"'{r.path}' record '{name}' has a bitmap with set pad bits")
+    return np.unpackbits(packed, count=n)
+
+
+def _read_kept(r: _Reader, name: str, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A masked record's tail: (flat tensor, 0 where pruned; flat mask). The
+    kept values are read in pieces of at most PIECE_BYTES straight into
+    their places."""
+    mask = _read_bitmap(r, name, n)
+    (kept,) = r.unpack("<Q")
+    if kept != np.count_nonzero(mask):
+        raise PersistError(f"'{r.path}' masked record '{name}' keeps {kept} values, "
+                           f"its bitmap {np.count_nonzero(mask)}")
+    r.claim(kept * np.dtype(dtype).itemsize)
+    out = np.zeros(n, dtype=dtype)
+    step = PIECE_BYTES // out.itemsize
+    buf = np.empty(min(step, kept), dtype=dtype)
+    for lo in range(0, n, step):
+        keep = mask[lo:lo + step].view(bool)
+        out[lo:lo + step][keep] = r.fill(buf[:np.count_nonzero(keep)])
+    return out, mask
+
+
 def _read_payload(r: _Reader, name: str, tag: int, shape: tuple[int, ...]):
+    """The record's array, QuantizedTensor or mask; a masked record gives
+    (its array or QuantizedTensor, its mask)."""
     n = int(np.prod(shape, dtype=np.int64)) if shape else 1
     if tag == DT_F32:
         return r.array("<f4", n).reshape(shape)
@@ -234,7 +322,7 @@ def _read_payload(r: _Reader, name: str, tag: int, shape: tuple[int, ...]):
                 raise PersistError(f"'{r.path}' sparse record '{name}' has an index past its size")
             flat[part["i"]] = part["v"]
         return flat.reshape(shape)
-    if tag == DT_INT8:
+    if tag in (DT_INT8, DT_INT8_MASKED):
         (axis,) = r.unpack("<B")
         if len(shape) != 2 or axis != 0:
             raise PersistError(f"'{r.path}' int8 record '{name}' is not a matrix with axis 0")
@@ -249,10 +337,15 @@ def _read_payload(r: _Reader, name: str, tag: int, shape: tuple[int, ...]):
         if n_out and (idx[-1] >= contraction or np.any(np.diff(idx) <= 0)):
             raise PersistError(f"'{r.path}' int8 record '{name}' has invalid outlier indices")
         values = r.array("<f4", n_out * n_vectors).reshape(n_out, n_vectors)
-        q = r.array(np.int8, n).reshape(shape)
+        if tag == DT_INT8:
+            q, mask = r.array(np.int8, n), None
+        else:
+            q, mask = _read_kept(r, name, n, np.int8)
+        q = q.reshape(shape)
         if np.any(q[idx, :]):
             raise PersistError(f"'{r.path}' int8 record '{name}' has nonzero outlier vectors")
-        return QuantizedTensor(q, scales, int(axis), idx, values)
+        qt = QuantizedTensor(q, scales, int(axis), idx, values)
+        return qt if mask is None else (qt, mask.reshape(shape))
     if tag == DT_F16:
         halves = r.pieces("<f2", n)
         out = np.empty(n, dtype=np.float32)
@@ -260,15 +353,17 @@ def _read_payload(r: _Reader, name: str, tag: int, shape: tuple[int, ...]):
             out[lo:lo + part.size] = part
         return out.reshape(shape)
     if tag == DT_MASK:
-        packed = r.array(np.uint8, (n + 7) // 8)
-        return np.unpackbits(packed, count=n).reshape(shape)
+        return _read_bitmap(r, name, n).reshape(shape)
+    if tag == DT_F32_MASKED:
+        flat, mask = _read_kept(r, name, n, "<f4")
+        return flat.reshape(shape), mask.reshape(shape)
     raise PersistError(f"unknown dtype tag {tag} in '{r.path}'")
 
 
 def _check_record(path, name: str, tag: int, shape: tuple[int, ...], config: EncoderConfig,
-                  quantized: bool) -> None:
+                  quantized: bool, version: int) -> None:
     """Before its payload is read: a record names a tensor of `config` (or its
-    mask), has its shape, and a dtype tag its kind allows."""
+    mask), has its shape, and a dtype tag its kind and file version allow."""
     base = name.removeprefix(_MASK_PREFIX)
     try:
         want = _param_shape(base, config)
@@ -276,19 +371,22 @@ def _check_record(path, name: str, tag: int, shape: tuple[int, ...], config: Enc
         raise PersistError(f"'{path}' has a record '{name}' its config does not name") from None
     if shape != want:
         raise PersistError(f"'{path}' record '{name}' has shape {shape}, its config gives {want}")
-    allowed = ((DT_MASK,) if base != name else (DT_INT8,) if quantized and
-               name.endswith(_LINEAR_WEIGHTS) else (DT_F32, DT_F32_SPARSE, DT_F16))
+    allowed = ((DT_MASK,) if base != name else (DT_INT8, DT_INT8_MASKED) if quantized and
+               name.endswith(_LINEAR_WEIGHTS) else (DT_F32, DT_F32_SPARSE, DT_F16, DT_F32_MASKED))
+    if version == VERSION:
+        allowed = tuple(t for t in allowed if t not in _MASKED_TAGS)
     if tag not in allowed:
         raise PersistError(f"'{path}' record '{name}' has dtype tag {tag}, not one of {allowed}")
 
 
 def _read_records(r: _Reader):
-    """(config, quant mode, threshold, {name: (tag, payload)}) of a whole file."""
+    """(config, quant mode, threshold, {name: tensor}, {name: mask}) of a
+    whole file."""
     path = r.path
     if r.take(4) != MAGIC:
         raise PersistError(f"'{path}' is not a model file (bad magic)")
     (version,) = r.unpack("<H")
-    if version != VERSION:
+    if version not in (VERSION, MASKED_VERSION):
         raise PersistError(f"'{path}' has unsupported format version {version}")
     cfg_ints = r.unpack("<7I")
     (dropout,) = r.unpack("<f")
@@ -306,21 +404,31 @@ def _read_records(r: _Reader):
     (n_records,) = r.unpack("<I")
     if config.num_layers > n_records:  # bounds the names its config expects
         raise PersistError(f"'{path}' has {n_records} records for {config.num_layers} layers")
-    tensors: dict[str, tuple[int, object]] = {}
+    tensors: dict[str, object] = {}
+    masks: dict[str, np.ndarray] = {}
     for _ in range(n_records):
         (name_len,) = r.unpack("<H")
         name = r.take(name_len).decode("utf-8", "replace")  # a bad name names no tensor
         tag, rank = r.unpack("<BB")
         shape = tuple(r.unpack(f"<{rank}I")) if rank else ()
-        _check_record(path, name, tag, shape, config, mode != "none")
-        tensors[name] = (tag, _read_payload(r, name, tag, shape))
+        _check_record(path, name, tag, shape, config, mode != "none", version)
+        payload = _read_payload(r, name, tag, shape)
+        tensor, mask = ((None, payload) if tag == DT_MASK else payload if tag in _MASKED_TAGS
+                        else (payload, None))
+        base = name.removeprefix(_MASK_PREFIX)
+        for held, got, what in ((tensors, tensor, "tensor"), (masks, mask, "mask")):
+            if got is not None:
+                if base in held:
+                    raise PersistError(f"'{path}' has a second {what} for '{base}'")
+                held[base] = got
     if r.left:
         raise PersistError(f"'{path}' has {r.left} trailing bytes")
-    return config, mode, threshold, tensors
+    return config, mode, threshold, tensors, masks
 
 
 def load_model(path) -> tuple[EncoderModel | QuantizedModel, PruneMask | None]:
     """Read a model file; returns (model | quantized handle, mask or None).
+    A quantized handle also carries the mask.
 
     Unknown versions and malformed files are rejected before anything is
     constructed; a failed load never returns a partial model. The file is
@@ -329,31 +437,19 @@ def load_model(path) -> tuple[EncoderModel | QuantizedModel, PruneMask | None]:
     """
     try:
         with open(path, "rb") as fh:
-            config, mode, threshold, tensors = _read_records(_Reader(fh, path))
+            config, mode, threshold, tensors, masks = _read_records(_Reader(fh, path))
     except OSError as exc:
         raise PersistError(f"cannot read model file '{path}': {exc}") from exc
-
-    if mode == "none":
-        params: dict[str, Tensor] = {}
-        masks: dict[str, np.ndarray] = {}
-        for name, (tag, payload) in tensors.items():
-            if name.startswith(_MASK_PREFIX):
-                masks[name[len(_MASK_PREFIX):]] = payload
-            else:
-                params[name] = Tensor(payload, requires_grad=True, name=name)
-        expected = set(param_names(config))
-        if set(params) != expected or not set(masks) <= expected:
-            raise PersistError(f"'{path}' parameter names do not match its config")
-        model = EncoderModel(config, {n: params[n] for n in param_names(config)})
-        mask = PruneMask(masks, 0.0, 0.0) if masks else None
-        return model, mask
-
     names = param_names(config)
-    if set(tensors) != set(names):
-        raise PersistError(f"'{path}' quantized records do not match its config")
+    if set(tensors) != set(names) or not set(masks) <= set(names):
+        raise PersistError(f"'{path}' records do not match its config")
+    mask = PruneMask(masks, 0.0, 0.0) if masks else None
+    if mode == "none":
+        params = {n: Tensor(tensors[n], requires_grad=True, name=n) for n in names}
+        return EncoderModel(config, params), mask
+
     weights = [n for n in names if n.endswith(_LINEAR_WEIGHTS)]
     biases = {_bias_name(w) for w in weights}
-    linears = {w: QuantizedLinear(tensors[w][1], tensors[_bias_name(w)][1]) for w in weights}
-    extras = {n: tensors[n][1] for n in names if n not in linears and n not in biases}
-    qm = QuantizedModel(config, mode, float(threshold), linears, extras)
-    return qm, None
+    linears = {w: QuantizedLinear(tensors[w], tensors[_bias_name(w)]) for w in weights}
+    extras = {n: tensors[n] for n in names if n not in linears and n not in biases}
+    return QuantizedModel(config, mode, float(threshold), linears, extras, mask), mask

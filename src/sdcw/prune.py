@@ -124,12 +124,12 @@ def compute_mask(model: EncoderModel, p: float, scope: list[str] | None = None) 
 
 
 def apply_mask(model: EncoderModel, mask: PruneMask) -> EncoderModel:
-    """W <- W * M, in place. Idempotent."""
+    """W <- W * M, in place, leaving +0.0 at pruned entries. Idempotent."""
     for name, m in mask.masks.items():
         w = model.param(name)
         if m.shape != w.data.shape:
             raise ShapeError(f"mask shape {m.shape} != weight shape {w.data.shape} for '{name}'")
-        w.data *= m
+        np.copyto(w.data, 0.0, where=m == 0)
     return model
 
 

@@ -53,6 +53,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
 from .model import LN_EPS, EncoderConfig, EncoderModel, _bias_name, forward
+from .prune import PruneMask
 from .tensor import Tensor, _all_finite, _gelu_np, _layer_norm_np, _softmax_np
 
 MAX_CONTRACTION = 1 << 24
@@ -327,7 +328,8 @@ class QuantizedModel:
     """Inference handle: int8 linear weights plus full-precision leftovers.
 
     In mixed mode the original fp32 weights ride along as fp_ref so the
-    outlier path is exact; fp_ref is never serialized.
+    outlier path is exact; fp_ref is never serialized. A handle quantized
+    from a pruned model carries its prune mask, which its file keeps.
     """
 
     config: EncoderConfig
@@ -335,13 +337,14 @@ class QuantizedModel:
     outlier_threshold: float
     linears: dict[str, QuantizedLinear]
     extras: dict[str, np.ndarray]
+    mask: PruneMask | None = None
 
     def kernel(self, training: bool = False, dropout_rng=None) -> "Int8Kernel":
         return Int8Kernel(self)  # inference only: no dropout
 
 
-def quantize_model(model: EncoderModel, mode: str,
-                   threshold: float = DEFAULT_OUTLIER_THRESHOLD) -> QuantizedModel:
+def quantize_model(model: EncoderModel, mode: str, threshold: float = DEFAULT_OUTLIER_THRESHOLD,
+                   mask: PruneMask | None = None) -> QuantizedModel:
     if mode not in ("dynamic_int8", "int8_mixed"):
         raise ParameterError(f"unknown quantization mode '{mode}'")
     linears: dict[str, QuantizedLinear] = {}
@@ -359,20 +362,20 @@ def quantize_model(model: EncoderModel, mode: str,
             linears[name] = QuantizedLinear(wq, model.param(_bias_name(name)).data)
         elif name not in bias_names:
             extras[name] = p.data
-    return QuantizedModel(model.config, mode, threshold, linears, extras)
+    return QuantizedModel(model.config, mode, threshold, linears, extras, mask)
 
 
-def quantize_model_dynamic(model: EncoderModel) -> QuantizedModel:
+def quantize_model_dynamic(model: EncoderModel, mask: PruneMask | None = None) -> QuantizedModel:
     """Linear weights to int8 ahead of time; activations quantized on the fly."""
-    return quantize_model(model, "dynamic_int8")
+    return quantize_model(model, "dynamic_int8", mask=mask)
 
 
-def quantize_model_int8_mixed(model: EncoderModel,
-                              threshold: float = DEFAULT_OUTLIER_THRESHOLD) -> QuantizedModel:
+def quantize_model_int8_mixed(model: EncoderModel, threshold: float = DEFAULT_OUTLIER_THRESHOLD,
+                              mask: PruneMask | None = None) -> QuantizedModel:
     """Vector-wise int8 on all matmul operands with fp32 outlier decomposition."""
     if threshold <= 0:
         raise ParameterError(f"outlier threshold must be > 0, got {threshold}")
-    return quantize_model(model, "int8_mixed", threshold=threshold)
+    return quantize_model(model, "int8_mixed", threshold=threshold, mask=mask)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ cache-sized chunks through two scratch buffers; it applies the same float32
 operations in the same order as the dense update, so its results are
 byte-identical to it.
 
-Row-sparse embedding updates. The backward of a row gather (`embedding`,
-`take_rows`) records in `grad_rows` the sorted rows outside which its gradient
-is exactly zero, and `AdamState.rows` keeps, per parameter, the rows whose
-moments may be non-zero. A row whose gradient is 0 and whose m and v are
+Row-sparse embedding updates. The backward of a row gather (`take_rows`)
+records in `grad_rows` the sorted rows outside which its gradient is exactly
+zero, and `AdamState.rows` keeps, per parameter, the rows whose moments may
+be non-zero. A row whose gradient is 0 and whose m and v are
 still 0, as `init_adam` left them, is mapped to itself bit for bit by the
 dense update: m' = b1*0 + (1-b1)*0 = +0, v' = +0, and p - lr*0/(sqrt(0) + eps)
 = p, also for p = -0.0. So `adam_step` only runs the arithmetic on the rows
@@ -330,19 +330,6 @@ def rearrange(a: Tensor, split: tuple[int, ...], axes: tuple[int, ...],
         _accum(a, g.reshape(permuted).transpose(inverse).reshape(a.data.shape), fresh=True)
 
     return _from_op(data, (a,), bwd, "rearrange")
-
-
-def embedding(table: Tensor, ids: Array) -> Tensor:
-    """Row gather: table[V, H] indexed by an integer array of any shape."""
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        pos = tuple(int(v) for v in np.argwhere((ids < 0) | (ids >= table.shape[0]))[0])
-        raise DataError(
-            f"embedding id out of range at position {pos}: "
-            f"{int(ids[pos])} not in [0, {table.shape[0]})"
-        )
-    data = table.data[ids]
-    return _from_op(data, (table,), lambda g: _scatter_rows(table, ids, g), "embedding")
 
 
 def take_rows(a: Tensor, idx: Array) -> Tensor:

@@ -13,13 +13,17 @@ re-scan truncated normal that the linear-time versions must reproduce bit
 for bit, then the `Generator.choice` corpus draws that the synthetic corpora
 must equal, and last the hand-written training loops and CLI student grid
 that the shared training loop and `distill.distill_grid` must reproduce.
-The last section is the tape as it was before gradients were handed over,
-each bias joined its GEMM and the heads were split in one op; the leaner
-tape must reproduce its trained tensors, traces and logits byte for byte.
+The section after them is the tape as it was before gradients were handed
+over, each bias joined its GEMM and the heads were split in one op; the
+leaner tape must reproduce its trained tensors, traces and logits byte for
+byte. The last is the version-1 writer of pruned files (each tensor dense or
+sparse, its mask a record of its own), which the masked records of version 2
+must load equal to.
 """
 from __future__ import annotations
 
 import contextlib
+import struct
 from pathlib import Path
 from typing import Sequence
 
@@ -701,3 +705,43 @@ def copying_tape():
         mp.setattr(EncoderModel, "kernel", lambda self, training=False, dropout_rng=None:
                    TapeKernelRef(self, training, dropout_rng))
         yield
+
+
+# ---------------------------------------------------------------------------
+# the version-1 writer of an fp32 model: every tensor dense, or sparse at
+# >= 50 % zeros, and the mask as separate "mask:" bitmap records
+
+V1_HEADER = struct.Struct("<4sH7IfBfI")
+
+
+def records_v1(model: EncoderModel, mask: PruneMask | None) -> list[tuple[str, int, tuple, bytes]]:
+    """(name, dtype tag, shape, payload bytes) of each record, in file order."""
+    out = []
+    for name, p in model.params.items():
+        flat = p.data.astype("<f4").reshape(-1)
+        nz = np.flatnonzero(flat)
+        if flat.size and (flat.size - nz.size) / flat.size >= 0.5:
+            pairs = np.empty(nz.size, dtype=[("i", "<u4"), ("v", "<f4")])
+            pairs["i"], pairs["v"] = nz, flat[nz]
+            out.append((name, 1, p.shape, struct.pack("<Q", nz.size) + pairs.tobytes()))
+        else:
+            out.append((name, 0, p.shape, flat.tobytes()))
+    for name, m in (mask.masks.items() if mask is not None else ()):
+        out.append(("mask:" + name, 4, m.shape,
+                     np.packbits(m.astype(np.uint8).reshape(-1)).tobytes()))
+    return out
+
+
+def save_v1(model: EncoderModel, path, mask: PruneMask | None = None) -> int:
+    c = model.config
+    records = records_v1(model, mask)
+    blob = [V1_HEADER.pack(b"SDCW", 1, c.num_layers, c.num_heads, c.hidden_size, c.ffn_size,
+                           c.vocab_size, c.max_positions, c.num_classes, c.dropout, 0, 0.0,
+                           len(records))]
+    for name, tag, shape, payload in records:
+        encoded = name.encode("utf-8")
+        blob.append(struct.pack(f"<H{len(encoded)}sBB{len(shape)}I", len(encoded), encoded,
+                                tag, len(shape), *shape) + payload)
+    data = b"".join(blob)
+    Path(path).write_bytes(data)
+    return len(data)

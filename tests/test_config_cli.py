@@ -1,4 +1,5 @@
 import ast
+import csv
 import dataclasses
 import json
 import os
@@ -101,7 +102,6 @@ CALLED_ONLY_BY_TESTS = {
     "sparsity_sweep_counts": "acceptance criterion 1 checks the published sparsity sweep with it",
     "strip_timing": "acceptance criterion 9 compares replayed reports through it",
     "count_params_config": "the published-size and compression-band tests count from configs",
-    "embedding": "acceptance criterion 6 checks its gradient among every differentiable op",
     "mul": "acceptance criterion 6 builds its weighted losses from it",
     "tsum": "acceptance criterion 6 builds its weighted losses from it",
 }
@@ -493,6 +493,42 @@ def test_report_cli_regenerates_sweep_csv(workspace, tmp_path):
     rates = [l.split(",")[0] for l in lines[1:] if l.split(",")[0]]
     assert rates == sorted(rates)
     assert {"0.1", "0.5"} <= set(rates)
+
+
+def test_prune_then_quantize_keeps_the_mask_and_report_gives_a_row_per_file(workspace, tmp_path):
+    root, data_dir, ft_dir, base = workspace
+    out = tmp_path / "prune"
+    cfg = _write_cfg(tmp_path / "p.cfg",
+                     base + f"out_dir={out}\nepochs=2\nsparsity=0.9\nschedule=after\n")
+    assert cli.run_cli(["prune", cfg]) == 0
+    pruned = json.loads((out / "prune_desk_p0.90-after_seed1.json").read_text())
+    quantized = {}
+    for tag, model_in in (("dense", ft_dir / "finetune_seed1.sdcw"),
+                          ("pruned", out / pruned["model_path"])):
+        qout = tmp_path / f"q_{tag}"
+        cfg = _write_cfg(tmp_path / f"q_{tag}.cfg", base + f"out_dir={qout}\nmodel_in={model_in}\n")
+        assert cli.run_cli(["quantize", cfg]) == 0
+        quantized[tag] = json.loads((qout / "quantize_desk_both_seed1.json").read_text())["modes"]
+    for mode in ("dynamic", "mixed"):
+        dense, kept = quantized["dense"][mode], quantized["pruned"][mode]
+        assert kept["model_bytes"] < dense["model_bytes"], mode
+        assert kept["report"]["sparsity"] == pruned["sparsity"] == pytest.approx(0.9, abs=1e-5)
+        assert dense["report"]["sparsity"] == 0.0
+        _, mask = persist.load_model(tmp_path / "q_pruned" / kept["model_path"])
+        assert mask.zeros() == pruned["pruned_params"]
+
+    rep = tmp_path / "rep"
+    cfg = _write_cfg(tmp_path / "rep.cfg", f"dataset={tmp_path / 'q_pruned'}\nout_dir={rep}\n")
+    assert cli.run_cli(["report", cfg]) == 0
+    with open(rep / "report.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["subcommand"] for r in rows] == ["quantize", "quantize"]
+    for row, entry in zip(rows, quantized["pruned"].values()):
+        assert (row["f1"], row["mode"]) == (str(entry["report"]["f1"]), entry["report"]["mode"])
+        assert row["model_path"] == entry["model_path"]
+        path = tmp_path / "q_pruned" / row["model_path"]
+        assert int(row["model_bytes"]) == path.stat().st_size
+        assert int(row["truncated_tokens"]) == entry["report"]["truncated_tokens"]
 
 
 def test_pretrain_then_agnostic_distill_pipeline(workspace, tmp_path):

@@ -11,6 +11,8 @@ from sdcw import evaluation, model, persist, prune, quant
 from sdcw.errors import PersistError
 from sdcw.rng import stream
 
+from oracles import records_v1, save_v1
+
 TINY = model.EncoderConfig(num_layers=2, num_heads=2, hidden_size=16, ffn_size=32,
                            vocab_size=120, max_positions=32, num_classes=9)
 
@@ -94,6 +96,121 @@ def test_mask_round_trip_as_bitmaps(tmp_path):
         np.testing.assert_array_equal(loaded_mask.masks[name], mask.masks[name])
 
 
+def _version(path) -> int:
+    return struct.unpack_from("<H", path.read_bytes(), 4)[0]
+
+
+def _tags(obj, mask=None) -> list[int]:
+    return [r[1] for r in persist._records_for(obj, mask)[2]]
+
+
+def _assert_same_model(a, b) -> None:
+    assert list(a.params) == list(b.params)
+    for name, p in a.params.items():
+        assert p.data.tobytes() == b.param(name).data.tobytes(), name
+
+
+def _assert_same_mask(a, b) -> None:
+    assert sorted(a.masks) == sorted(b.masks)
+    for name, m in a.masks.items():
+        np.testing.assert_array_equal(b.masks[name], m)
+
+
+def test_pruned_model_reloads_byte_for_byte_as_one_masked_record_per_tensor(tmp_path):
+    m = _random_model(3)
+    mask = prune.compute_mask(m, 0.6)
+    prune.apply_mask(m, mask)
+    path = tmp_path / "pruned.sdcw"
+    n = persist.save_model(m, path, mask=mask)
+    assert n == persist.serialized_bytes(m, mask) == path.stat().st_size
+    assert _version(path) == persist.MASKED_VERSION
+    assert _tags(m, mask).count(persist.DT_F32_MASKED) == len(mask.masks)
+    assert persist.DT_MASK not in _tags(m, mask)
+    again, loaded = persist.load_model(path)
+    _assert_same_model(m, again)  # pruned entries are +0.0 on both sides
+    _assert_same_mask(mask, loaded)
+    kept = sum(int(b.sum()) for b in mask.masks.values())
+    dense = sum(4 * b.size for b in mask.masks.values())
+    masked = sum(persist._payload_bytes(tag, shape, payload)
+                 for _, tag, shape, payload in persist._records_for(m, mask)[2]
+                 if tag == persist.DT_F32_MASKED)
+    assert masked == 4 * kept + sum((b.size + 7) // 8 + 8 for b in mask.masks.values()) < dense
+
+
+def test_files_without_masked_records_stay_version_1(tmp_path):
+    m = _random_model(3)
+    mask = prune.compute_mask(m, 0.6)
+    multiplied = model.clone_model(m)  # -0.0 at pruned negative weights
+    for name, bits in mask.masks.items():
+        multiplied.param(name).data *= bits
+    cases = {"dense": (m, None), "mask not applied": (m, mask),
+             "-0.0 where pruned": (multiplied, mask),
+             "dynamic": (quant.quantize_model_dynamic(m), None),
+             "mixed": (quant.quantize_model_int8_mixed(m), None)}
+    for what, (obj, obj_mask) in cases.items():
+        path = tmp_path / "v1.sdcw"
+        persist.save_model(obj, path, mask=obj_mask)
+        assert _version(path) == persist.VERSION, what
+        again, loaded = persist.load_model(path)
+        if obj_mask is not None:
+            assert _tags(obj, obj_mask).count(persist.DT_MASK) == len(mask.masks)
+            _assert_same_mask(obj_mask, loaded)
+            for name, p in obj.params.items():
+                np.testing.assert_array_equal(again.param(name).data, p.data)
+
+
+def test_a_tensor_not_zero_where_pruned_keeps_its_own_records(tmp_path):
+    m = _random_model(3)
+    mask = prune.compute_mask(m, 0.6)
+    prune.apply_mask(m, mask)
+    m.param("layers.1.attn.wv").data[mask.masks["layers.1.attn.wv"] == 0] = -0.0
+    records = {r[0]: r[1] for r in persist._records_for(m, mask)[2]}
+    assert records["layers.1.attn.wv"] in (persist.DT_F32, persist.DT_F32_SPARSE)
+    assert records["mask:layers.1.attn.wv"] == persist.DT_MASK
+    assert [n for n, tag in records.items() if tag == persist.DT_MASK] == ["mask:layers.1.attn.wv"]
+    path = tmp_path / "m.sdcw"
+    persist.save_model(m, path, mask=mask)
+    assert _version(path) == persist.MASKED_VERSION
+    again, loaded = persist.load_model(path)
+    _assert_same_mask(mask, loaded)
+    for name, p in m.params.items():
+        np.testing.assert_array_equal(again.param(name).data, p.data)
+
+
+def test_version_1_pruned_file_and_its_version_2_resave_load_equal(tmp_path):
+    m = _random_model(4)
+    mask = prune.compute_mask(m, 0.6)
+    prune.apply_mask(m, mask)
+    v1, v2 = tmp_path / "v1.sdcw", tmp_path / "v2.sdcw"
+    save_v1(m, v1, mask)
+    assert _version(v1) == persist.VERSION
+    old, old_mask = persist.load_model(v1)
+    persist.save_model(old, v2, mask=old_mask)
+    assert _version(v2) == persist.MASKED_VERSION
+    assert v2.stat().st_size < v1.stat().st_size
+    new, new_mask = persist.load_model(v2)
+    _assert_same_model(old, new)
+    _assert_same_model(m, new)
+    _assert_same_mask(old_mask, new_mask)
+    _assert_same_mask(mask, new_mask)
+
+
+def test_version_1_writer_reproduces_the_files_pruning_by_multiplication_made(tmp_path):
+    # `apply_mask` once multiplied by the mask, leaving -0.0 at pruned negative
+    # weights; the dense records of such a file keep them, the sparse ones do not
+    pruned, mask = _four_handles()["pruned"]
+    for name, p in pruned.params.items():
+        p.data = _four_handles()["fp32"][0].param(name).data * mask.masks.get(name, 1)
+    path = tmp_path / "v1.sdcw"
+    save_v1(pruned, path, mask)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "32aa29936b69428acef63dbc48c7879e9dc602961916555795c55d156fc5065c"
+    again, loaded = persist.load_model(path)
+    _assert_same_mask(mask, loaded)
+    for name, p in pruned.params.items():
+        np.testing.assert_array_equal(again.param(name).data, p.data)
+
+
 def test_pruning_commutes_with_save_load(tmp_path):
     m = _random_model(4)
     mask = prune.compute_mask(m, 0.5)
@@ -174,12 +291,49 @@ def test_int8_record_roughly_quarter_of_fp32(tmp_path):
     assert fp_bytes - linear_fp * 0.76 < q_bytes < fp_bytes - linear_fp * 0.70
 
 
+def test_desk_pruned_file_is_smaller_than_the_dense_one_at_every_sweep_level(trained_clone):
+    dense = persist.serialized_bytes(trained_clone)
+    for p in prune.SPARSITY_SWEEP:
+        m = model.clone_model(trained_clone)
+        mask = prune.compute_mask(m, p)
+        prune.apply_mask(m, mask)
+        assert persist.serialized_bytes(m, mask) < dense, p
+
+
+@pytest.mark.parametrize("mode", ["dynamic_int8", "int8_mixed"])
+def test_pruned_then_quantized_file_keeps_the_mask_and_is_smaller(tmp_path, trained_clone, mode):
+    dense_q = quant.quantize_model(trained_clone, mode)
+    mask = prune.compute_mask(trained_clone, 0.9)
+    prune.apply_mask(trained_clone, mask)
+    qm = quant.quantize_model(trained_clone, mode, mask=mask)
+    assert qm.mask is mask
+    path = tmp_path / "pq.sdcw"
+    n = persist.save_model(qm, path)
+    assert n == persist.serialized_bytes(qm) < persist.serialized_bytes(dense_q)
+    assert _version(path) == persist.MASKED_VERSION
+    assert persist.DT_INT8_MASKED in _tags(qm) and persist.DT_MASK not in _tags(qm)
+    again, loaded = persist.load_model(path)
+    assert again.mask is loaded
+    _assert_same_mask(mask, loaded)
+    for name, lin in qm.linears.items():
+        assert again.linears[name].weight.q.tobytes() == lin.weight.q.tobytes(), name
+    ids = stream(13, "persist-pq").integers(0, trained_clone.config.vocab_size, size=(2, 8))
+    attention = np.ones((2, 8), dtype=bool)
+    before = evaluation.forward_logits(qm, ids, attention)
+    after = evaluation.forward_logits(again, ids, attention)
+    if mode == "dynamic_int8":
+        assert before.tobytes() == after.tobytes()
+    share = mask.zeros() / mask.total()
+    assert evaluation._accounting(again)[2] == share == pytest.approx(0.9, abs=1e-5)
+    assert evaluation._accounting(dense_q)[2] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # byte-identical files, written and read without copies of the model
 
 def _four_handles() -> dict:
-    """{kind: (handle, mask)}: dense fp32, pruned with its mask (sparse and
-    mask records), dynamic, and mixed with two outlier rows."""
+    """{kind: (handle, mask)}: dense fp32, pruned with its mask (masked
+    records), dynamic, and mixed with two outlier rows."""
     m = _random_model(6)
     m.param("layers.1.ffn.w1").data[[2, 5], :] *= 60.0
     pruned = model.clone_model(m)
@@ -191,9 +345,11 @@ def _four_handles() -> dict:
 
 
 def test_files_keep_their_bytes(tmp_path):
-    want = {  # SHA-256 of the files the whole-payload `tobytes()` writer made
+    # SHA-256 of the files the whole-payload `tobytes()` writer made; the
+    # pruned file's since masked records replaced its sparse and mask records
+    want = {
         "fp32": "3886e947031066bd056272581795a987c204a29ad5fc0c532701b82ad759ac08",
-        "pruned": "32aa29936b69428acef63dbc48c7879e9dc602961916555795c55d156fc5065c",
+        "pruned": "f0e350f2eb94fbf7737ceb79fa0061e0d915d00495908b38e1f2c5e646b6c140",
         "dynamic": "3ee714dcef6170ce6037dd52a15401d643327aeeb1d67d84673219b99587abbd",
         "mixed": "1777a8386069977dbced024495e5da1623e42aedabfb5964f4dc551fb364844e",
     }
@@ -216,19 +372,39 @@ def _array_bytes(handle, mask) -> int:
     return n + (sum(m.nbytes for m in mask.masks.values()) if mask else 0)
 
 
-@pytest.mark.parametrize("kind", ["fp32", "pruned", "dynamic", "mixed"])
+@pytest.mark.parametrize("kind", ["fp32", "pruned", "dynamic", "mixed", "pruned_dynamic"])
 def test_load_needs_about_one_model_of_memory(tmp_path, traced_peak, kind):
     big = replace(model.desk_config(), vocab_size=16_000)  # a 4 MB token table
     obj, mask = model.init_model(big, seed=3), None
-    if kind == "pruned":
-        mask = prune.compute_mask(obj, 0.7)
+    if kind.startswith("pruned"):  # the token table too: 1.2 MB of kept values
+        mask = prune.compute_mask(obj, 0.7, scope=prune.prunable_names(obj) + ["embeddings.token"])
         prune.apply_mask(obj, mask)
-    elif kind != "fp32":
-        obj = quant.quantize_model(obj, {"dynamic": "dynamic_int8", "mixed": "int8_mixed"}[kind])
+    if kind != "fp32" and kind != "pruned":
+        mode = {"dynamic": "dynamic_int8", "mixed": "int8_mixed"}[kind.removeprefix("pruned_")]
+        obj, mask = quant.quantize_model(obj, mode, mask=mask), None
     path = tmp_path / "m.sdcw"
     persist.save_model(obj, path, mask=mask)
     (handle, loaded_mask), peak = traced_peak(persist.load_model, path)
     assert peak <= _array_bytes(handle, loaded_mask) + 2**20
+
+
+def test_masked_record_is_read_in_pieces_into_its_places(tmp_path, traced_peak):
+    gen = stream(12, "persist-masked-read")
+    w = gen.normal(0, 1, (1024, 1024)).astype(np.float32)  # 2 MB of kept values
+    keep = gen.random(w.shape) < 0.5
+    w[~keep] = 0.0
+    path = tmp_path / "record.bin"
+    with open(path, "wb") as fh:
+        persist._write_payload(fh, persist.DT_F32_MASKED, w.shape, (w, keep.reshape(-1)))
+
+    def read():
+        with open(path, "rb") as fh:
+            return persist._read_payload(persist._Reader(fh, path), "w",
+                                         persist.DT_F32_MASKED, w.shape)
+
+    (again, mask), peak = traced_peak(read)
+    assert again.tobytes() == w.tobytes() and np.array_equal(mask, keep)
+    assert peak <= again.nbytes + mask.nbytes + 2**20
 
 
 def test_save_writes_a_dense_model_without_copying_its_records(tmp_path, traced_peak):
@@ -464,41 +640,71 @@ def test_invalid_header_rejected_at_load(tmp_path, at, value):
 HEADER_BYTES = 4 + 2 + 7 * 4 + 4 + 1 + 4 + 4
 
 
-def _layout(obj, mask=None) -> tuple[list[int], list[int]]:
-    """Record boundaries of obj's file, and the offsets of its structural
-    bytes: the header, each record's name length, name, tag, rank and shape,
-    and the counts in its payload (sparse nonzeros; int8 axis, scale count
-    and outlier count)."""
-    _, _, records = persist._records_for(obj, mask)
+def _layout(records) -> tuple[list[int], list[int]]:
+    """Record boundaries of a file of `records`, and the offsets of its
+    structural bytes: the header, each record's name length, name, tag, rank
+    and shape, the counts in its payload (sparse nonzeros; int8 axis, scale
+    count and outlier count; kept count) and its bitmap. A record's payload
+    is persist's, or its bytes."""
     bounds, fields, pos = [HEADER_BYTES], list(range(HEADER_BYTES)), HEADER_BYTES
     for name, tag, shape, payload in records:
         body = pos + 2 + len(name.encode("utf-8")) + 2 + 4 * len(shape)
         fields += range(pos, body)
+        end = body + (len(payload) if isinstance(payload, bytes)
+                      else persist._payload_bytes(tag, shape, payload))
         if tag == persist.DT_F32_SPARSE:
             fields += range(body, body + 8)
-        elif tag == persist.DT_INT8:
-            n_out_at = body + 5 + 4 * payload.scales.size
+        elif tag in (persist.DT_INT8, persist.DT_INT8_MASKED):
+            qt = payload[0] if tag == persist.DT_INT8_MASKED else payload
+            n_out_at = body + 5 + 4 * qt.scales.size
             fields += [*range(body, body + 5), *range(n_out_at, n_out_at + 4)]
-        pos = body + persist._payload_bytes(tag, shape, payload)
-        bounds.append(pos)
+        if tag == persist.DT_MASK:
+            fields += range(body, end)
+        elif tag in (persist.DT_F32_MASKED, persist.DT_INT8_MASKED):
+            keep = payload[1]
+            count_at = end - (4 if tag == persist.DT_F32_MASKED else 1) * keep.sum() - 8
+            fields += range(count_at - (keep.size + 7) // 8, count_at + 8)
+        bounds.append(end)
+        pos = end
     return bounds, fields
+
+
+def _desk_pruned():
+    """A desk model with two large ffn.w1 entries, pruned at 0.5 over its
+    prunable scope and head.bias (9 entries: its bitmap has pad bits), and
+    its mask."""
+    m = model.init_model(model.desk_config(), seed=4)
+    m.param("layers.0.ffn.w1").data[[3, 9], 0] = 7.0
+    dense = model.clone_model(m)
+    mask = prune.compute_mask(m, 0.5, scope=prune.prunable_names(m) + ["head.bias"])
+    prune.apply_mask(m, mask)
+    return dense, m, mask
 
 
 @pytest.fixture(scope="module")
 def desk_files(tmp_path_factory):
-    """A pruned desk model (dense, sparse and mask records) and its int8
-    mixed quantization (with outlier rows): {kind: (blob, layout)}."""
-    m = model.init_model(model.desk_config(), seed=4)
-    m.param("layers.0.ffn.w1").data[[3, 9], 0] = 7.0
-    qm = quant.quantize_model_int8_mixed(m, threshold=6.0)
-    mask = prune.compute_mask(m, 0.5)
-    prune.apply_mask(m, mask)
+    """Desk files of every record kind, {kind: (blob, layout, tags)}: a
+    pruned model as the version-1 writer made it (dense, sparse and mask
+    records) and as it is saved now (masked records), the int8 mixed
+    quantization of the unpruned model (with outlier rows), and of the
+    pruned one, which keeps its mask (int8 masked records; head.bias is
+    fp16, so its mask is a record of its own)."""
+    dense, m, mask = _desk_pruned()
+    qm = quant.quantize_model_int8_mixed(dense, threshold=6.0)
+    pruned_qm = quant.quantize_model_int8_mixed(m, threshold=6.0, mask=mask)
     out, root = {}, tmp_path_factory.mktemp("fuzz")
-    for kind, obj, obj_mask in (("pruned", m, mask), ("mixed", qm, None)):
+    path = root / "pruned_v1.sdcw"
+    save_v1(m, path, mask)
+    records = {"pruned_v1": records_v1(m, mask)}
+    for kind, obj, obj_mask in (("pruned", m, mask), ("mixed", qm, None),
+                                ("pruned_mixed", pruned_qm, None)):
         path = root / f"{kind}.sdcw"
         persist.save_model(obj, path, mask=obj_mask)
-        out[kind] = (path.read_bytes(), _layout(obj, obj_mask))
-    assert qm.linears["layers.0.ffn.w1"].weight.outlier_cols.size == 2
+        records[kind] = persist._records_for(obj, obj_mask)[2]
+    for kind, recs in records.items():
+        out[kind] = ((root / f"{kind}.sdcw").read_bytes(), _layout(recs), {r[1] for r in recs})
+    for handle in (qm, pruned_qm):
+        assert handle.linears["layers.0.ffn.w1"].weight.outlier_cols.size == 2
     return out, root
 
 
@@ -514,7 +720,7 @@ def _load_and_run(path) -> None:
 
 def test_desk_file_truncated_at_every_record_boundary_rejected(desk_files):
     files, root = desk_files
-    for kind, (blob, (bounds, _)) in files.items():
+    for kind, (blob, (bounds, _), _) in files.items():
         assert bounds[-1] == len(blob)
         for cut in [0, *bounds[:-1], len(blob) - 1]:
             path = root / f"cut-{kind}.sdcw"
@@ -523,12 +729,93 @@ def test_desk_file_truncated_at_every_record_boundary_rejected(desk_files):
                 persist.load_model(path)
 
 
+def _damaged_masked_record(path, how: str) -> None:
+    """Damage the masked record of the pruned desk file's head.bias, which
+    keeps 0 of its 9 entries, or cut the file inside layers.0.ffn.w1's kept
+    values."""
+    _, m, mask = _desk_pruned()
+    records = persist._records_for(m, mask)[2]
+    bounds, _ = _layout(records)
+    ends = {r[0]: (end, r) for r, end in zip(records, bounds[1:])}
+    blob = bytearray(path.read_bytes())
+    end, (_, tag, _, (_, keep)) = ends["head.bias"]
+    assert tag == persist.DT_F32_MASKED and not keep.any() and keep.size == 9
+    if how == "kept count is not the popcount":
+        blob[end - 8:end] = struct.pack("<Q", 1)
+    elif how == "set pad bits":
+        blob[end - 9] |= 0x01
+    elif how == "count past the end of the file":
+        end, (_, _, _, (_, keep)) = ends["layers.0.ffn.w1"]
+        blob = blob[:end - 4 * int(keep.sum()) // 2]
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("how", ["kept count is not the popcount", "set pad bits",
+                                 "count past the end of the file"])
+def test_damaged_masked_record_rejected(desk_files, how):
+    files, root = desk_files
+    path = root / "masked.sdcw"
+    path.write_bytes(files["pruned"][0])
+    persist.load_model(path)  # the undamaged file loads
+    _damaged_masked_record(path, how)
+    exc = _load_error(path)
+    assert {"kept count is not the popcount": "keeps 1 values, its bitmap 0",
+            "set pad bits": "'head.bias' has a bitmap with set pad bits",
+            "count past the end of the file": "truncated"}[how] in str(exc)
+
+
+DT_NAMES = sorted(n for n in vars(persist) if n.startswith("DT_"))
+
+
+def _record_of_each_kind() -> dict[int, tuple[tuple, bool]]:
+    """{dtype tag: (a record of that kind, whether its handle is quantized)}
+    over a pruned TINY model with and without its mask, and its two
+    quantizations, which keep the mask (head.bias is in scope)."""
+    m = _random_model(11)
+    mask = prune.compute_mask(m, 0.6, scope=prune.prunable_names(m) + ["head.bias"])
+    prune.apply_mask(m, mask)
+    out = {}
+    for obj, obj_mask in ((m, None), (m, mask), (quant.quantize_model_dynamic(m), None),
+                          (quant.quantize_model_int8_mixed(m, mask=mask), None)):
+        for record in persist._records_for(obj, obj_mask)[2]:
+            out.setdefault(record[1], (record, not isinstance(obj, model.EncoderModel)))
+    return out
+
+
+def _same_payload(a, b) -> bool:
+    if isinstance(a, tuple):
+        return _same_payload(a[0], b[0]) and np.array_equal(a[1].reshape(-1), b[1].reshape(-1))
+    if isinstance(a, quant.QuantizedTensor):
+        return all(np.array_equal(getattr(a, f).ravel(), getattr(b, f).ravel())
+                   for f in ("q", "scales", "outlier_cols", "outlier_values")) and a.axis == b.axis
+    return np.asarray(a, dtype=b.dtype).tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dt_name", DT_NAMES)
+def test_every_record_kind_is_sized_written_read_checked_and_fuzzed(tmp_path, desk_files, dt_name):
+    tag = getattr(persist, dt_name)
+    (name, _, shape, payload), quantized = _record_of_each_kind()[tag]  # a handle writes it
+    path = tmp_path / "record.bin"
+    with open(path, "wb") as fh:
+        persist._write_payload(fh, tag, shape, payload)
+    assert path.stat().st_size == persist._payload_bytes(tag, shape, payload)
+    with open(path, "rb") as fh:
+        reader = persist._Reader(fh, path)
+        again = persist._read_payload(reader, name, tag, shape)
+        assert reader.left == 0
+    want = payload.astype(np.float16) if tag == persist.DT_F16 else payload
+    assert _same_payload(want, again)
+    persist._check_record(path, name, tag, shape, TINY, quantized, persist.MASKED_VERSION)
+    files, _ = desk_files
+    assert any(tag in tags for _, _, tags in files.values())
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_damaged_desk_file_fails_only_with_persist_error(desk_files, data):
     files, root = desk_files
     kind = data.draw(st.sampled_from(sorted(files)))
-    blob, (_, fields) = files[kind]
+    blob, (_, fields), _ = files[kind]
     damaged = bytearray(blob)
     if data.draw(st.booleans()):
         damaged = damaged[:data.draw(st.integers(0, len(blob) - 1))]

@@ -193,6 +193,18 @@ def test_apply_mask_idempotent():
         np.testing.assert_array_equal(m.param(n).data, once[n])
 
 
+def test_apply_mask_leaves_positive_zeros_and_keeps_the_rest():
+    m = model.init_model(TINY, seed=6)
+    before = {n: p.data.copy() for n, p in m.params.items()}
+    mask = prune.compute_mask(m, 0.6)
+    prune.apply_mask(m, mask)
+    for n, bits in mask.masks.items():
+        w = m.param(n).data
+        assert np.signbit(before[n][bits == 0]).any()  # -w * 0 would give -0.0 here
+        assert not w[bits == 0].view(np.uint32).any()
+        assert w[bits == 1].tobytes() == before[n][bits == 1].tobytes()
+
+
 def test_apply_mask_shape_mismatch_names_tensor():
     m = model.init_model(TINY, seed=6)
     mask = prune.compute_mask(m, 0.4)

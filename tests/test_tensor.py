@@ -226,7 +226,7 @@ def test_kl_t2_scaling_of_value():
 
 
 # ---------------------------------------------------------------------------
-# GELU and embedding backward
+# GELU and row-gather backward
 
 def test_gelu_bitwise_equal_to_shared_kernel_and_reference():
     gen = stream(15, "gelu-bits")
@@ -263,7 +263,7 @@ def test_embedding_grad_adds_to_an_existing_grad():
     w = [gen.normal(0, 1, i.shape + (4,)).astype(np.float32) for i in ids]
 
     def backward_through(table, k):
-        T.backward(T.tsum(T.mul(T.embedding(table, ids[k]), tensor(w[k]))))
+        T.backward(T.tsum(T.mul(T.take_rows(table, ids[k]), tensor(w[k]))))
 
     both, first, second = (tensor(table_data, grad=True) for _ in range(3))
     backward_through(both, 0)
@@ -316,11 +316,11 @@ def _gradcheck_cases(gen):
         loss = T.kl_soft_targets(a, tensor(t), 3.0)
         return loss, a, lambda x: kl_soft64(x, t, 3.0)
 
-    def embedding_case():
+    def take_rows_case():
         table = tensor(gen.normal(0, 1, (7, 4)), grad=True)
         ids = np.array([[0, 3, 6, 3]])
         w = gen.normal(0, 1, (1, 4, 4)).astype(np.float32)
-        loss = T.tsum(T.mul(T.embedding(table, ids), tensor(w)))
+        loss = T.tsum(T.mul(T.take_rows(table, ids), tensor(w)))
         return loss, table, lambda x: float((x[ids] * w).sum())
 
     def rearrange_case():
@@ -333,7 +333,7 @@ def _gradcheck_cases(gen):
     return {
         "matmul": matmul_case, "softmax": softmax_case, "layer_norm": layer_norm_case,
         "gelu": gelu_case, "cross_entropy": ce_case, "kl_soft_targets": kl_case,
-        "embedding": embedding_case, "rearrange": rearrange_case,
+        "take_rows": take_rows_case, "rearrange": rearrange_case,
     }
 
 
@@ -354,7 +354,7 @@ def gradcheck_all_ops(seeds=range(5), tol=1e-3) -> dict:
 def test_gradcheck_suite_five_seeds():
     worst = gradcheck_all_ops()
     assert set(worst) == {"matmul", "softmax", "layer_norm", "gelu",
-                          "cross_entropy", "kl_soft_targets", "embedding", "rearrange"}
+                          "cross_entropy", "kl_soft_targets", "take_rows", "rearrange"}
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +491,7 @@ def test_adam_row_sparse_matches_dense_reference_bytewise():
         ids = None if support is None else np.array(support)
         grads = dict.fromkeys(params)
         if ids is not None:
-            T.backward(T.add(T.tsum(T.mul(T.embedding(table, ids), tensor(w[: ids.size]))),
+            T.backward(T.add(T.tsum(T.mul(T.take_rows(table, ids), tensor(w[: ids.size]))),
                              T.tsum(T.mul(dense, dense))))
             assert table.grad_rows.tolist() == sorted(set(support))
             grads = {n: p.grad.copy() for n, p in params.items()}
@@ -514,12 +514,12 @@ def test_adam_row_sparse_non_finite_leaves_state_untouched(bad):
     params = {"table": table}
     state = T.init_adam(params, learning_rate=1e-2)
     w = gen.normal(0, 1, (3, 8)).astype(np.float32)
-    T.backward(T.tsum(T.mul(T.embedding(table, np.array([4, 7, 20])), tensor(w))))
+    T.backward(T.tsum(T.mul(T.take_rows(table, np.array([4, 7, 20])), tensor(w))))
     T.adam_step(params, {"table": table.grad}, state)
     T.zero_grads(params)
     before = [table.data.copy(), state.m["table"].copy(), state.v["table"].copy(),
               state.rows["table"].copy()]
-    T.backward(T.tsum(T.mul(T.embedding(table, np.array([7, 25, 1])), tensor(w))))
+    T.backward(T.tsum(T.mul(T.take_rows(table, np.array([7, 25, 1])), tensor(w))))
     table.grad[25, 3] = bad
     with pytest.raises(NumericsError) as exc:
         T.adam_step(params, {"table": table.grad}, state)
@@ -538,7 +538,7 @@ def test_adam_dense_contribution_falls_back_for_good():
     w = gen.normal(0, 1, (3, 8)).astype(np.float32)
     extra = gen.normal(0, 1, (30, 8)).astype(np.float32)
     for step, ids in enumerate([[4, 7, 20], [7, 25, 1], [2, 2, 9], [20, 4, 1]], start=1):
-        T.backward(T.tsum(T.mul(T.embedding(table, np.array(ids)), tensor(w))))
+        T.backward(T.tsum(T.mul(T.take_rows(table, np.array(ids)), tensor(w))))
         if step == 2:
             T._accum(table, extra)  # a second, dense contribution
             assert table.grad_rows is None
@@ -555,12 +555,12 @@ def test_adam_dense_contribution_falls_back_for_good():
 def test_gradient_of_a_tied_table_is_dense():
     gen = stream(20, "tied-table")
     table = tensor(gen.normal(0, 1, (12, 4)), grad=True)
-    tok = T.embedding(table, np.array([[3, 5], [5, 0]]))
+    tok = T.take_rows(table, np.array([[3, 5], [5, 0]]))
     logits = T.matmul(T.reshape(tok, (4, 4)), T.transpose(table, (1, 0)))
     T.backward(T.cross_entropy(logits, np.array([1, 2, 3, 4])))
     assert table.grad_rows is None
     table.zero_grad()
-    T.backward(T.tsum(T.embedding(table, np.array([[3, 5], [5, 0]]))))
+    T.backward(T.tsum(T.take_rows(table, np.array([[3, 5], [5, 0]]))))
     assert table.grad_rows.tolist() == [0, 3, 5]
     table.zero_grad()
     assert table.grad is None and table.grad_rows is None
@@ -572,7 +572,7 @@ EVERY_OP_SHAPES = [(9, 6), (5, 6), (6,), (6,), (6, 8), (8,), (4, 8)]
 def _every_op_loss(leaves):
     """Backward through a loss that uses every tape op."""
     table, pos, gain, bias, w1, colscale, w2 = leaves
-    x = T.add(T.embedding(table, np.array([[1, 4, 4], [7, 1, 0]])), T.take_rows(pos, np.arange(3)))
+    x = T.add(T.take_rows(table, np.array([[1, 4, 4], [7, 1, 0]])), T.take_rows(pos, np.arange(3)))
     x = T.dropout(T.layer_norm(x, gain, bias), 0.25, stream(21, "every-op-dropout"))
     z = T.mul(T.gelu(T.matmul(T.reshape(x, (6, 6)), w1)), colscale)
     z3 = T.reshape(z, (2, 3, 8))
