@@ -64,8 +64,23 @@ def write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _file_reports(payload: dict) -> dict[str, dict]:
+    """The reports of the model files a run JSON describes one by one: each
+    quantized mode's ("modes.<mode>") and each distilled student's
+    ("cells.<artifact>", its `mode` the distillation mode)."""
+    if payload.get("subcommand") == "quantize":
+        return {f"modes.{mode}": {**entry["report"], "model_path": entry["model_path"]}
+                for mode, entry in payload["modes"].items()}
+    if payload.get("subcommand") == "distill":
+        return {f"cells.{cell['artifact']}": {**cell, "mode": payload["mode"]}
+                for cell in payload["cells"]}
+    return {}
+
+
 def aggregate_runs(reports: list[dict], seeds) -> dict:
-    """Per-metric mean and population std across seeds.
+    """Per-metric mean and population std across seeds: of every top-level
+    number, and of the f1 and model_bytes of every file report (as
+    "modes.<mode>.f1", "cells.<artifact>.model_bytes").
 
     Flags f1 std above 2 points as unstable; a single seed is flagged too.
     """
@@ -76,7 +91,9 @@ def aggregate_runs(reports: list[dict], seeds) -> dict:
         raise DataError(f"missing report for seed(s) {missing}")
     numeric: dict[str, list[float]] = {}
     for r in reports:
-        for k, v in r.items():
+        files = {f"{name}.{key}": rep[key]
+                 for name, rep in _file_reports(r).items() for key in ("f1", "model_bytes")}
+        for k, v in {**r, **files}.items():
             if isinstance(v, (int, float)) and not isinstance(v, bool) and k != "seed":
                 numeric.setdefault(k, []).append(float(v))
     full = {k: v for k, v in numeric.items() if len(v) == len(reports)}
@@ -339,14 +356,15 @@ def cmd_prune(cfg: ExperimentConfig) -> int:
 
     def run_one(seed: int) -> dict:
         model, vocab = _start_model(cfg, seed, train)
-        model, mask, trace = run_schedule(model, cfg.sparsity, schedule, train, vocab,
-                                          cfg.train_spec(), seed, cfg.entity_types)
+        model, mask, trace, ramp = run_schedule(model, cfg.sparsity, schedule, train, vocab,
+                                                cfg.train_spec(), seed, cfg.entity_types)
         path = out / f"pruned_p{cfg.sparsity:.2f}_{schedule.kind}_seed{seed}.sdcw"
         report = _save_and_report(model, path, vocab, _evaluator(cfg, eval_split, vocab),
                                   mask=mask)
         report.update({
             "subcommand": "prune", "prune_rate": cfg.sparsity,
             "schedule": schedule.kind, "pruned_params": mask.zeros(), "loss_trace": trace,
+            "sparsity_ramp": ramp,
         })
         return report
 
@@ -517,12 +535,11 @@ REPORT_COLUMNS = {
 
 
 def _report_rows(payload: dict) -> list[dict]:
-    """The rows a run JSON gives: one per quantized file for `quantize`,
-    else one for the run."""
-    if payload.get("subcommand") != "quantize":
-        return [payload]
-    return [{**entry["report"], "model_path": entry["model_path"], "seed": payload["seed"],
-             "subcommand": "quantize"} for entry in payload["modes"].values()]
+    """The rows a run JSON gives: one per file report (quantized modes,
+    distilled students), else one for the run."""
+    files = _file_reports(payload).values()
+    return [{**row, "seed": payload["seed"], "subcommand": payload["subcommand"]}
+            for row in files] or [payload]
 
 
 def cmd_report(cfg: ExperimentConfig) -> int:

@@ -134,6 +134,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         (cfg.max_seq_len >= 2, "max_seq_len", "must be >= 2"),
         (len(cfg.seeds) >= 1, "seeds", "must be non-empty"),
         (cfg.temperature >= 0, "temperature", "must be >= 0"),
+        (0.0 <= cfg.alpha_soft <= 1.0, "alpha_soft", "must be in [0, 1]"),
+        (0.0 < cfg.mlm_mask_rate <= 1.0, "mlm_mask_rate", "must be in (0, 1]"),
         (cfg.outlier_threshold > 0, "outlier_threshold", "must be > 0"),
         (cfg.mode in ("task_agnostic", "task_specific"), "mode",
          "must be task_agnostic or task_specific"),

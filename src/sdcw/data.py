@@ -19,6 +19,9 @@ DEFAULT_ENTITY_TYPES = ("PER", "ORG", "LOC", "DATE")
 PAD, UNK, MASK, BOS = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<mask>", "<s>")
 
+CORPUS_MIN_TOKENS = 11  # `preprocess_corpus` keeps lines of more tokens
+PRETRAIN_LINE_TOKENS = (12, 18)  # fewest and most tokens of a `synth_pretrain_corpus` line
+
 
 @dataclass
 class Sentence:
@@ -93,15 +96,15 @@ def _punct_only(line: str) -> bool:
     return bool(stripped) and not any(ch.isalnum() for ch in stripped)
 
 
-def preprocess_corpus(lines: Iterable[str], min_tokens: int = 11) -> list[str]:
-    """Drop empty lines, punctuation-only lines, and lines of <= min_tokens
-    whitespace tokens (a line must have *more than* min_tokens to survive)."""
+def preprocess_corpus(lines: Iterable[str]) -> list[str]:
+    """Drop empty lines, punctuation-only lines, and lines of at most
+    CORPUS_MIN_TOKENS whitespace tokens (a line must have *more* to survive)."""
     out = []
     for line in lines:
         line = line.rstrip("\n")
         if not line.strip() or _punct_only(line):
             continue
-        if len(line.split()) <= min_tokens:
+        if len(line.split()) <= CORPUS_MIN_TOKENS:
             continue
         out.append(line)
     return out
@@ -242,13 +245,10 @@ def synth_ner_corpus(
     seed: int,
     n_sentences: int,
     entity_types: Sequence[str] = DEFAULT_ENTITY_TYPES,
-    entity_mix: Sequence[float] | None = None,
 ) -> tuple[list[Sentence], list[Sentence], list[Sentence]]:
     """Template-generated NER corpus with disjoint surface vocabulary per
-    entity type, split 70/10/20 into train/dev/test. Deterministic per seed.
-
-    `entity_mix` weighs the entity types: one finite, non-negative weight
-    per type, not all zero."""
+    entity type, the types equally likely, split 70/10/20 into
+    train/dev/test. Deterministic per seed."""
     if n_sentences < 10:
         raise ParameterError(f"n_sentences must be >= 10, got {n_sentences}")
     if not entity_types:
@@ -256,19 +256,8 @@ def synth_ner_corpus(
     unknown = [t for t in entity_types if t not in _POOLS]
     if unknown:
         raise ParameterError(f"no surface pool for entity types {unknown}")
-    if entity_mix is None:
-        mix = np.full(len(entity_types), 1.0 / len(entity_types))
-    else:
-        mix = np.asarray(entity_mix, dtype=float)
-        with np.errstate(over="ignore"):
-            total = mix.sum() if mix.shape == (len(entity_types),) else np.nan
-        if not (np.all(np.isfinite(mix)) and np.all(mix >= 0) and 0 < total < np.inf):
-            raise ParameterError(f"entity_mix must hold one finite, non-negative weight per "
-                                 f"entity type, not all zero; got {mix.tolist()} for "
-                                 f"{len(entity_types)} types")
-        mix = mix / total
     gen = rng.stream(seed, "synth-ner")
-    types, mix_cdf = list(entity_types), _cdf(mix)
+    types, mix_cdf = list(entity_types), _cdf(np.full(len(entity_types), 1.0 / len(entity_types)))
     sentences = [_synth_sentence(gen, types, mix_cdf) for _ in range(n_sentences)]
     n_train = round(0.7 * n_sentences)
     n_dev = round(0.1 * n_sentences)
@@ -279,14 +268,15 @@ def synth_ner_corpus(
     )
 
 
-def synth_pretrain_corpus(seed: int, n_lines: int, min_tokens: int = 12, max_tokens: int = 18) -> list[str]:
+def synth_pretrain_corpus(seed: int, n_lines: int) -> list[str]:
     """Unlabeled synthetic text (entity surface forms mixed into filler text),
-    long enough to survive the >11-token corpus filter."""
+    each line long enough to survive `preprocess_corpus`."""
     gen = rng.stream(seed, "synth-pretrain")
     all_entities = [tok for pool in _POOLS.values() for tok in pool]
+    lo, hi = PRETRAIN_LINE_TOKENS
     lines = []
     for _ in range(n_lines):
-        n = int(gen.integers(min_tokens, max_tokens + 1))
+        n = int(gen.integers(lo, hi + 1))
         toks = []
         for _ in range(n):
             if gen.random() < 0.25:

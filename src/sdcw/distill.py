@@ -1,9 +1,9 @@
 """Knowledge distillation: task-agnostic (masked-LM) and task-specific (NER).
 
 Loss in both modes is alpha_soft * T^2-scaled KL against the teacher's
-softened distribution plus alpha_hard * cross-entropy against the hard
-target (true token / gold tag), computed on masked positions (agnostic) or
-non-padding tokens (specific). The published temperature settings are a
+softened distribution plus alpha_hard = 1 - alpha_soft times cross-entropy
+against the hard target (true token / gold tag), computed on masked
+positions (agnostic) or non-padding tokens (specific). The published temperature settings are a
 {2, 3, 6} grid for the agnostic mode and 8 for the specific mode.
 
 Both modes, and `pretrain_mlm`, train through `model.train_loop` like
@@ -42,7 +42,6 @@ class DistillSpec:
     mode: str  # "task_agnostic" | "task_specific"
     temperature: float | None = None
     alpha_soft: float = 0.5
-    alpha_hard: float = 0.5
     mlm_mask_rate: float = MLM_MASK_RATE
 
     def __post_init__(self) -> None:
@@ -52,8 +51,12 @@ class DistillSpec:
             self.temperature = default_temperature(self.mode)
         if self.temperature <= 0:
             raise ParameterError(f"temperature must be > 0, got {self.temperature}")
-        if self.alpha_soft < 0 or self.alpha_hard < 0:
-            raise ParameterError("loss weights must be non-negative")
+        if not 0.0 <= self.alpha_soft <= 1.0:
+            raise ParameterError(f"alpha_soft must be in [0, 1], got {self.alpha_soft}")
+
+    @property
+    def alpha_hard(self) -> float:
+        return 1.0 - self.alpha_soft
 
 
 def default_temperature(mode: str) -> float:
@@ -128,8 +131,7 @@ def _lines_to_sentences(lines) -> list[Sentence]:
 def pretrain_mlm(model: EncoderModel, lines, vocab: Vocabulary, tspec: TrainSpec,
                  seed: int, mask_rate: float = MLM_MASK_RATE) -> list[float]:
     """Plain masked-LM training (builds desk-scale teachers)."""
-    dspec = DistillSpec(mode="task_agnostic", alpha_soft=0.0, alpha_hard=1.0,
-                        mlm_mask_rate=mask_rate)
+    dspec = DistillSpec(mode="task_agnostic", alpha_soft=0.0, mlm_mask_rate=mask_rate)
     return distill_task_agnostic(None, model, lines, vocab, dspec, tspec, seed)
 
 
@@ -248,7 +250,7 @@ def distill_grid(teachers: dict[str, EncoderModel], mode: str, task_data, vocab:
     for name, (teacher, spec, temperature) in cells.items():
         trainee = student or init_student(teacher, spec, rng.derive(seed, name))
         dspec = DistillSpec(mode=mode, temperature=temperature, alpha_soft=alpha_soft,
-                            alpha_hard=1.0 - alpha_soft, mlm_mask_rate=mlm_mask_rate)
+                            mlm_mask_rate=mlm_mask_rate)
         if mode == "task_agnostic":
             trace = distill_task_agnostic(teacher, trainee, task_data, vocab, dspec, tspec, seed)
         else:

@@ -57,13 +57,12 @@ class EncoderConfig:
         return self.hidden_size // self.num_heads
 
 
-def desk_config(**overrides) -> EncoderConfig:
+def desk_config() -> EncoderConfig:
     """Tiny configuration used for tests and CI-scale experiments."""
-    cfg = EncoderConfig(
+    return EncoderConfig(
         num_layers=2, num_heads=2, hidden_size=64, ffn_size=256,
         vocab_size=2000, max_positions=64, num_classes=9, dropout=0.0,
     )
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 def reference_config(variant: str = "large", **overrides) -> EncoderConfig:
@@ -263,8 +262,7 @@ def embed(model: EncoderModel, token_ids, attention_mask, *, training: bool = Fa
 
 
 def apply_layer(model: EncoderModel, index: int, hidden, attention_mask, *,
-                training: bool = False, dropout_rng: np.random.Generator | None = None,
-                collect_attention: list | None = None):
+                training: bool = False, dropout_rng: np.random.Generator | None = None):
     """One post-LN encoder block over [b*s, H] hidden states."""
     c = model.config
     ops = model.kernel(training, dropout_rng)
@@ -279,8 +277,6 @@ def apply_layer(model: EncoderModel, index: int, hidden, attention_mask, *,
     k_t = ops.rearrange(k, (b, s, a, d), (0, 2, 3, 1), (b * a, d, s))
     scores = ops.scale(ops.attn_matmul(q, k_t), 1.0 / np.sqrt(d))
     probs = ops.softmax(ops.add(scores, ops.constant(attention_bias(mask, a))))
-    if collect_attention is not None:
-        collect_attention.append(probs)
     ctx = ops.rearrange(ops.attn_matmul(probs, v), (b, a, s, d), (0, 2, 1, 3), (b * s, h))
     attn_out = ops.dropout(ops.linear(ctx, f"{p}.attn.wo"))
     x = ops.layer_norm(ops.add(hidden, attn_out), f"{p}.attn_norm")
@@ -290,23 +286,20 @@ def apply_layer(model: EncoderModel, index: int, hidden, attention_mask, *,
 
 
 def forward_hidden(model: EncoderModel, token_ids, attention_mask, *, training: bool = False,
-                   dropout_rng: np.random.Generator | None = None,
-                   collect_attention: list | None = None):
+                   dropout_rng: np.random.Generator | None = None):
     """Final hidden states, flattened to [b*s, H]."""
     x = embed(model, token_ids, attention_mask, training=training, dropout_rng=dropout_rng)
     for i in range(model.config.num_layers):
-        x = apply_layer(model, i, x, attention_mask, training=training,
-                        dropout_rng=dropout_rng, collect_attention=collect_attention)
+        x = apply_layer(model, i, x, attention_mask, training=training, dropout_rng=dropout_rng)
     return x
 
 
 def forward(model: EncoderModel, token_ids, attention_mask, *, training: bool = False,
-            dropout_rng: np.random.Generator | None = None,
-            collect_attention: list | None = None):
+            dropout_rng: np.random.Generator | None = None):
     """Per-token class logits [b, s, num_classes]: a Tensor for an
     EncoderModel, an array for a quantized handle."""
     x = forward_hidden(model, token_ids, attention_mask, training=training,
-                       dropout_rng=dropout_rng, collect_attention=collect_attention)
+                       dropout_rng=dropout_rng)
     ops = model.kernel(training, dropout_rng)
     b, s = np.shape(token_ids)
     return ops.reshape(ops.linear(x, "head.weight"), (b, s, model.config.num_classes))
@@ -337,15 +330,14 @@ class TrainSpec:
             raise ParameterError("seeds must be non-empty")
 
 
-def desk_train_spec(**overrides) -> TrainSpec:
+def desk_train_spec() -> TrainSpec:
     """Desk-scale override of the published recipe (full recipe: 5e-5/16/164/50).
 
     15 epochs at lr 1.5e-3 trains the desk model to >=0.95 span F1 on the
     synthetic corpus in a few seconds; 5 epochs is not enough to learn span
     boundaries reliably.
     """
-    spec = TrainSpec(learning_rate=1.5e-3, batch_size=16, max_seq_len=32, epochs=15)
-    return replace(spec, **overrides) if overrides else spec
+    return TrainSpec(learning_rate=1.5e-3, batch_size=16, max_seq_len=32, epochs=15)
 
 
 def train_loop(model: EncoderModel, spec: TrainSpec, sentences, vocab: Vocabulary, seed: int,

@@ -443,7 +443,7 @@ def load_model(path) -> tuple[EncoderModel | QuantizedModel, PruneMask | None]:
     names = param_names(config)
     if set(tensors) != set(names) or not set(masks) <= set(names):
         raise PersistError(f"'{path}' records do not match its config")
-    mask = PruneMask(masks, 0.0, 0.0) if masks else None
+    mask = PruneMask(masks) if masks else None
     if mode == "none":
         params = {n: Tensor(tensors[n], requires_grad=True, name=n) for n in names}
         return EncoderModel(config, params), mask

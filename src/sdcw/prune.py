@@ -2,10 +2,9 @@
 
 A binary mask keeps weight (i, j) iff |W_ij| >= t. Exactly k = round(p * N)
 weights are zeroed for target sparsity p, with ties at the threshold broken
-by (tensor name, flat index) order; t is reported as the smallest kept
-magnitude. The prunable scope is every attention and feed-forward weight
-matrix; embeddings, biases, layer norms, and the classifier head are kept
-dense.
+by (tensor name, flat index) order. The prunable scope is every attention
+and feed-forward weight matrix; embeddings, biases, layer norms, and the
+classifier head are kept dense.
 """
 from __future__ import annotations
 
@@ -43,11 +42,9 @@ def sparsity_sweep_counts(total: int = REFERENCE_PRUNABLE_TOTAL,
 
 @dataclass
 class PruneMask:
-    """Per-tensor {0,1} masks plus the global threshold that produced them."""
+    """Per-tensor {0,1} masks, 0 where a weight is pruned."""
 
     masks: dict[str, np.ndarray]
-    threshold: float
-    target_sparsity: float
 
     def zeros(self) -> int:
         return int(sum(int(m.size - m.sum()) for m in self.masks.values()))
@@ -81,19 +78,17 @@ def prunable_names(model: EncoderModel) -> list[str]:
     return [n for n in model.params if n.endswith(_PRUNABLE_SUFFIXES)]
 
 
-def compute_mask(model: EncoderModel, p: float, scope: list[str] | None = None) -> PruneMask:
+def compute_mask(model: EncoderModel, p: float) -> PruneMask:
     """Global-threshold mask zeroing exactly k = round(p * N) in-scope weights.
 
     The pruned weights are the first k in (magnitude, flat index) order over
     the concatenated scope, as a stable sort would give, selected without a
     sort: with v the k-th smallest magnitude, every magnitude below v is
-    pruned, then the ties at v in ascending index until k are pruned. The
-    threshold is the smallest kept magnitude (v if a tie at v is kept), v
-    when k = N, and 0 when k = 0.
+    pruned, then the ties at v in ascending index until k are pruned.
     """
     if not 0.0 <= p <= 0.99:
         raise ParameterError(f"sparsity must be in [0, 0.99], got {p}")
-    names = scope if scope is not None else prunable_names(model)
+    names = prunable_names(model)
     if not names:
         raise ParameterError("prunable scope is empty")
     mags = np.concatenate([np.abs(model.param(n).data.reshape(-1)) for n in names])
@@ -109,18 +104,16 @@ def compute_mask(model: EncoderModel, p: float, scope: list[str] | None = None) 
         # at least one tie is pruned, since fewer than k magnitudes are below v
         n_pruned_ties = k - (mags.size - np.count_nonzero(keep) - ties.size)
         keep[ties[n_pruned_ties:]] = True
-        threshold = float(v if k == mags.size else np.min(mags, where=keep, initial=np.inf))
         keep_flat = keep.view(np.uint8)
     else:
         keep_flat = np.ones(mags.size, dtype=np.uint8)
-        threshold = 0.0
     masks: dict[str, np.ndarray] = {}
     offset = 0
     for n in names:
         size = model.param(n).size
         masks[n] = keep_flat[offset : offset + size].reshape(model.param(n).shape)
         offset += size
-    return PruneMask(masks, threshold, float(p))
+    return PruneMask(masks)
 
 
 def apply_mask(model: EncoderModel, mask: PruneMask) -> EncoderModel:
@@ -133,10 +126,10 @@ def apply_mask(model: EncoderModel, mask: PruneMask) -> EncoderModel:
     return model
 
 
-def measure_sparsity(model: EncoderModel, scope: list[str] | None = None) -> float:
-    names = scope if scope is not None else prunable_names(model)
+def measure_sparsity(model: EncoderModel) -> float:
+    names = prunable_names(model)
     if not names:
-        raise ParameterError("scope is empty")
+        raise ParameterError("prunable scope is empty")
     total = sum(model.param(n).size for n in names)
     zeros = sum(int(np.count_nonzero(model.param(n).data == 0.0)) for n in names)
     return zeros / total
@@ -159,10 +152,11 @@ def cubic_ramp(p_final: float, tau: float) -> float:
 
 
 def gradual_prune_finetune(model, p_final: float, schedule: PruneSchedule, sentences, vocab,
-                           spec: TrainSpec, seed: int, entity_types=None,
-                           sparsity_log: list[float] | None = None) -> tuple[PruneMask, list[float]]:
+                           spec: TrainSpec, seed: int,
+                           entity_types=None) -> tuple[PruneMask, list[float], list[float]]:
     """The "during" arm: cubic sparsity ramp with the mask recomputed at each
-    ramp step and enforced thereafter. Returns the final mask and loss trace."""
+    ramp step and enforced thereafter. Returns the final mask, the loss
+    trace, and the ramp: the sparsity measured after each ramp step."""
     schedule.validate()
     if schedule.kind != "during":
         raise ParameterError(f"gradual_prune_finetune needs a during-schedule, got '{schedule.kind}'")
@@ -175,15 +169,15 @@ def gradual_prune_finetune(model, p_final: float, schedule: PruneSchedule, sente
         window_start + int(np.floor(j * window_len / schedule.steps)): (j + 1) / schedule.steps
         for j in range(schedule.steps)
     }
-    current: dict[str, PruneMask | None] = {"mask": None}
+    current = {"mask": None, "tau": 0.0}  # the last ramp step's mask and tau
+    ramp: list[float] = []
 
     def pre_step(step: int) -> None:
         tau = ramp_at.get(step)
         if tau is not None:
-            current["mask"] = compute_mask(model, cubic_ramp(p_final, tau))
+            current.update(mask=compute_mask(model, cubic_ramp(p_final, tau)), tau=tau)
             apply_mask(model, current["mask"])
-            if sparsity_log is not None:
-                sparsity_log.append(measure_sparsity(model))
+            ramp.append(measure_sparsity(model))
 
     def post_step(step: int) -> None:
         if current["mask"] is not None:
@@ -191,31 +185,33 @@ def gradual_prune_finetune(model, p_final: float, schedule: PruneSchedule, sente
 
     trace = finetune(model, sentences, vocab, spec, seed, entity_types=entity_types,
                      pre_step=pre_step, post_step=post_step)
-    if current["mask"] is None or current["mask"].target_sparsity != p_final:
+    if current["tau"] != 1.0:
         # training window shorter than the schedule: finish the ramp
         current["mask"] = compute_mask(model, p_final)
         apply_mask(model, current["mask"])
-    return current["mask"], trace
+    return current["mask"], trace, ramp
 
 
 def run_schedule(model, p: float, schedule: PruneSchedule, sentences, vocab, spec: TrainSpec,
-                 seed: int, entity_types=None) -> tuple[EncoderModel, PruneMask, list[float]]:
+                 seed: int, entity_types=None,
+                 ) -> tuple[EncoderModel, PruneMask, list[float], list[float]]:
     """Compose the three arms:
 
     before: compute mask on the incoming model -> masked fine-tune.
     after:  fine-tune dense -> compute mask -> apply (no retraining).
     during: gradual ramp while fine-tuning.
-    """
+
+    Returns the model, its mask, the loss trace and the sparsity ramp
+    (empty for before and after)."""
     schedule.validate()
+    if schedule.kind == "during":
+        return model, *gradual_prune_finetune(model, p, schedule, sentences, vocab, spec, seed,
+                                              entity_types)
     if schedule.kind == "before":
         mask = compute_mask(model, p)
         trace = masked_finetune(model, mask, sentences, vocab, spec, seed, entity_types)
-    elif schedule.kind == "after":
+    else:
         trace = finetune(model, sentences, vocab, spec, seed, entity_types=entity_types)
         mask = compute_mask(model, p)
         apply_mask(model, mask)
-    else:
-        mask, trace = gradual_prune_finetune(
-            model, p, schedule, sentences, vocab, spec, seed, entity_types
-        )
-    return model, mask, trace
+    return model, mask, trace, []

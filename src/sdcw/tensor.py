@@ -106,9 +106,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, name=self.name)
-
     def zero_grad(self) -> None:
         self.grad = None
         self.grad_rows = None
@@ -366,14 +363,12 @@ def gelu(a: Tensor) -> Tensor:
     return _from_op(data, (a,), bwd, "gelu")
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax along `axis`; slices sum to 1 within 1e-6."""
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    y = _softmax_np(a.data, axis)
+def softmax(a: Tensor) -> Tensor:
+    """Max-subtracted softmax along the last axis; rows sum to 1 within 1e-6."""
+    y = _softmax_np(a.data, -1)
 
     def bwd(g: Array) -> None:
-        dot = np.sum(g * y, axis=axis, keepdims=True)
+        dot = np.sum(g * y, axis=-1, keepdims=True)
         _accum(a, y * (g - dot), fresh=True)
 
     return _from_op(y, (a,), bwd, "softmax")
@@ -422,10 +417,10 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 IGNORE_INDEX = -100
 
 
-def cross_entropy(logits: Tensor, labels, ignore_index: int = IGNORE_INDEX) -> Tensor:
+def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log-probability over non-ignored rows of [n, c] logits.
 
-    Every position with label == ignore_index is excluded; if all positions
+    Every position with label == IGNORE_INDEX is excluded; if all positions
     are ignored the loss is exactly 0 with zero gradient.
     """
     if logits.ndim != 2:
@@ -434,7 +429,7 @@ def cross_entropy(logits: Tensor, labels, ignore_index: int = IGNORE_INDEX) -> T
     n, c = logits.shape
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match {n} logit rows")
-    live = labels != ignore_index
+    live = labels != IGNORE_INDEX
     bad = live & ((labels < 0) | (labels >= c))
     if np.any(bad):
         pos = int(np.argwhere(bad)[0][0])
@@ -488,26 +483,27 @@ def kl_soft_targets(student_logits: Tensor, teacher_logits: Tensor, temperature:
 # ---------------------------------------------------------------------------
 # Adam
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus shared hyperparameters.
+    """Per-parameter first/second moments, the learning rate and the step
+    count; the betas and eps are ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
     `rows[name]` holds the sorted rows of a parameter whose moments may be
     non-zero while it is updated row-sparsely; a dense update drops the entry.
     """
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: dict[str, Array] = field(default_factory=dict)
-    v: dict[str, Array] = field(default_factory=dict)
-    rows: dict[str, Array] = field(default_factory=dict)
+    step: int = field(default=0, init=False)
+    m: dict[str, Array] = field(default_factory=dict, init=False)
+    v: dict[str, Array] = field(default_factory=dict, init=False)
+    rows: dict[str, Array] = field(default_factory=dict, init=False)
 
 
-def init_adam(params: dict[str, Tensor], learning_rate: float, **kwargs) -> AdamState:
-    state = AdamState(learning_rate=learning_rate, **kwargs)
+def init_adam(params: dict[str, Tensor], learning_rate: float) -> AdamState:
+    state = AdamState(learning_rate)
     for name, p in params.items():
         state.m[name] = np.zeros(p.data.shape, dtype=np.float32)
         state.v[name] = np.zeros(p.data.shape, dtype=np.float32)
@@ -548,12 +544,12 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Array | None], state: 
     """
     state.step += 1
     t = state.step
-    b1, b2 = np.float32(state.beta1), np.float32(state.beta2)
+    b1, b2 = np.float32(ADAM_BETA1), np.float32(ADAM_BETA2)
     a1, a2 = 1.0 - b1, 1.0 - b2
-    c1 = np.float32(1.0 - state.beta1**t)
-    c2 = np.float32(1.0 - state.beta2**t)
+    c1 = np.float32(1.0 - ADAM_BETA1**t)
+    c2 = np.float32(1.0 - ADAM_BETA2**t)
     lr = np.float32(state.learning_rate)
-    eps = np.float32(state.eps)
+    eps = np.float32(ADAM_EPS)
     num, den = np.empty(ADAM_CHUNK, dtype=np.float32), np.empty(ADAM_CHUNK, dtype=np.float32)
     ok = np.empty(ADAM_CHUNK, dtype=bool)
     zeros = None

@@ -369,18 +369,13 @@ def compute_mask_sorted(model: EncoderModel, p: float, scope: list[str] | None =
     if k > 0:
         order = np.argsort(mags, kind="stable")
         keep_flat[order[:k]] = 0
-        # smallest kept magnitude, so |w| >= t holds for every kept weight
-        # and fails for every pruned one except ties resolved by index order
-        threshold = float(mags[order[k]]) if k < mags.size else float(mags[order[-1]])
-    else:
-        threshold = 0.0
     masks: dict[str, np.ndarray] = {}
     offset = 0
     for n in names:
         size = model.param(n).size
         masks[n] = keep_flat[offset : offset + size].reshape(model.param(n).shape)
         offset += size
-    return PruneMask(masks, threshold, float(p))
+    return PruneMask(masks)
 
 
 def truncated_normal_rescan(
@@ -424,7 +419,6 @@ def synth_ner_corpus_choice(
     seed: int,
     n_sentences: int,
     entity_types: Sequence[str] = data.DEFAULT_ENTITY_TYPES,
-    entity_mix: Sequence[float] | None = None,
 ) -> tuple[list[data.Sentence], list[data.Sentence], list[data.Sentence]]:
     """Template-generated NER corpus with disjoint surface vocabulary per
     entity type, split 70/10/20 into train/dev/test. Deterministic per seed."""
@@ -433,11 +427,7 @@ def synth_ner_corpus_choice(
     unknown = [t for t in entity_types if t not in data._POOLS]
     if unknown:
         raise ParameterError(f"no surface pool for entity types {unknown}")
-    if entity_mix is None:
-        mix = np.full(len(entity_types), 1.0 / len(entity_types))
-    else:
-        mix = np.asarray(entity_mix, dtype=float)
-        mix = mix / mix.sum()
+    mix = np.full(len(entity_types), 1.0 / len(entity_types))
     gen = rng.stream(seed, "synth-ner")
     sentences = [_synth_sentence_choice(gen, list(entity_types), mix) for _ in range(n_sentences)]
     n_train = round(0.7 * n_sentences)
@@ -449,14 +439,14 @@ def synth_ner_corpus_choice(
     )
 
 
-def synth_pretrain_corpus_choice(seed: int, n_lines: int, min_tokens: int = 12, max_tokens: int = 18) -> list[str]:
+def synth_pretrain_corpus_choice(seed: int, n_lines: int) -> list[str]:
     """Unlabeled synthetic text (entity surface forms mixed into filler text),
-    long enough to survive the >11-token corpus filter."""
+    12 to 18 tokens a line, long enough to survive the >11-token corpus filter."""
     gen = rng.stream(seed, "synth-pretrain")
     all_entities = [tok for pool in data._POOLS.values() for tok in pool]
     lines = []
     for _ in range(n_lines):
-        n = int(gen.integers(min_tokens, max_tokens + 1))
+        n = int(gen.integers(12, 18 + 1))
         toks = []
         for _ in range(n):
             if gen.random() < 0.25:

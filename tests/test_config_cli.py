@@ -104,24 +104,53 @@ CALLED_ONLY_BY_TESTS = {
     "count_params_config": "the published-size and compression-band tests count from configs",
     "mul": "acceptance criterion 6 builds its weighted losses from it",
     "tsum": "acceptance criterion 6 builds its weighted losses from it",
+    "QuantizedTensor.dequant": "acceptance criterion 3 bounds the int8 round-trip error with it",
 }
 
 
-def test_every_public_function_is_used_by_the_program_or_the_benchmark():
-    """A public module-level function of sdcw whose name appears nowhere in
-    `src/` or in the benchmark's modules (`perfbench/*.py`, its tests aside),
-    other than in its own definition, is library code only tests call:
-    static guard against dead code."""
+def _program_files() -> list[Path]:
+    """sdcw's modules, then the benchmark's (`perfbench/*.py`, its tests aside)."""
     src = Path(cli.__file__).parent
+    return sorted(src.glob("*.py")) + sorted((src.parents[1] / "perfbench").glob("*.py"))
+
+
+def _is_sdcw(path: Path) -> bool:
+    return path.parent == Path(cli.__file__).parent
+
+
+def _public_callables(tree: ast.Module):
+    """(name, qualified name, def) of every public module-level function and
+    public method of a public class; a class's `__init__` is named by the
+    class, and a dataclass without one gets its class node as the def."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            methods = [fn for fn in node.body if isinstance(fn, ast.FunctionDef)]
+            if not any(fn.name == "__init__" for fn in methods) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                yield node.name, node.name, node
+            for fn in methods:
+                if fn.name == "__init__":
+                    yield node.name, node.name, fn
+                elif not fn.name.startswith("_"):
+                    yield fn.name, f"{node.name}.{fn.name}", fn
+
+
+def test_every_public_function_is_used_by_the_program_or_the_benchmark():
+    """A public module-level function of sdcw, or a public method of an sdcw
+    class, whose name appears nowhere in `src/` or in the benchmark's modules
+    other than in its own definition is library code only tests call:
+    static guard against dead code."""
     public, used = {}, set()
-    for path in sorted(src.glob("*.py")) + sorted((src.parents[1] / "perfbench").glob("*.py")):
+    for path in _program_files():
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        owner = {}  # node id -> the module-level function it lies in
-        for fn in tree.body:
-            if isinstance(fn, ast.FunctionDef):
-                if path.parent == src and not fn.name.startswith("_"):
-                    public[fn.name] = path.name
-                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        owner = {}  # node id -> the public callable it lies in
+        for name, qualified, fn in _public_callables(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name != "__init__":
+                if _is_sdcw(path):
+                    public[qualified] = path.name
+                owner.update((id(node), name) for node in ast.walk(fn))
         for node in ast.walk(tree):
             name = (node.id if isinstance(node, ast.Name) else
                     node.attr if isinstance(node, ast.Attribute) else
@@ -130,8 +159,103 @@ def test_every_public_function_is_used_by_the_program_or_the_benchmark():
                 used.add(name)
     assert set(CALLED_ONLY_BY_TESTS) <= set(public)
     dead = {name: module for name, module in public.items()
-            if name not in used and name not in CALLED_ONLY_BY_TESTS}
+            if name.rsplit(".", 1)[-1] not in used and name not in CALLED_ONLY_BY_TESTS}
     assert dead == {}
+
+
+# defaulted parameters kept although no call of the program or the benchmark sets them
+SET_ONLY_BY_TESTS = {
+    "truncated_normal(clip_sigmas=)":
+        "the redraw test narrows the bound to force many redraw rounds",
+}
+
+
+def _signature(fn: ast.FunctionDef | ast.ClassDef):
+    """(positional parameters, defaulted parameters, names taken by keyword)
+    of a callable as its callers see it: a method without its `self`, a
+    dataclass as its `__init__` (the annotated fields `__init__` takes, in
+    order). `*args` and `**kwargs` count as defaulted, named with their stars."""
+    if isinstance(fn, ast.ClassDef):
+        fields = [(node.target.id, node.value is not None) for node in fn.body
+                  if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                  and "init=False" not in ast.unparse(node)]
+        names = [name for name, _ in fields]
+        return names, {name for name, has_default in fields if has_default}, set(names)
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = set(positional[len(positional) - len(args.defaults):])
+    defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+    if args.vararg:
+        defaulted.add("*" + args.vararg.arg)
+    if args.kwarg:
+        defaulted.add("**" + args.kwarg.arg)
+    if positional[:1] in (["self"], ["cls"]):
+        positional = positional[1:]
+    return positional, defaulted, set(positional) | {a.arg for a in args.kwonlyargs}
+
+
+def _parameters_set(call: ast.Call, positional: list[str], defaulted: set[str],
+                    keywords: set[str]) -> set[str]:
+    """The defaulted parameters a call passes, by position, by keyword, or
+    through a `*` or `**` argument (which may fill any of them)."""
+    varargs = {p for p in defaulted if p.startswith("*") and not p.startswith("**")}
+    varkw = {p for p in defaulted if p.startswith("**")}
+    out = set()
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return set(defaulted)
+        out |= {positional[i]} if i < len(positional) else varargs
+    for kw in call.keywords:
+        if kw.arg is None:
+            return set(defaulted)
+        out |= {kw.arg} if kw.arg in keywords else varkw
+    return out & defaulted
+
+
+def _knob(qualified: str, param: str) -> str:
+    return f"{qualified}({param})" if param.startswith("*") else f"{qualified}({param}=)"
+
+
+def test_every_defaulted_parameter_is_set_by_the_program_or_the_benchmark():
+    """A defaulted parameter of a public sdcw function or method (a
+    dataclass field included) that no call in `src/` or `perfbench/*.py`
+    passes is a knob only tests turn: static guard against dead options.
+    Calls are matched by the called name, through `from .x import y as z`
+    aliases; calling a class calls its `__init__`. A dataclass field is also
+    set by an assignment to an attribute of its name, other than `self.<name>`."""
+    trees = [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in _program_files()]
+    signatures: dict[str, list] = {}  # called name -> [(qualified name, signature)]
+    fields: dict[str, set[str]] = {}  # field name -> the dataclasses that have it
+    for path, tree in trees:
+        for name, qualified, fn in _public_callables(tree) if _is_sdcw(path) else ():
+            if qualified not in CALLED_ONLY_BY_TESTS:
+                signatures.setdefault(name, []).append((qualified, _signature(fn)))
+            if isinstance(fn, ast.ClassDef):
+                for field in _signature(fn)[0]:
+                    fields.setdefault(field, set()).add(qualified)
+    # its fields are the config keys: `parse_config` sets them through
+    # `dataclasses.replace`, and the config-key guard above checks each is read
+    del signatures["ExperimentConfig"]
+    defaulted = {_knob(q, p) for named in signatures.values() for q, (_, params, _) in named
+                 for p in params}
+    passed = set()
+    for _, tree in trees:
+        aliases = {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   for a in node.names if a.asname}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (aliases.get(func.id, func.id) if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                passed |= {_knob(q, p) for q, signature in signatures.get(name, ())
+                           for p in _parameters_set(node, *signature)}
+            elif isinstance(node, ast.Assign):
+                passed |= {_knob(q, target.attr) for target in node.targets
+                           if isinstance(target, ast.Attribute)
+                           and not (isinstance(target.value, ast.Name) and target.value.id == "self")
+                           for q in fields.get(target.attr, ())}
+    assert set(SET_ONLY_BY_TESTS) <= defaulted
+    assert sorted(defaulted - passed - set(SET_ONLY_BY_TESTS)) == []
 
 
 def test_both_kernels_define_exactly_the_ops_the_encoder_calls():
@@ -211,6 +335,35 @@ def test_aggregate_single_seed_warns():
     agg = cli.aggregate_runs([{"seed": 1, "f1": 0.9}], (1,))
     assert agg["std"]["f1"] == 0.0
     assert "single_seed" in agg["flags"]
+
+
+def test_aggregate_gives_each_quantized_mode_and_student_cell_a_mean_and_std():
+    def quantize(seed, f1, sizes):
+        return {"seed": seed, "subcommand": "quantize", "f1": 0.9, "modes": {
+            mode: {"report": {"f1": f, "model_bytes": n}, "model_bytes": n,
+                   "model_path": f"quantized_{mode}_seed{seed}.sdcw"}
+            for mode, f, n in zip(("dynamic", "mixed"), f1, sizes)}}
+
+    agg = cli.aggregate_runs([quantize(1, (0.8, 0.6), (100, 50)),
+                              quantize(3, (0.9, 0.6), (100, 70))], (1, 3))
+    assert agg["mean"]["f1"] == 0.9  # the baseline's
+    assert agg["mean"]["modes.dynamic.f1"] == pytest.approx(0.85)
+    assert agg["std"]["modes.dynamic.f1"] == pytest.approx(0.05)
+    assert (agg["mean"]["modes.mixed.f1"], agg["std"]["modes.mixed.f1"]) == (0.6, 0.0)
+    assert (agg["mean"]["modes.mixed.model_bytes"], agg["std"]["modes.mixed.model_bytes"]) \
+        == (60.0, 10.0)
+
+    def distill(seed, f1):
+        return {"seed": seed, "subcommand": "distill", "mode": "task_specific", "f1": max(f1),
+                "cells": [
+            {"artifact": name, "f1": f, "model_bytes": 1000 + i}
+            for i, (name, f) in enumerate(zip(("L1_A1", "L1_A2"), f1))]}
+
+    agg = cli.aggregate_runs([distill(1, (0.5, 0.7)), distill(3, (0.7, 0.7))], (1, 3))
+    assert agg["mean"]["cells.L1_A1.f1"] == pytest.approx(0.6)
+    assert agg["std"]["cells.L1_A1.f1"] == pytest.approx(0.1)
+    assert agg["mean"]["cells.L1_A2.model_bytes"] == 1001.0
+    assert agg["std"]["cells.L1_A2.f1"] == 0.0
 
 
 def test_aggregate_missing_seed_errors():
@@ -296,6 +449,7 @@ def test_prune_cli_before_schedule(workspace, tmp_path):
     rep = json.loads((out / "prune_desk_p0.50-before_seed1.json").read_text())
     assert rep["prune_rate"] == 0.5
     assert rep["pruned_params"] > 0
+    assert rep["sparsity_ramp"] == []
     model_path = out / "pruned_p0.50_before_seed1.sdcw"
     handle, mask = persist.load_model(model_path)
     assert mask is not None and mask.zeros() == rep["pruned_params"]
@@ -315,6 +469,30 @@ def test_quantize_cli_both_modes(workspace, tmp_path):
         assert (out / f"quantized_{mode}_seed1.sdcw").exists()
     handle, _ = persist.load_model(out / "quantized_mixed_seed1.sdcw")
     assert handle.mode == "int8_mixed"
+    agg = json.loads((out / "quantize_desk_both_agg.json").read_text())
+    for mode in ("dynamic", "mixed"):
+        for key in ("f1", "model_bytes"):
+            assert agg["mean"][f"modes.{mode}.{key}"] == rep["modes"][mode]["report"][key]
+            assert agg["std"][f"modes.{mode}.{key}"] == 0.0
+
+
+@pytest.mark.parametrize("sub, key, value", [("pretrain", "mlm_mask_rate", "0"),
+                                             ("pretrain", "mlm_mask_rate", "1.5"),
+                                             ("distill", "alpha_soft", "1.5"),
+                                             ("distill", "alpha_soft", "-0.1")])
+def test_loss_weight_and_mask_rate_out_of_range_fail_before_any_work(workspace, tmp_path,
+                                                                     monkeypatch, capsys,
+                                                                     sub, key, value):
+    root, data_dir, ft_dir, base = workspace
+    loaded = []
+    monkeypatch.setattr(cli, "load_model", lambda path: loaded.append(path))
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path / "c.cfg",
+                     base + f"out_dir={out}\nepochs=1\ncorpus={data_dir}/corpus.txt\n"
+                     f"mode=task_specific\nteacher={ft_dir}/finetune_seed{{seed}}.sdcw\n")
+    assert cli.run_cli([sub, cfg, "--set", f"{key}={value}"]) == 2
+    assert f"'{key}' must be in" in capsys.readouterr().err
+    assert loaded == [] and not out.exists()
 
 
 def test_eval_cli_on_quantized_file(workspace, tmp_path):
@@ -362,6 +540,32 @@ def test_distill_cli_task_specific(workspace, tmp_path):
     assert cell["temperature"] == 8.0
     assert cell["params"] < cell["teacher_params"]
     assert (out / cell["model_path"]).exists()
+
+
+def test_distill_report_gives_a_row_per_student_file(workspace, tmp_path):
+    root, data_dir, ft_dir, base = workspace
+    out = tmp_path / "kd"
+    cfg = _write_cfg(tmp_path / "kd.cfg",
+                     base + f"out_dir={out}\nepochs=1\nmode=task_specific\n"
+                     f"teacher={ft_dir}/finetune_seed{{seed}}.sdcw\n"
+                     f"student_layers=1\nstudent_heads=1,2\n")
+    assert cli.run_cli(["distill", cfg]) == 0
+    cells = json.loads((out / "distill_desk_task_specific-T8_seed1.json").read_text())["cells"]
+    assert len(cells) == 2
+    agg = json.loads((out / "distill_desk_task_specific-T8_agg.json").read_text())
+    rep = tmp_path / "rep"
+    cfg = _write_cfg(tmp_path / "rep.cfg", f"dataset={out}\nout_dir={rep}\n")
+    assert cli.run_cli(["report", cfg]) == 0
+    with open(rep / "report.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(cells)
+    for row, cell in zip(rows, cells):
+        assert (row["subcommand"], row["mode"], row["seed"]) == ("distill", "task_specific", "1")
+        assert (row["f1"], row["model_path"]) == (str(cell["f1"]), cell["model_path"])
+        assert row["dataset"] == cell["dataset_id"] != ""
+        assert int(row["model_bytes"]) == (out / row["model_path"]).stat().st_size
+        for key in ("f1", "model_bytes"):
+            assert agg["mean"][f"cells.{cell['artifact']}.{key}"] == cell[key]
 
 
 def test_transfer_cli_finetunes_loaded_model(workspace, tmp_path):
@@ -567,6 +771,10 @@ def test_prune_cli_during_schedule(workspace, tmp_path):
     from sdcw import prune as prune_mod
     total = sum(handle.param(n).size for n in prune_mod.prunable_names(handle))
     assert mask.zeros() == prune_mod.pruned_count(0.6, total)
+    # one measured sparsity per ramp step, the last at the target
+    ramp = rep["sparsity_ramp"]
+    assert len(ramp) == 4 and ramp == sorted(ramp) and ramp[0] > 0
+    assert ramp[-1] == mask.zeros() / total
 
 
 def test_output_lock_blocks_concurrent_runs(tmp_path):

@@ -146,7 +146,7 @@ def test_soft_loss_starts_at_zero_when_student_equals_teacher():
         h_t = model.forward_hidden(teacher, tb.token_ids, tb.attention_mask)
         h_s = model.forward_hidden(student, tb.token_ids, tb.attention_mask)
         soft = T.kl_soft_targets(model.mlm_logits(student, h_s),
-                                 model.mlm_logits(teacher, h_t).detach(), 2.0)
+                                 model.mlm_logits(teacher, h_t), 2.0)
     assert abs(soft.item()) < 1e-6
 
 
@@ -159,7 +159,7 @@ def test_alpha_soft_zero_reduces_to_plain_mlm():
     def run(with_teacher: bool):
         student = model.init_model(TEACHER_CFG, seed=10)
         if with_teacher:
-            dspec = distill.DistillSpec(mode="task_agnostic", alpha_soft=0.0, alpha_hard=1.0)
+            dspec = distill.DistillSpec(mode="task_agnostic", alpha_soft=0.0)
             distill.distill_task_agnostic(teacher, student, lines, vocab, dspec, spec, seed=10)
         else:
             distill.pretrain_mlm(student, lines, vocab, spec, seed=10)

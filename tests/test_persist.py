@@ -4,14 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdcw import evaluation, model, persist, prune, quant
 from sdcw.errors import PersistError
 from sdcw.rng import stream
 
-from oracles import records_v1, save_v1
+from oracles import compute_mask_sorted, records_v1, save_v1
 
 TINY = model.EncoderConfig(num_layers=2, num_heads=2, hidden_size=16, ffn_size=32,
                            vocab_size=120, max_positions=32, num_classes=9)
@@ -377,7 +377,7 @@ def test_load_needs_about_one_model_of_memory(tmp_path, traced_peak, kind):
     big = replace(model.desk_config(), vocab_size=16_000)  # a 4 MB token table
     obj, mask = model.init_model(big, seed=3), None
     if kind.startswith("pruned"):  # the token table too: 1.2 MB of kept values
-        mask = prune.compute_mask(obj, 0.7, scope=prune.prunable_names(obj) + ["embeddings.token"])
+        mask = compute_mask_sorted(obj, 0.7, scope=prune.prunable_names(obj) + ["embeddings.token"])
         prune.apply_mask(obj, mask)
     if kind != "fp32" and kind != "pruned":
         mode = {"dynamic": "dynamic_int8", "mixed": "int8_mixed"}[kind.removeprefix("pruned_")]
@@ -640,16 +640,16 @@ def test_invalid_header_rejected_at_load(tmp_path, at, value):
 HEADER_BYTES = 4 + 2 + 7 * 4 + 4 + 1 + 4 + 4
 
 
-def _layout(records) -> tuple[list[int], list[int]]:
+def _layout(records) -> tuple[list[int], list[list[int]]]:
     """Record boundaries of a file of `records`, and the offsets of its
-    structural bytes: the header, each record's name length, name, tag, rank
-    and shape, the counts in its payload (sparse nonzeros; int8 axis, scale
-    count and outlier count; kept count) and its bitmap. A record's payload
-    is persist's, or its bytes."""
-    bounds, fields, pos = [HEADER_BYTES], list(range(HEADER_BYTES)), HEADER_BYTES
+    structural bytes, the header's first and then each record's: its name
+    length, name, tag, rank and shape, the counts in its payload (sparse
+    nonzeros; int8 axis, scale count and outlier count; kept count) and its
+    bitmap. A record's payload is persist's, or its bytes."""
+    bounds, groups, pos = [HEADER_BYTES], [list(range(HEADER_BYTES))], HEADER_BYTES
     for name, tag, shape, payload in records:
         body = pos + 2 + len(name.encode("utf-8")) + 2 + 4 * len(shape)
-        fields += range(pos, body)
+        fields = list(range(pos, body))
         end = body + (len(payload) if isinstance(payload, bytes)
                       else persist._payload_bytes(tag, shape, payload))
         if tag == persist.DT_F32_SPARSE:
@@ -664,9 +664,10 @@ def _layout(records) -> tuple[list[int], list[int]]:
             keep = payload[1]
             count_at = end - (4 if tag == persist.DT_F32_MASKED else 1) * keep.sum() - 8
             fields += range(count_at - (keep.size + 7) // 8, count_at + 8)
+        groups.append(fields)
         bounds.append(end)
         pos = end
-    return bounds, fields
+    return bounds, groups
 
 
 def _desk_pruned():
@@ -676,7 +677,7 @@ def _desk_pruned():
     m = model.init_model(model.desk_config(), seed=4)
     m.param("layers.0.ffn.w1").data[[3, 9], 0] = 7.0
     dense = model.clone_model(m)
-    mask = prune.compute_mask(m, 0.5, scope=prune.prunable_names(m) + ["head.bias"])
+    mask = compute_mask_sorted(m, 0.5, scope=prune.prunable_names(m) + ["head.bias"])
     prune.apply_mask(m, mask)
     return dense, m, mask
 
@@ -772,7 +773,7 @@ def _record_of_each_kind() -> dict[int, tuple[tuple, bool]]:
     over a pruned TINY model with and without its mask, and its two
     quantizations, which keep the mask (head.bias is in scope)."""
     m = _random_model(11)
-    mask = prune.compute_mask(m, 0.6, scope=prune.prunable_names(m) + ["head.bias"])
+    mask = compute_mask_sorted(m, 0.6, scope=prune.prunable_names(m) + ["head.bias"])
     prune.apply_mask(m, mask)
     out = {}
     for obj, obj_mask in ((m, None), (m, mask), (quant.quantize_model_dynamic(m), None),
@@ -810,18 +811,43 @@ def test_every_record_kind_is_sized_written_read_checked_and_fuzzed(tmp_path, de
     assert any(tag in tags for _, _, tags in files.values())
 
 
+_PICK = st.integers(0, 2**16 - 1)  # an index into a list, taken modulo its length
+
+
+# Each flip picks a record (the header counts as one), then a structural byte
+# in it, then the bits to flip, so the few bytes of a small record, such as a
+# bitmap's pad bits, are hit about as often as those of a large one. The
+# examples flip a pad bit of head.bias's 9-entry bitmap, the last structural
+# byte of each file's last record.
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_damaged_desk_file_fails_only_with_persist_error(desk_files, data):
+@given(kind=st.sampled_from(["mixed", "pruned", "pruned_mixed", "pruned_v1"]),
+       cut=st.none() | _PICK,
+       flips=st.lists(st.tuples(_PICK, _PICK, st.integers(1, 255)), min_size=1, max_size=3))
+@example(kind="pruned_mixed", cut=None, flips=[(-1, -1, 0x01)])
+@example(kind="pruned_v1", cut=None, flips=[(-1, -1, 0x40)])
+def test_damaged_desk_file_fails_only_with_persist_error(desk_files, kind, cut, flips):
     files, root = desk_files
-    kind = data.draw(st.sampled_from(sorted(files)))
-    blob, (_, fields), _ = files[kind]
+    blob, (_, groups), _ = files[kind]
     damaged = bytearray(blob)
-    if data.draw(st.booleans()):
-        damaged = damaged[:data.draw(st.integers(0, len(blob) - 1))]
+    if cut is not None:
+        damaged = damaged[:cut % len(blob)]
     else:
-        for at in data.draw(st.lists(st.sampled_from(fields), min_size=1, max_size=3)):
-            damaged[at] ^= data.draw(st.integers(1, 255))
+        for record, at, bits in flips:
+            group = groups[record % len(groups)]
+            damaged[group[at % len(group)]] ^= bits
     path = root / f"damaged-{kind}.sdcw"
     path.write_bytes(bytes(damaged))
     _load_and_run(path)
+
+
+@pytest.mark.parametrize("kind", ["pruned_mixed", "pruned_v1"])
+def test_the_fuzz_examples_flip_a_bitmap_pad_bit(desk_files, kind):
+    files, root = desk_files
+    blob, (_, groups), _ = files[kind]
+    at = groups[-1][-1]
+    assert blob[at - 1:at + 1] == np.packbits(np.zeros(9, dtype=np.uint8)).tobytes()
+    for bits in (0x01, 0x40):  # within the pad bits 0x7F
+        path = root / f"pad-{kind}.sdcw"
+        path.write_bytes(blob[:at] + bytes([blob[at] ^ bits]) + blob[at + 1:])
+        with pytest.raises(PersistError, match="'mask:head.bias' has a bitmap with set pad bits"):
+            persist.load_model(path)

@@ -46,25 +46,28 @@ def test_pruned_count_examples():
 # mask computation
 
 def test_zero_sparsity_gives_all_ones_and_zero_threshold():
+    # threshold 0: every weight has |w| >= 0, so every weight is kept
     m = model.init_model(TINY, seed=1)
     mask = prune.compute_mask(m, 0.0)
-    assert mask.threshold == 0.0
     assert mask.zeros() == 0
     assert all(np.all(v == 1) for v in mask.masks.values())
 
 
+# one layer of width 1 and FFN width 3: its whole prunable scope is 10 weights
+NARROW = model.EncoderConfig(num_layers=1, num_heads=1, hidden_size=1, ffn_size=3,
+                             vocab_size=8, max_positions=4, num_classes=3)
+
+
 def test_hand_example_prunes_smallest_magnitudes():
-    m = model.init_model(TINY, seed=1)
-    name = prune.prunable_names(m)[0]
-    scope = [name]
-    w = m.param(name)
-    w.data = np.zeros_like(w.data)
-    w.data.reshape(-1)[:4] = [-3.0, 1.0, -0.5, 2.0]
-    # only the 4 planted weights are in scope via a trimmed fake tensor
-    w.data = w.data.reshape(-1)[:4].reshape(1, 4)
-    mask = prune.compute_mask(m, 0.5, scope=scope)
-    np.testing.assert_array_equal(mask.masks[name], [[1, 0, 0, 1]])
-    assert 1.0 < mask.threshold <= 2.0
+    m = model.init_model(NARROW, seed=1)
+    planted = [-3.0, 1.0, -0.5, 2.0, 5.0, -4.0, 0.25, 6.0, -7.0, 1.5]
+    values = iter(planted)
+    for n in prune.prunable_names(m):
+        w = m.param(n).data.reshape(-1)
+        w[:] = [next(values) for _ in range(w.size)]
+    mask = prune.compute_mask(m, 0.5)  # the 5 smallest magnitudes: 0.25, 0.5, 1, 1.5, 2
+    kept = np.concatenate([mask.masks[n].reshape(-1) for n in prune.prunable_names(m)])
+    np.testing.assert_array_equal(kept, [1, 0, 0, 0, 1, 1, 0, 1, 1, 0])
 
 
 def test_mask_invalid_sparsity():
@@ -89,9 +92,6 @@ def _assert_same_mask(got: prune.PruneMask, want: prune.PruneMask) -> None:
     for n, w in want.masks.items():
         assert got.masks[n].dtype == w.dtype and got.masks[n].shape == w.shape, n
         np.testing.assert_array_equal(got.masks[n], w, err_msg=n)
-    assert type(got.threshold) is float
-    assert np.float64(got.threshold).tobytes() == np.float64(want.threshold).tobytes()
-    assert got.target_sparsity == want.target_sparsity
 
 
 # a few magnitudes with random signs (0 gives both zeros), so that ties at the
@@ -114,25 +114,29 @@ def _fill(m: model.EncoderModel, seed: int, palette) -> None:
 @given(seed=st.integers(0, 2**32 - 1),
        palette=st.one_of(st.none(), st.lists(st.sampled_from(_TIED_MAGNITUDES), min_size=1,
                                              max_size=3)),
-       p=st.one_of(st.sampled_from(_LEVELS), st.floats(0.0, 0.99)),
-       scope=st.one_of(st.none(), st.lists(st.sampled_from(model.param_names(TINY)),
-                                           min_size=1, max_size=4, unique=True)))
-def test_mask_and_threshold_equal_the_stable_sort(seed, palette, p, scope):
+       p=st.one_of(st.sampled_from(_LEVELS), st.floats(0.0, 0.99)))
+def test_mask_and_threshold_equal_the_stable_sort(seed, palette, p):
     m = model.init_model(TINY, seed=1)
     _fill(m, seed, palette)
-    _assert_same_mask(prune.compute_mask(m, p, scope=scope),
-                      compute_mask_sorted(m, p, scope=scope))
+    mask = prune.compute_mask(m, p)
+    _assert_same_mask(mask, compute_mask_sorted(m, p))
+    # a global threshold separates the kept magnitudes from the pruned ones
+    mags = {n: np.abs(m.param(n).data) for n in mask.masks}
+    kept = [mags[n][bits == 1] for n, bits in mask.masks.items()]
+    pruned = [mags[n][bits == 0] for n, bits in mask.masks.items()]
+    if any(a.size for a in kept) and any(a.size for a in pruned):
+        assert max(a.max(initial=0.0) for a in pruned) <= min(a.min(initial=np.inf) for a in kept)
 
 
 @pytest.mark.parametrize("palette", [None, (0.5,), (0.0, 1.0)])
 @pytest.mark.parametrize("p", [0.95, 0.99])
 def test_mask_of_a_tiny_scope_pruned_whole_equals_the_stable_sort(palette, p):
-    # 9 head biases: round(0.95 * 9) = round(0.99 * 9) = 9, so k = N
-    m = model.init_model(TINY, seed=1)
+    # 10 weights in scope: round(0.95 * 10) = round(0.99 * 10) = 10, so k = N
+    m = model.init_model(NARROW, seed=1)
     _fill(m, 5, palette)
-    mask = prune.compute_mask(m, p, scope=["head.bias"])
-    assert mask.zeros() == mask.total() == 9
-    _assert_same_mask(mask, compute_mask_sorted(m, p, scope=["head.bias"]))
+    mask = prune.compute_mask(m, p)
+    assert mask.zeros() == mask.total() == 10
+    _assert_same_mask(mask, compute_mask_sorted(m, p))
 
 
 def test_non_finite_weights_in_scope_raise_naming_the_tensor():
@@ -143,11 +147,11 @@ def test_non_finite_weights_in_scope_raise_naming_the_tensor():
     for p in (0.0, 0.5):
         with pytest.raises(DataError, match=re.escape(f"non-finite weights in '{names[2]}'")):
             prune.compute_mask(m, p)
+    m.param(names[2]).data[1, 3] = 0.5
     with pytest.raises(DataError, match=re.escape(f"non-finite weights in '{names[5]}'")):
-        prune.compute_mask(m, 0.5, scope=names[3:])
-    clean = names[:2] + names[3:5]
-    _assert_same_mask(prune.compute_mask(m, 0.5, scope=clean),
-                      compute_mask_sorted(m, 0.5, scope=clean))
+        prune.compute_mask(m, 0.5)
+    m.param(names[5]).data[0, 0] = -0.5
+    _assert_same_mask(prune.compute_mask(m, 0.5), compute_mask_sorted(m, 0.5))
 
 
 def test_threshold_consistency_kept_vs_pruned():
@@ -160,7 +164,7 @@ def test_threshold_consistency_kept_vs_pruned():
                    for n in mask.masks)
     pruned_max = max(np.abs(m.param(n).data[mask.masks[n] == 0]).max()
                      for n in mask.masks)
-    assert kept_min >= pruned_max or np.isclose(kept_min, mask.threshold)
+    assert kept_min >= pruned_max
 
 
 def test_prunable_scope_excludes_embeddings_biases_norms_head():
@@ -317,12 +321,11 @@ def test_gradual_ramp_is_monotone_and_exact_at_the_end():
     spec = model.TrainSpec(learning_rate=1e-3, batch_size=8, max_seq_len=16, epochs=4)
     m = model.init_model(TINY, seed=14)
     sched = prune.PruneSchedule("during", start_epoch=0, end_epoch=4, steps=5)
-    log: list[float] = []
-    mask, _ = prune.gradual_prune_finetune(m, 0.8, sched, train, vocab, spec, seed=14,
-                                           sparsity_log=log)
-    assert len(log) == 5
-    assert all(b >= a - 1e-9 for a, b in zip(log, log[1:]))
+    mask, _, ramp = prune.gradual_prune_finetune(m, 0.8, sched, train, vocab, spec, seed=14)
+    assert len(ramp) == 5
+    assert all(b >= a - 1e-9 for a, b in zip(ramp, ramp[1:]))
     total = sum(m.param(n).size for n in prune.prunable_names(m))
+    assert ramp[-1] == mask.zeros() / total
     assert mask.zeros() == prune.pruned_count(0.8, total)
     assert abs(prune.measure_sparsity(m) - 0.8) <= 1.0 / total
 
@@ -335,13 +338,11 @@ def test_gradual_ramp_equals_the_one_with_the_sorted_mask(monkeypatch):
     for compute in (prune.compute_mask, compute_mask_sorted):
         monkeypatch.setattr(prune, "compute_mask", compute)
         m = model.init_model(TINY, seed=17)
-        log: list[float] = []
-        mask, trace = prune.gradual_prune_finetune(m, 0.9, sched, train, vocab, spec, seed=17,
-                                                   sparsity_log=log)
-        runs.append((m, mask, trace, log))
-    (a, mask_a, trace_a, log_a), (b, mask_b, trace_b, log_b) = runs
+        runs.append((m, *prune.gradual_prune_finetune(m, 0.9, sched, train, vocab, spec,
+                                                      seed=17)))
+    (a, mask_a, trace_a, ramp_a), (b, mask_b, trace_b, ramp_b) = runs
     _assert_same_mask(mask_a, mask_b)
-    assert trace_a == trace_b and log_a == log_b and len(log_a) == 4
+    assert trace_a == trace_b and ramp_a == ramp_b and len(ramp_a) == 4
     for n in a.params:
         assert a.param(n).data.tobytes() == b.param(n).data.tobytes(), n
 
@@ -351,10 +352,25 @@ def test_gradual_schedule_window_past_training_still_lands_on_target():
     spec = model.TrainSpec(learning_rate=1e-3, batch_size=8, max_seq_len=16, epochs=1)
     m = model.init_model(TINY, seed=16)
     sched = prune.PruneSchedule("during", start_epoch=2, end_epoch=6, steps=3)
-    mask, _ = prune.gradual_prune_finetune(m, 0.7, sched, train, vocab, spec, seed=16)
+    mask, _, ramp = prune.gradual_prune_finetune(m, 0.7, sched, train, vocab, spec, seed=16)
+    assert ramp == []
     total = sum(m.param(n).size for n in prune.prunable_names(m))
     assert mask.zeros() == prune.pruned_count(0.7, total)
     assert abs(prune.measure_sparsity(m) - 0.7) <= 1.0 / total
+
+
+def test_gradual_ramp_cut_short_ends_below_the_target_and_the_mask_lands_on_it():
+    train, vocab = _toy_data()
+    spec = model.TrainSpec(learning_rate=1e-3, batch_size=8, max_seq_len=16, epochs=2)
+    m = model.init_model(TINY, seed=16)
+    sched = prune.PruneSchedule("during", start_epoch=0, end_epoch=4, steps=4)
+    mask, _, ramp = prune.gradual_prune_finetune(m, 0.7, sched, train, vocab, spec, seed=16)
+    total = sum(m.param(n).size for n in prune.prunable_names(m))
+    # ramp steps at tau 1/4 and 2/4 fall in the two epochs trained
+    assert ramp == [prune.pruned_count(prune.cubic_ramp(0.7, tau), total) / total
+                    for tau in (0.25, 0.5)]
+    assert mask.zeros() == prune.pruned_count(0.7, total)
+    assert prune.measure_sparsity(m) == mask.zeros() / total
 
 
 def test_cubic_ramp_shape():

@@ -70,18 +70,18 @@ def test_matmul_batched_matches_per_slice():
 # softmax
 
 def test_softmax_uniform_inputs():
-    out = T.softmax(tensor([0.0, 0.0, 0.0]), axis=-1)
+    out = T.softmax(tensor([0.0, 0.0, 0.0]))
     np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-7)
 
 
 def test_softmax_closed_form_logs():
     x = np.log(np.array([1.0, 2.0, 3.0], dtype=np.float32))
-    out = T.softmax(tensor(x), axis=-1)
+    out = T.softmax(tensor(x))
     np.testing.assert_allclose(out.data, [1 / 6, 2 / 6, 3 / 6], atol=1e-6)
 
 
 def test_softmax_large_inputs_no_overflow():
-    out = T.softmax(tensor([1000.0, 0.0]), axis=-1)
+    out = T.softmax(tensor([1000.0, 0.0]))
     np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-7)
 
 
@@ -89,13 +89,8 @@ def test_softmax_rows_sum_to_one_up_to_1e4():
     gen = stream(3, "softmax-rows")
     for scale in (1.0, 100.0, 1e4):
         x = gen.normal(0, scale, (20, 9)).astype(np.float32)
-        rows = T.softmax(tensor(x), axis=-1).data.sum(axis=-1)
+        rows = T.softmax(tensor(x)).data.sum(axis=-1)
         np.testing.assert_allclose(rows, 1.0, atol=1e-6)
-
-
-def test_softmax_invalid_axis():
-    with pytest.raises(ShapeError):
-        T.softmax(tensor([[1.0, 2.0]]), axis=5)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +283,7 @@ def _gradcheck_cases(gen):
 
     def softmax_case():
         a = tensor(gen.normal(0, 2, (4, 6)), grad=True)
-        loss = T.tsum(T.mul(T.softmax(a, -1), tensor(w_small)))
+        loss = T.tsum(T.mul(T.softmax(a), tensor(w_small)))
         return loss, a, lambda x: float((softmax64(x) * w_small).sum())
 
     def layer_norm_case():
@@ -576,7 +571,7 @@ def _every_op_loss(leaves):
     x = T.dropout(T.layer_norm(x, gain, bias), 0.25, stream(21, "every-op-dropout"))
     z = T.mul(T.gelu(T.matmul(T.reshape(x, (6, 6)), w1)), colscale)
     z3 = T.reshape(z, (2, 3, 8))
-    att = T.softmax(T.scale(T.matmul(z3, T.transpose(z3, (0, 2, 1))), 0.5), axis=-1)
+    att = T.softmax(T.scale(T.matmul(z3, T.transpose(z3, (0, 2, 1))), 0.5))
     logits = T.matmul(T.reshape(T.matmul(att, z3), (6, 8)), T.transpose(w2, (1, 0)))
     teacher = tensor(stream(22, "every-op-teacher").normal(0, 1, (6, 4)))
     loss = T.add(T.cross_entropy(logits, np.array([0, 3, -100, 1, 2, 2])),

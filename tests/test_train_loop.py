@@ -52,13 +52,9 @@ def test_prune_schedules_equal_the_reference(corpus, monkeypatch, schedule):
     sched = config.parse_schedule(schedule)
 
     def run():
-        m, log = model.init_model(CFG, 5), []
-        if sched.kind == "during":
-            mask, trace = prune.gradual_prune_finetune(m, 0.6, sched, train, vocab, SPEC, 6,
-                                                       sparsity_log=log)
-        else:
-            _, mask, trace = prune.run_schedule(m, 0.6, sched, train, vocab, SPEC, 6)
-        return digest(m), trace, log, {n: v.tobytes() for n, v in mask.masks.items()}
+        m = model.init_model(CFG, 5)
+        _, mask, trace, ramp = prune.run_schedule(m, 0.6, sched, train, vocab, SPEC, 6)
+        return digest(m), trace, ramp, {n: v.tobytes() for n, v in mask.masks.items()}
 
     got = run()
     monkeypatch.setattr(prune, "finetune", oracles.finetune_ref)
@@ -71,7 +67,7 @@ def test_pretrain_mlm_equals_the_reference(corpus):
     _, vocab, lines = corpus
     got, want = model.init_model(CFG, 7), model.init_model(CFG, 7)
     trace = distill.pretrain_mlm(got, lines, vocab, SPEC, seed=8, mask_rate=0.2)
-    dspec = DistillSpec(mode="task_agnostic", alpha_soft=0.0, alpha_hard=1.0, mlm_mask_rate=0.2)
+    dspec = DistillSpec(mode="task_agnostic", alpha_soft=0.0, mlm_mask_rate=0.2)
     with oracles.copying_tape():  # the tied head's transposed table gradient is handed over
         assert trace == oracles.run_mlm_ref(None, want, lines, vocab, dspec, SPEC, 8)
     assert digest(got) == digest(want)
@@ -81,8 +77,7 @@ def test_pretrain_mlm_equals_the_reference(corpus):
 def test_agnostic_distillation_equals_the_reference(corpus, alpha_soft):
     _, vocab, lines = corpus
     teacher = model.init_model(CFG, 9)
-    dspec = DistillSpec(mode="task_agnostic", temperature=3.0, alpha_soft=alpha_soft,
-                        alpha_hard=1.0 - alpha_soft)
+    dspec = DistillSpec(mode="task_agnostic", temperature=3.0, alpha_soft=alpha_soft)
     got = distill.init_student(teacher, StudentSpec(1, 2), 10)
     want = model.clone_model(got)
     trace = distill.distill_task_agnostic(teacher, got, lines, vocab, dspec, SPEC, 11)
@@ -94,7 +89,7 @@ def test_agnostic_distillation_equals_the_reference(corpus, alpha_soft):
 def test_task_specific_distillation_equals_the_reference(corpus):
     train, vocab, _ = corpus
     teacher = model.init_model(CFG, 12)
-    dspec = DistillSpec(mode="task_specific", alpha_soft=0.7, alpha_hard=0.3)
+    dspec = DistillSpec(mode="task_specific", alpha_soft=0.7)
     got = distill.init_student(teacher, StudentSpec(1, 1), 13)
     want = model.clone_model(got)
     trace = distill.distill_task_specific(teacher, got, train, vocab, dspec, SPEC, 14)
@@ -109,7 +104,7 @@ def test_an_epoch_whose_batches_all_skip_reads_zero(corpus):
     got, want = model.init_model(CFG, 15), model.init_model(CFG, 15)
     # at mask rate 0 no position is selected, so every batch is skipped
     trace = distill.pretrain_mlm(got, lines, vocab, SPEC, seed=16, mask_rate=0.0)
-    dspec = DistillSpec(mode="task_agnostic", alpha_soft=0.0, alpha_hard=1.0, mlm_mask_rate=0.0)
+    dspec = DistillSpec(mode="task_agnostic", alpha_soft=0.0, mlm_mask_rate=0.0)
     assert trace == [0.0] * SPEC.epochs
     assert trace == oracles.run_mlm_ref(None, want, lines, vocab, dspec, SPEC, 16)
     assert digest(got) == digest(want) == digest(model.init_model(CFG, 15))
@@ -120,7 +115,7 @@ def test_skipped_and_taken_batches_mix_as_in_the_reference(corpus, adam_feed):
     # one-token lines in pairs: a batch is skipped when neither token is selected
     short = [line.split()[0] for line in lines]
     spec = replace(SPEC, batch_size=2)
-    dspec = DistillSpec(mode="task_agnostic", alpha_soft=0.0, alpha_hard=1.0, mlm_mask_rate=0.3)
+    dspec = DistillSpec(mode="task_agnostic", alpha_soft=0.0, mlm_mask_rate=0.3)
     got, want = model.init_model(CFG, 17), model.init_model(CFG, 17)
     steps = adam_feed(dense=False)
     trace = distill.pretrain_mlm(got, short, vocab, spec, seed=18, mask_rate=0.3)
@@ -177,7 +172,7 @@ def test_distill_grid_equals_the_cli_cell_loop(corpus, mode):
     train, vocab, lines = corpus
     teacher = model.init_model(CFG, 20)
     cells = distill.grid_specs((1, 2), (1, 2))
-    dspec = DistillSpec(mode=mode, temperature=4.0, alpha_soft=0.3, alpha_hard=1.0 - 0.3,
+    dspec = DistillSpec(mode=mode, temperature=4.0, alpha_soft=0.3,
                         mlm_mask_rate=0.2)
     want = oracles.cli_distill_cells_ref("runs/teacher_seed3.sdcw", teacher, cells, mode, dspec,
                                          lines, train, vocab, SPEC, 3, TYPES)
