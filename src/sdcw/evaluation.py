@@ -15,7 +15,7 @@ from .data import DEFAULT_ENTITY_TYPES, Sentence, Vocabulary, batch as make_batc
 from .errors import DataError, ParameterError
 from .model import EncoderModel, count_params, forward
 from .prune import measure_sparsity, prunable_names
-from .quant import QuantizedModel, quantized_forward
+from .quant import QuantizedModel, QuantizedTensor, quantized_forward
 from .tensor import IGNORE_INDEX, _log_softmax_np, no_grad
 
 
@@ -116,9 +116,7 @@ def _accounting(handle) -> tuple[int, int, float]:
         nonzero = sum(int(np.count_nonzero(p.data)) for p in handle.params.values())
         sparsity = measure_sparsity(handle) if prunable_names(handle) else 0.0
     else:
-        payloads = [l.weight.q for l in handle.linears.values()]
-        payloads += [l.bias for l in handle.linears.values()]
-        payloads += list(handle.extras.values())
+        payloads = [p.q if isinstance(p, QuantizedTensor) else p for p in handle.params.values()]
         total = sum(int(p.size) for p in payloads)
         nonzero = sum(int(np.count_nonzero(p)) for p in payloads)
         sparsity = handle.mask.zeros() / handle.mask.total() if handle.mask else 0.0

@@ -6,9 +6,10 @@ projection is weight-tied to the token embeddings (no extra parameters), so
 `count_params` has a clean closed form.
 
 The block sequence (`embed`, `apply_layer`, `forward`) is written once, here.
-It runs on any handle with a `config` and a `kernel(training, dropout_rng)`
-method that supplies the ops: an EncoderModel brings a `TapeKernel`
-(autodiff ops), a `quant.QuantizedModel` an `Int8Kernel` (numpy).
+It runs on any handle with a `config`, `params` keyed by `param_names`, and
+a `kernel(dropout_rng)` method that supplies the ops: an EncoderModel brings
+a `TapeKernel` (autodiff ops), a `quant.QuantizedModel` an `Int8Kernel`
+(numpy). Dropout is on exactly when a dropout stream is given.
 """
 from __future__ import annotations
 
@@ -130,9 +131,8 @@ class EncoderModel:
     def param(self, name: str) -> Tensor:
         return self.params[name]
 
-    def kernel(self, training: bool = False,
-               dropout_rng: np.random.Generator | None = None) -> "TapeKernel":
-        return TapeKernel(self, training, dropout_rng)
+    def kernel(self, dropout_rng: np.random.Generator | None = None) -> "TapeKernel":
+        return TapeKernel(self, dropout_rng)
 
 
 def init_model(config: EncoderConfig, seed: int) -> EncoderModel:
@@ -214,12 +214,11 @@ def _bias_name(weight_name: str) -> str:
 class TapeKernel:
     """The encoder's ops as autodiff ops over `model.params`: training,
     distillation, and fp32 or pruned evaluation under `no_grad`. Dropout
-    applies only in training."""
+    applies only with a dropout stream."""
 
-    def __init__(self, model: EncoderModel, training: bool = False,
-                 dropout_rng: np.random.Generator | None = None):
+    def __init__(self, model: EncoderModel, dropout_rng: np.random.Generator | None = None):
         self.params = model.params
-        self.rate = model.config.dropout if training else 0.0
+        self.rate = model.config.dropout if dropout_rng is not None else 0.0
         self.dropout_rng = dropout_rng
 
     def rows(self, name: str, ids: np.ndarray) -> Tensor:
@@ -250,11 +249,11 @@ class TapeKernel:
         return T.dropout(x, self.rate, self.dropout_rng) if self.rate > 0 else x
 
 
-def embed(model: EncoderModel, token_ids, attention_mask, *, training: bool = False,
+def embed(model: EncoderModel, token_ids, attention_mask, *,
           dropout_rng: np.random.Generator | None = None):
     """Token + position embeddings, embedding layer norm, dropout. [b*s, H]."""
     ids, _ = _validate_inputs(model.config, token_ids, attention_mask)
-    ops = model.kernel(training, dropout_rng)
+    ops = model.kernel(dropout_rng)
     b, s = ids.shape
     x = ops.add(ops.rows("embeddings.token", ids), ops.rows("embeddings.position", np.arange(s)))
     x = ops.dropout(ops.layer_norm(x, "embeddings.norm"))
@@ -262,10 +261,10 @@ def embed(model: EncoderModel, token_ids, attention_mask, *, training: bool = Fa
 
 
 def apply_layer(model: EncoderModel, index: int, hidden, attention_mask, *,
-                training: bool = False, dropout_rng: np.random.Generator | None = None):
+                dropout_rng: np.random.Generator | None = None):
     """One post-LN encoder block over [b*s, H] hidden states."""
     c = model.config
-    ops = model.kernel(training, dropout_rng)
+    ops = model.kernel(dropout_rng)
     mask = np.asarray(attention_mask, dtype=bool)
     b, s = mask.shape
     h, d, a = c.hidden_size, c.head_dim, c.num_heads
@@ -285,22 +284,21 @@ def apply_layer(model: EncoderModel, index: int, hidden, attention_mask, *,
     return ops.layer_norm(ops.add(x, ff), f"{p}.ffn_norm")
 
 
-def forward_hidden(model: EncoderModel, token_ids, attention_mask, *, training: bool = False,
+def forward_hidden(model: EncoderModel, token_ids, attention_mask, *,
                    dropout_rng: np.random.Generator | None = None):
     """Final hidden states, flattened to [b*s, H]."""
-    x = embed(model, token_ids, attention_mask, training=training, dropout_rng=dropout_rng)
+    x = embed(model, token_ids, attention_mask, dropout_rng=dropout_rng)
     for i in range(model.config.num_layers):
-        x = apply_layer(model, i, x, attention_mask, training=training, dropout_rng=dropout_rng)
+        x = apply_layer(model, i, x, attention_mask, dropout_rng=dropout_rng)
     return x
 
 
-def forward(model: EncoderModel, token_ids, attention_mask, *, training: bool = False,
+def forward(model: EncoderModel, token_ids, attention_mask, *,
             dropout_rng: np.random.Generator | None = None):
     """Per-token class logits [b, s, num_classes]: a Tensor for an
     EncoderModel, an array for a quantized handle."""
-    x = forward_hidden(model, token_ids, attention_mask, training=training,
-                       dropout_rng=dropout_rng)
-    ops = model.kernel(training, dropout_rng)
+    x = forward_hidden(model, token_ids, attention_mask, dropout_rng=dropout_rng)
+    ops = model.kernel(dropout_rng)
     b, s = np.shape(token_ids)
     return ops.reshape(ops.linear(x, "head.weight"), (b, s, model.config.num_classes))
 
@@ -399,8 +397,7 @@ def finetune(
     drop_rng = rng.stream(seed, "dropout")
 
     def batch_loss(tb: TokenizedBatch) -> Tensor:
-        logits = forward(model, tb.token_ids, tb.attention_mask,
-                         training=True, dropout_rng=drop_rng)
+        logits = forward(model, tb.token_ids, tb.attention_mask, dropout_rng=drop_rng)
         flat = T.reshape(logits, (-1, model.config.num_classes))
         return T.cross_entropy(flat, tb.label_ids.reshape(-1))
 

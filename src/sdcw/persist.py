@@ -52,9 +52,9 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import ParameterError, PersistError
-from .model import EncoderConfig, EncoderModel, _bias_name, _param_shape, param_names
+from .model import EncoderConfig, EncoderModel, _param_shape, param_names
 from .prune import PruneMask
-from .quant import _LINEAR_WEIGHTS, QuantizedLinear, QuantizedModel, QuantizedTensor
+from .quant import _LINEAR_WEIGHTS, QuantizedModel, QuantizedTensor
 from .tensor import Tensor
 
 MAGIC = b"SDCW"
@@ -73,55 +73,54 @@ _SPARSE_PAIR = np.dtype([("i", "<u4"), ("v", "<f4")])
 PIECE_BYTES = 1 << 18  # buffer for payloads read piece by piece (sparse pairs, fp16, kept values)
 
 
-def _f32_record(name: str, arr: np.ndarray) -> tuple:
+def _f32_tag(arr: np.ndarray) -> int:
+    """Sparse when at least half the entries are zero, else dense."""
     zeros = arr.size - np.count_nonzero(arr)
-    if arr.size and zeros / arr.size >= 0.5:
-        return (name, DT_F32_SPARSE, arr.shape, arr)
-    return (name, DT_F32, arr.shape, arr)
+    return DT_F32_SPARSE if arr.size and 2 * zeros >= arr.size else DT_F32
 
 
-def _kept(values: np.ndarray, m: np.ndarray | None) -> np.ndarray | None:
+def _kept(values: np.ndarray, m: np.ndarray) -> np.ndarray | None:
     """The flat keep bitmap of a tensor whose every bit is 0 wherever `m`
     prunes it (so -0.0 is not), else None."""
-    if m is None or m.shape != values.shape:
-        return None
     keep = np.asarray(m).reshape(-1) != 0
     bits = np.ascontiguousarray(values).reshape(-1).view(f"u{values.itemsize}")
     return None if bits[~keep].any() else keep
 
 
 def _records_for(obj, mask: PruneMask | None) -> tuple[int, float, list[tuple]]:
-    """(quant mode tag, threshold, records) for a model or quantized handle.
-    A quantized handle's own mask is saved when no other is given."""
-    if isinstance(obj, QuantizedModel) and mask is None:
-        mask = obj.mask
+    """(quant mode tag, threshold, records) for a model or quantized handle,
+    in `params` order. A quantized handle's own mask is saved when no other
+    is given. A mask over a tensor the model lacks, or of another shape,
+    fails here, before anything is written."""
+    if isinstance(obj, EncoderModel):
+        mode_tag, threshold = _MODE_TAGS["none"], 0.0
+        tensors = {name: p.data for name, p in obj.params.items()}
+        tags = {name: _f32_tag(arr) for name, arr in tensors.items()}
+    elif isinstance(obj, QuantizedModel):
+        mode_tag, threshold = _MODE_TAGS[obj.mode], float(obj.outlier_threshold)
+        tensors = obj.params
+        fp_tag = DT_F32 if obj.mode == "dynamic_int8" else DT_F16
+        tags = {name: DT_INT8 if isinstance(arr, QuantizedTensor) else fp_tag
+                for name, arr in tensors.items()}
+        mask = obj.mask if mask is None else mask
+    else:
+        raise PersistError(f"cannot serialize {type(obj).__name__}")
     masks = mask.masks if mask is not None else {}
+    for name, m in masks.items():
+        if name not in tensors:
+            raise PersistError(f"the mask names '{name}', a tensor the model does not have")
+        if m.shape != tensors[name].shape:
+            raise PersistError(f"the mask for '{name}' has shape {m.shape}, "
+                               f"the tensor {tensors[name].shape}")
     records: list[tuple] = []
-
-    def add(name: str, tag: int, arr) -> None:
-        keep = _kept(arr.q if tag == DT_INT8 else arr, masks.get(name)) \
-            if tag in _MASKED_FORM else None
+    for name, arr in tensors.items():
+        tag, m = tags[name], masks.get(name)
+        keep = (None if m is None or tag not in _MASKED_FORM else
+                _kept(arr.q if tag == DT_INT8 else arr, m))
         if keep is None:
             records.append((name, tag, arr.shape, arr))
         else:
             records.append((name, _MASKED_FORM[tag], arr.shape, (arr, keep)))
-
-    if isinstance(obj, EncoderModel):
-        mode_tag, threshold = _MODE_TAGS["none"], 0.0
-        for name, p in obj.params.items():
-            add(name, _f32_record(name, p.data)[1], p.data)
-    elif isinstance(obj, QuantizedModel):
-        mode_tag, threshold = _MODE_TAGS[obj.mode], float(obj.outlier_threshold)
-        fp_tag = DT_F32 if obj.mode == "dynamic_int8" else DT_F16
-        for name in param_names(obj.config):
-            if name in obj.linears:
-                lin = obj.linears[name]
-                add(name, DT_INT8, lin.weight)
-                add(_bias_name(name), fp_tag, lin.bias)
-            elif name in obj.extras:
-                add(name, fp_tag, obj.extras[name])
-    else:
-        raise PersistError(f"cannot serialize {type(obj).__name__}")
     masked = {r[0] for r in records if r[1] in _MASKED_TAGS}
     for name, m in masks.items():
         if name not in masked:
@@ -448,8 +447,6 @@ def load_model(path) -> tuple[EncoderModel | QuantizedModel, PruneMask | None]:
         params = {n: Tensor(tensors[n], requires_grad=True, name=n) for n in names}
         return EncoderModel(config, params), mask
 
-    weights = [n for n in names if n.endswith(_LINEAR_WEIGHTS)]
-    biases = {_bias_name(w) for w in weights}
-    linears = {w: QuantizedLinear(tensors[w], tensors[_bias_name(w)]) for w in weights}
-    extras = {n: tensors[n] for n in names if n not in linears and n not in biases}
-    return QuantizedModel(config, mode, float(threshold), linears, extras, mask), mask
+    # file order is the handle's own (each bias right after its weight), and
+    # `_check_record` admitted int8 records on the linear weights alone
+    return QuantizedModel(config, mode, float(threshold), tensors, mask), mask

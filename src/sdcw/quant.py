@@ -318,14 +318,11 @@ def int8_bmm(a, b, threshold: float) -> np.ndarray:
 # quantized models
 
 @dataclass
-class QuantizedLinear:
-    weight: QuantizedTensor  # (in, out), axis=0 so one scale per output unit
-    bias: np.ndarray         # fp32
-
-
-@dataclass
 class QuantizedModel:
-    """Inference handle: int8 linear weights plus full-precision leftovers.
+    """Inference handle keyed like `EncoderModel.params`: the linear weights
+    are int8 QuantizedTensors (input x output, axis=0 so one scale per
+    output unit), every other tensor a full-precision array. Each bias comes
+    right after its weight, the order the handle's file keeps.
 
     In mixed mode the original fp32 weights ride along as fp_ref so the
     outlier path is exact; fp_ref is never serialized. A handle quantized
@@ -335,11 +332,10 @@ class QuantizedModel:
     config: EncoderConfig
     mode: str  # "dynamic_int8" | "int8_mixed"
     outlier_threshold: float
-    linears: dict[str, QuantizedLinear]
-    extras: dict[str, np.ndarray]
+    params: dict[str, QuantizedTensor | np.ndarray]
     mask: PruneMask | None = None
 
-    def kernel(self, training: bool = False, dropout_rng=None) -> "Int8Kernel":
+    def kernel(self, dropout_rng: np.random.Generator | None = None) -> "Int8Kernel":
         return Int8Kernel(self)  # inference only: no dropout
 
 
@@ -347,9 +343,7 @@ def quantize_model(model: EncoderModel, mode: str, threshold: float = DEFAULT_OU
                    mask: PruneMask | None = None) -> QuantizedModel:
     if mode not in ("dynamic_int8", "int8_mixed"):
         raise ParameterError(f"unknown quantization mode '{mode}'")
-    linears: dict[str, QuantizedLinear] = {}
-    extras: dict[str, np.ndarray] = {}
-    bias_names = {_bias_name(n) for n in model.params if n.endswith(_LINEAR_WEIGHTS)}
+    params: dict[str, QuantizedTensor | np.ndarray] = {}
     for name, p in model.params.items():
         if not _all_finite(p.data):
             raise DataError(f"non-finite weights in '{name}'")
@@ -359,10 +353,11 @@ def quantize_model(model: EncoderModel, mode: str, threshold: float = DEFAULT_OU
                 wq.fp_ref = p.data
             else:
                 wq = absmax_quantize(p.data, axis=0)
-            linears[name] = QuantizedLinear(wq, model.param(_bias_name(name)).data)
-        elif name not in bias_names:
-            extras[name] = p.data
-    return QuantizedModel(model.config, mode, threshold, linears, extras, mask)
+            bias = _bias_name(name)
+            params[name], params[bias] = wq, model.param(bias).data
+        elif name not in params:  # a bias is placed with its weight
+            params[name] = p.data
+    return QuantizedModel(model.config, mode, threshold, params, mask)
 
 
 def quantize_model_dynamic(model: EncoderModel, mask: PruneMask | None = None) -> QuantizedModel:
@@ -389,23 +384,23 @@ class Int8Kernel:
 
     def __init__(self, qm: QuantizedModel):
         self.qm = qm
+        self.params = qm.params
         self.mixed = qm.mode == "int8_mixed"
         self._x = self._xq = None  # the last linear input and its quantization
 
     def rows(self, name: str, ids: np.ndarray) -> np.ndarray:
-        return self.qm.extras[name][ids]
+        return self.params[name][ids]
 
     def constant(self, values: np.ndarray) -> np.ndarray:
         return values
 
     def linear(self, x: np.ndarray, weight: str) -> np.ndarray:
-        lin = self.qm.linears[weight]
         if x is not self._x:  # q, k and v share their input: quantize it once
             self._x = x
             self._xq = (quantize_with_outliers(x, self.qm.outlier_threshold, axis=1)
                         if self.mixed else absmax_quantize(x, axis=1))
-        out = int8_matmul(self._xq, lin.weight)
-        out += lin.bias
+        out = int8_matmul(self._xq, self.params[weight])
+        out += self.params[_bias_name(weight)]
         return out
 
     def attn_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -431,8 +426,7 @@ class Int8Kernel:
         return _gelu_np(a)
 
     def layer_norm(self, x: np.ndarray, norm: str) -> np.ndarray:
-        extras = self.qm.extras
-        return _layer_norm_np(x, extras[f"{norm}.gain"], extras[f"{norm}.bias"], LN_EPS)
+        return _layer_norm_np(x, self.params[f"{norm}.gain"], self.params[f"{norm}.bias"], LN_EPS)
 
     def dropout(self, x: np.ndarray) -> np.ndarray:
         return x

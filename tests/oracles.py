@@ -305,8 +305,7 @@ def _act_quant(qm: QuantizedModel, x: np.ndarray) -> QuantizedTensor:
 
 
 def _q_linear(qm: QuantizedModel, name: str, x: np.ndarray) -> np.ndarray:
-    lin = qm.linears[name]
-    return int8_matmul_ref(_act_quant(qm, x), lin.weight) + lin.bias
+    return int8_matmul_ref(_act_quant(qm, x), qm.params[name]) + qm.params[_bias_name(name)]
 
 
 def _q_attention_matmul(qm: QuantizedModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -322,8 +321,8 @@ def quantized_forward_ref(qm: QuantizedModel, token_ids, attention_mask) -> np.n
     ids, mask = _validate_inputs(c, token_ids, attention_mask)
     b, s = ids.shape
     h, d, heads = c.hidden_size, c.head_dim, c.num_heads
-    x = qm.extras["embeddings.token"][ids] + qm.extras["embeddings.position"][:s]
-    x = _layer_norm_np(x, qm.extras["embeddings.norm.gain"], qm.extras["embeddings.norm.bias"], LN_EPS)
+    x = qm.params["embeddings.token"][ids] + qm.params["embeddings.position"][:s]
+    x = _layer_norm_np(x, qm.params["embeddings.norm.gain"], qm.params["embeddings.norm.bias"], LN_EPS)
     x = x.reshape(b * s, h).astype(np.float32)
     bias = np.where(mask, 0.0, ATTN_MASK_BIAS).astype(np.float32).reshape(b, 1, s)
     bias = np.repeat(bias, heads, axis=0)
@@ -342,12 +341,12 @@ def quantized_forward_ref(qm: QuantizedModel, token_ids, attention_mask) -> np.n
         ctx = _q_attention_matmul(qm, probs, v)
         ctx = np.ascontiguousarray(ctx.reshape(b, heads, s, d).transpose(0, 2, 1, 3)).reshape(b * s, h)
         attn_out = _q_linear(qm, f"{p}.attn.wo", ctx)
-        x = _layer_norm_np(x + attn_out, qm.extras[f"{p}.attn_norm.gain"],
-                           qm.extras[f"{p}.attn_norm.bias"], LN_EPS)
+        x = _layer_norm_np(x + attn_out, qm.params[f"{p}.attn_norm.gain"],
+                           qm.params[f"{p}.attn_norm.bias"], LN_EPS)
         ff = _gelu_np(_q_linear(qm, f"{p}.ffn.w1", x))
         ff = _q_linear(qm, f"{p}.ffn.w2", ff)
-        x = _layer_norm_np(x + ff, qm.extras[f"{p}.ffn_norm.gain"],
-                           qm.extras[f"{p}.ffn_norm.bias"], LN_EPS)
+        x = _layer_norm_np(x + ff, qm.params[f"{p}.ffn_norm.gain"],
+                           qm.params[f"{p}.ffn_norm.bias"], LN_EPS)
     logits = _q_linear(qm, "head.weight", x)
     return logits.reshape(b, s, c.num_classes)
 
@@ -499,8 +498,7 @@ def finetune_ref(
         for tb in batches:
             if pre_step is not None:
                 pre_step(step)
-            logits = forward(model, tb.token_ids, tb.attention_mask,
-                             training=True, dropout_rng=drop_rng)
+            logits = forward(model, tb.token_ids, tb.attention_mask, dropout_rng=drop_rng)
             flat = T.reshape(logits, (-1, model.config.num_classes))
             loss = T.cross_entropy(flat, tb.label_ids.reshape(-1))
             T.backward(loss)
@@ -692,8 +690,8 @@ def copying_tape():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "_accum", accum_copying_ref)
         mp.setattr(T, "backward", backward_keeping_ref)
-        mp.setattr(EncoderModel, "kernel", lambda self, training=False, dropout_rng=None:
-                   TapeKernelRef(self, training, dropout_rng))
+        mp.setattr(EncoderModel, "kernel",
+                   lambda self, dropout_rng=None: TapeKernelRef(self, dropout_rng))
         yield
 
 

@@ -1,6 +1,7 @@
 import ast
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -273,6 +274,18 @@ def test_both_kernels_define_exactly_the_ops_the_encoder_calls():
               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id == "ops"}
     assert ops_of(model.TapeKernel) == ops_of(quant.Int8Kernel) == called
+
+
+def test_both_handles_have_one_shape():
+    """`model.EncoderModel` and `quant.QuantizedModel` both hold `config` and
+    `params` and give their ops through a `kernel(dropout_rng)` of one
+    signature: the shape `model.forward`, `persist` and `evaluation` read."""
+    kernels = []
+    for cls in (model.EncoderModel, quant.QuantizedModel):
+        assert {"config", "params"} <= {f.name for f in dataclasses.fields(cls)}, cls
+        kernels.append(list(inspect.signature(cls.kernel).parameters.values()))
+    assert [p.name for p in kernels[0]] == ["self", "dropout_rng"]
+    assert kernels[0] == kernels[1]
 
 
 def test_seed_and_type_lists_parse():
@@ -674,12 +687,12 @@ def test_bench_times_the_handles_its_saved_files_give(workspace, tmp_path, monke
         assert modes[mode]["model_path"] == f"bench_{mode}_seed1.sdcw"
         saved, _ = persist.load_model(out / modes[mode]["model_path"])
         assert saved.mode == mode
-        handle = timed[mode]
-        for name, lin in handle.linears.items():
-            assert lin.weight.fp_ref is None, name
-            np.testing.assert_array_equal(lin.weight.q, saved.linears[name].weight.q)
-    for name, extra in timed["int8_mixed"].extras.items():  # fp16 in the file
-        np.testing.assert_array_equal(extra, extra.astype(np.float16).astype(np.float32))
+        for name, p in timed[mode].params.items():
+            if isinstance(p, quant.QuantizedTensor):
+                assert p.fp_ref is None, name
+                np.testing.assert_array_equal(p.q, saved.params[name].q)
+            elif mode == "int8_mixed":  # fp16 in the file
+                np.testing.assert_array_equal(p, p.astype(np.float16).astype(np.float32))
 
 
 def test_report_cli_regenerates_sweep_csv(workspace, tmp_path):

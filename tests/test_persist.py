@@ -74,13 +74,13 @@ def test_sparse_break_even_arithmetic():
     # 8 bytes/nonzero vs 4 bytes/element: sparse wins exactly above 50% zeros
     w = np.zeros(100, dtype=np.float32)
     w[:49] = 1.0  # 51% zeros -> sparse
-    name, tag, shape, payload = persist._f32_record("t", w)
+    tag = persist._f32_tag(w)
     assert tag == persist.DT_F32_SPARSE
-    assert persist._payload_bytes(tag, shape, payload) == 8 + 8 * 49
+    assert persist._payload_bytes(tag, w.shape, w) == 8 + 8 * 49
     w[:50] = 1.0  # exactly 50% zeros -> sparse (tie)
-    assert persist._f32_record("t", w)[1] == persist.DT_F32_SPARSE
+    assert persist._f32_tag(w) == persist.DT_F32_SPARSE
     w[:51] = 1.0  # 49% zeros -> dense
-    assert persist._f32_record("t", w)[1] == persist.DT_F32
+    assert persist._f32_tag(w) == persist.DT_F32
     assert persist._payload_bytes(persist.DT_F32, (100,), w) == 400
 
 
@@ -237,12 +237,13 @@ def test_quantized_dynamic_round_trip_preserves_int_path(tmp_path):
     assert n == persist.serialized_bytes(qm)
     again, _ = persist.load_model(tmp_path / "q.sdcw")
     assert again.mode == "dynamic_int8"
-    for name, lin in qm.linears.items():
-        np.testing.assert_array_equal(again.linears[name].weight.q, lin.weight.q)
-        np.testing.assert_array_equal(again.linears[name].weight.scales, lin.weight.scales)
-        np.testing.assert_array_equal(again.linears[name].bias, lin.bias)
-    for name, arr in qm.extras.items():
-        np.testing.assert_array_equal(again.extras[name], arr)
+    assert list(again.params) == list(qm.params)
+    for name, arr in qm.params.items():
+        if isinstance(arr, quant.QuantizedTensor):
+            np.testing.assert_array_equal(again.params[name].q, arr.q)
+            np.testing.assert_array_equal(again.params[name].scales, arr.scales)
+        else:
+            np.testing.assert_array_equal(again.params[name], arr)
     gen = stream(6, "persist-qfwd")
     ids = gen.integers(0, TINY.vocab_size, size=(2, 8))
     mask = np.ones((2, 8), dtype=bool)
@@ -257,9 +258,10 @@ def test_quantized_mixed_stores_fp16_extras(tmp_path):
     again, _ = persist.load_model(tmp_path / "mix.sdcw")
     assert again.mode == "int8_mixed"
     assert again.outlier_threshold == 6.0
-    for name, arr in qm.extras.items():
-        np.testing.assert_array_equal(again.extras[name],
-                                      arr.astype(np.float16).astype(np.float32))
+    for name, arr in qm.params.items():
+        if not isinstance(arr, quant.QuantizedTensor):
+            np.testing.assert_array_equal(again.params[name],
+                                          arr.astype(np.float16).astype(np.float32))
 
 
 def test_quantized_weight_outlier_rows_survive_round_trip(tmp_path):
@@ -267,11 +269,11 @@ def test_quantized_weight_outlier_rows_survive_round_trip(tmp_path):
     w = m.param("layers.0.attn.wq")
     w.data[3, :] *= 60.0  # force a weight-row outlier
     qm = quant.quantize_model_int8_mixed(m, threshold=6.0)
-    qt = qm.linears["layers.0.attn.wq"].weight
+    qt = qm.params["layers.0.attn.wq"]
     assert 3 in qt.outlier_cols.tolist()
     persist.save_model(qm, tmp_path / "out.sdcw")
     again, _ = persist.load_model(tmp_path / "out.sdcw")
-    qt2 = again.linears["layers.0.attn.wq"].weight
+    qt2 = again.params["layers.0.attn.wq"]
     np.testing.assert_array_equal(qt2.outlier_cols, qt.outlier_cols)
     np.testing.assert_array_equal(qt2.outlier_values, qt.outlier_values)
     np.testing.assert_array_equal(qt2.dequant()[3, :], w.data[3, :])
@@ -315,8 +317,9 @@ def test_pruned_then_quantized_file_keeps_the_mask_and_is_smaller(tmp_path, trai
     again, loaded = persist.load_model(path)
     assert again.mask is loaded
     _assert_same_mask(mask, loaded)
-    for name, lin in qm.linears.items():
-        assert again.linears[name].weight.q.tobytes() == lin.weight.q.tobytes(), name
+    for name, qt in qm.params.items():
+        if name.endswith(quant._LINEAR_WEIGHTS):
+            assert again.params[name].q.tobytes() == qt.q.tobytes(), name
     ids = stream(13, "persist-pq").integers(0, trained_clone.config.vocab_size, size=(2, 8))
     attention = np.ones((2, 8), dtype=bool)
     before = evaluation.forward_logits(qm, ids, attention)
@@ -364,11 +367,9 @@ def _array_bytes(handle, mask) -> int:
     if isinstance(handle, model.EncoderModel):
         n = sum(p.data.nbytes for p in handle.params.values())
     else:
-        n = sum(e.nbytes for e in handle.extras.values())
-        for lin in handle.linears.values():
-            w = lin.weight
-            n += lin.bias.nbytes + sum(a.nbytes for a in (w.q, w.scales, w.outlier_cols,
-                                                          w.outlier_values))
+        n = sum(sum(a.nbytes for a in (p.q, p.scales, p.outlier_cols, p.outlier_values))
+                if isinstance(p, quant.QuantizedTensor) else p.nbytes
+                for p in handle.params.values())
     return n + (sum(m.nbytes for m in mask.masks.values()) if mask else 0)
 
 
@@ -493,7 +494,7 @@ def test_damaged_int8_record_rejected_at_load(tmp_path, how):
     m = _random_model(8)
     m.param("layers.1.ffn.w1").data[[2, 5], :] *= 60.0
     qm = quant.quantize_model_int8_mixed(m, threshold=6.0)
-    qt = qm.linears["layers.1.ffn.w1"].weight
+    qt = qm.params["layers.1.ffn.w1"]
     assert qt.outlier_cols.tolist() == [2, 5]
     path = tmp_path / "good.sdcw"
     persist.save_model(qm, path)
@@ -528,7 +529,7 @@ def _load_error(path):
 def test_sparse_count_past_the_file_rejected_before_allocating(tmp_path, traced_peak):
     m = _random_model(2)
     prune.apply_mask(m, prune.compute_mask(m, 0.9))
-    assert persist._f32_record("w", m.param("layers.0.ffn.w1").data)[1] == persist.DT_F32_SPARSE
+    assert persist._f32_tag(m.param("layers.0.ffn.w1").data) == persist.DT_F32_SPARSE
     _, at = _record_offsets(m)["layers.0.ffn.w1"]
     path = tmp_path / "m.sdcw"
     persist.save_model(m, path)
@@ -605,6 +606,29 @@ def test_unwritable_path_errors(tmp_path):
     with pytest.raises(PersistError) as exc:
         persist.save_model(m, tmp_path / "no" / "such" / "dir" / "m.sdcw")
     assert "m.sdcw" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", ["shape", "name"])
+def test_a_mask_the_model_cannot_hold_fails_before_anything_is_written(tmp_path, bad):
+    """A mask of another shape than its tensor, or over a tensor the model
+    lacks, would make a file that `load_model` rejects: save, size and a
+    quantized handle's own mask fail with the tensor's name instead, and
+    no file is left behind."""
+    m = _random_model(4)
+    name, shape = {"shape": ("layers.0.ffn.w1", (3, 3)),
+                   "name": ("layers.7.ffn.w1", (TINY.hidden_size, TINY.ffn_size))}[bad]
+    mask = prune.PruneMask({name: np.ones(shape, dtype=np.uint8)})
+    calls = {"fp32": lambda: persist.save_model(m, tmp_path / "m.sdcw", mask=mask),
+             "fp32_size": lambda: persist.serialized_bytes(m, mask)}
+    for mode in ("dynamic_int8", "int8_mixed"):
+        qm = quant.quantize_model(m, mode, mask=mask)
+        calls[mode] = lambda qm=qm: persist.save_model(qm, tmp_path / "q.sdcw")
+        calls[f"{mode}_size"] = lambda qm=qm: persist.serialized_bytes(qm)
+    for what, call in calls.items():
+        with pytest.raises(PersistError) as exc:
+            call()
+        assert f"'{name}'" in str(exc.value), what
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +729,7 @@ def desk_files(tmp_path_factory):
     for kind, recs in records.items():
         out[kind] = ((root / f"{kind}.sdcw").read_bytes(), _layout(recs), {r[1] for r in recs})
     for handle in (qm, pruned_qm):
-        assert handle.linears["layers.0.ffn.w1"].weight.outlier_cols.size == 2
+        assert handle.params["layers.0.ffn.w1"].outlier_cols.size == 2
     return out, root
 
 

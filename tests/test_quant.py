@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdcw import data, model, quant
+from sdcw import data, model, prune, quant
 from sdcw.errors import DataError, ParameterError, ShapeError
 from sdcw.model import forward
 from sdcw.persist import load_model, save_model, serialized_bytes
@@ -367,22 +367,41 @@ def _inputs(gen, b=3, s=10):
 def test_dynamic_weight_payload_shrinks_4x():
     m = model.init_model(model.desk_config(), seed=1)
     qm = quant.quantize_model_dynamic(m)
-    for name, lin in qm.linears.items():
+    for name in m.params:
+        if not name.endswith(quant._LINEAR_WEIGHTS):
+            continue
         n = m.param(name).size
-        q_bytes = lin.weight.q.size + lin.weight.scales.size * 4
+        q_bytes = qm.params[name].q.size + qm.params[name].scales.size * 4
         # int8 payload plus one fp32 scale per output unit, nothing else
         assert q_bytes == n + 4 * m.param(name).shape[1]
         assert 3.7 < 4 * n / q_bytes <= 4.0, name
 
 
-def test_quantized_modes_keep_topology_and_extras():
-    m = model.init_model(TINY, seed=1)
-    for qm in (quant.quantize_model_dynamic(m), quant.quantize_model_int8_mixed(m)):
-        assert set(qm.linears) == {n for n in m.params
-                                   if n.endswith(quant._LINEAR_WEIGHTS)}
-        for name, lin in qm.linears.items():
-            assert lin.weight.shape == m.param(name).shape
-        assert "embeddings.token" in qm.extras
+def test_quantized_modes_keep_topology_and_extras(tmp_path):
+    """Quantized and loaded handles, both modes, with and without a mask:
+    `params` names the fp32 model's tensors, with their shapes, int8 exactly
+    on the linear weights and each bias right after its weight."""
+    dense = model.init_model(TINY, seed=1)
+    pruned = model.clone_model(dense)
+    mask = prune.compute_mask(pruned, 0.5)
+    prune.apply_mask(pruned, mask)
+    for mode in ("dynamic_int8", "int8_mixed"):
+        for m, m_mask in ((dense, None), (pruned, mask)):
+            qm = quant.quantize_model(m, mode, mask=m_mask)
+            path = tmp_path / f"{mode}.sdcw"
+            save_model(qm, path)
+            loaded, loaded_mask = load_model(path)
+            assert (loaded_mask is None) == (m_mask is None) and loaded.mask is loaded_mask
+            for handle in (qm, loaded):
+                assert handle.mode == mode
+                assert set(handle.params) == set(model.param_names(TINY))
+                names = list(handle.params)
+                for name, p in handle.params.items():
+                    is_weight = name.endswith(quant._LINEAR_WEIGHTS)
+                    assert isinstance(p, quant.QuantizedTensor) == is_weight, name
+                    assert p.shape == m.param(name).shape, name
+                    if is_weight:
+                        assert names[names.index(name) + 1] == model._bias_name(name), name
 
 
 def test_dynamic_logits_close_to_fp32():
@@ -410,8 +429,9 @@ def test_mixed_huge_threshold_is_pure_int8():
     m = model.init_model(TINY, seed=4)
     ids, mask = _inputs(gen)
     qm = quant.quantize_model_int8_mixed(m, threshold=1e30)
-    for lin in qm.linears.values():
-        assert lin.weight.outlier_cols.size == 0
+    for name in m.params:
+        if name.endswith(quant._LINEAR_WEIGHTS):
+            assert qm.params[name].outlier_cols.size == 0
     got = quant.quantized_forward(qm, ids, mask)
     assert np.all(np.isfinite(got))
 
@@ -569,7 +589,8 @@ def test_saved_files_hold_no_float32_image(which, mode, tmp_path):
     assert save_model(qm, path) == serialized_bytes(qm) == want_bytes == path.stat().st_size
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want_sha
     loaded = load_model(path)[0]
-    assert all(lin.weight.q_image is None for lin in loaded.linears.values())
+    assert all(p.q_image is None for p in loaded.params.values()
+               if isinstance(p, quant.QuantizedTensor))
     logits = quant.quantized_forward(loaded, ids, mask)  # builds the loaded images
     if mode == "dynamic_int8":
         assert logits.tobytes() == quant.quantized_forward(qm, ids, mask).tobytes()
