@@ -14,6 +14,7 @@ import os
 import sys
 import traceback
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from .model import EncoderModel, count_params, finetune, init_model
 from .persist import load_model, save_model
 from .prune import run_schedule
 from .quant import quantize_model_dynamic, quantize_model_int8_mixed
+from .tensor import Tensor
 
 SUBCOMMANDS = ("synth-data", "pretrain", "finetune", "prune", "distill",
                "quantize", "eval", "bench", "transfer", "report")
@@ -200,15 +202,32 @@ def _vocab_for(cfg: ExperimentConfig, model_path: str, train: list[Sentence]) ->
     return build_vocab(corpus_token_lists(train), cfg.vocab_size)
 
 
+def _fit_table(model: EncoderModel, rows: int) -> EncoderModel:
+    """`model` with its first `rows` token rows: those past the vocabulary,
+    which no token id reaches, are dropped."""
+    if model.config.vocab_size == rows:
+        return model
+    table = model.params["embeddings.token"]
+    # a copy, not a view, so that the dropped rows' memory is freed
+    params = {**model.params, "embeddings.token": Tensor(
+        table.data[:rows].copy(), requires_grad=True, name=table.name)}
+    return EncoderModel(replace(model.config, vocab_size=rows), params)
+
+
 def _start_model(cfg: ExperimentConfig, seed: int,
                  train: list[Sentence]) -> tuple[EncoderModel, Vocabulary]:
     """The model a training subcommand starts from (the seed's `model_in`
-    file, or a fresh init) and its vocabulary."""
+    file, or a fresh init at the `vocab_size` cap) and its vocabulary, the
+    model's token table cut to the vocabulary."""
     model_path = _resolve_model_path(cfg.model_in, seed) if cfg.model_in else ""
     vocab = _vocab_for(cfg, model_path, train)
-    if model_path:
-        return _load_fp32_model(model_path), vocab
-    return init_model(cfg.encoder_config(), seed), vocab
+    if not model_path:
+        return _fit_table(init_model(cfg.encoder_config(), seed), vocab.size), vocab
+    model = _load_fp32_model(model_path)
+    if vocab.size > model.config.vocab_size:
+        raise DataError(f"the vocabulary has {vocab.size} tokens, but '{model_path}' "
+                        f"has a token table of {model.config.vocab_size} rows")
+    return _fit_table(model, vocab.size), vocab
 
 
 def _eval_kwargs(cfg: ExperimentConfig) -> dict:

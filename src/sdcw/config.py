@@ -28,7 +28,7 @@ class ExperimentConfig:
     num_heads: int = 6
     hidden_size: int = 768
     ffn_size: int = 3072
-    vocab_size: int = 70_000
+    vocab_size: int = 70_000  # the vocabulary's cap: an NER model keeps one token row per entry
     max_positions: int = 512
     dropout: float = 0.1
     # pruning

@@ -105,13 +105,9 @@ def _records_for(obj, mask: PruneMask | None) -> tuple[int, float, list[tuple]]:
         mask = obj.mask if mask is None else mask
     else:
         raise PersistError(f"cannot serialize {type(obj).__name__}")
+    if mask is not None:
+        mask.check_fits({name: arr.shape for name, arr in tensors.items()}, PersistError)
     masks = mask.masks if mask is not None else {}
-    for name, m in masks.items():
-        if name not in tensors:
-            raise PersistError(f"the mask names '{name}', a tensor the model does not have")
-        if m.shape != tensors[name].shape:
-            raise PersistError(f"the mask for '{name}' has shape {m.shape}, "
-                               f"the tensor {tensors[name].shape}")
     records: list[tuple] = []
     for name, arr in tensors.items():
         tag, m = tags[name], masks.get(name)

@@ -52,6 +52,15 @@ class PruneMask:
     def total(self) -> int:
         return int(sum(m.size for m in self.masks.values()))
 
+    def check_fits(self, shapes: dict[str, tuple[int, ...]], error: type[Exception]) -> None:
+        """Raise `error` unless every mask names a tensor of `shapes` (name ->
+        shape, the model's) and has that tensor's shape."""
+        for name, m in self.masks.items():
+            if name not in shapes:
+                raise error(f"the mask names '{name}', a tensor the model does not have")
+            if m.shape != shapes[name]:
+                raise error(f"the mask for '{name}' has shape {m.shape}, the tensor {shapes[name]}")
+
 
 @dataclass
 class PruneSchedule:

@@ -343,6 +343,8 @@ def quantize_model(model: EncoderModel, mode: str, threshold: float = DEFAULT_OU
                    mask: PruneMask | None = None) -> QuantizedModel:
     if mode not in ("dynamic_int8", "int8_mixed"):
         raise ParameterError(f"unknown quantization mode '{mode}'")
+    if mask is not None:
+        mask.check_fits({name: p.shape for name, p in model.params.items()}, ShapeError)
     params: dict[str, QuantizedTensor | np.ndarray] = {}
     for name, p in model.params.items():
         if not _all_finite(p.data):

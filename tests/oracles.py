@@ -16,9 +16,11 @@ that the shared training loop and `distill.distill_grid` must reproduce.
 The section after them is the tape as it was before gradients were handed
 over, each bias joined its GEMM and the heads were split in one op; the
 leaner tape must reproduce its trained tensors, traces and logits byte for
-byte. The last is the version-1 writer of pruned files (each tensor dense or
+byte. Then comes the version-1 writer of pruned files (each tensor dense or
 sparse, its mask a record of its own), which the masked records of version 2
-must load equal to.
+must load equal to. The last is the desk study as it ran while every model
+kept its whole token table, which the table cut to the vocabulary must
+reproduce logit for logit.
 """
 from __future__ import annotations
 
@@ -38,10 +40,12 @@ from sdcw.distill import (DistillSpec, StudentSpec, _lines_to_sentences, artifac
                           init_student, mlm_corrupt)
 from sdcw.errors import DataError, ParameterError, ShapeError
 from sdcw.model import (ATTN_MASK_BIAS, LN_EPS, EncoderModel, TapeKernel, TrainSpec, _bias_name,
-                        _validate_inputs, clone_model, forward, forward_hidden, mlm_logits)
-from sdcw.prune import PruneMask, prunable_names, pruned_count
+                        _validate_inputs, clone_model, finetune, forward, forward_hidden,
+                        mlm_logits)
+from sdcw.prune import PruneMask, apply_mask, compute_mask, prunable_names, pruned_count
 from sdcw.quant import (EXACT_BLOCK, MAX_CONTRACTION, QuantizedModel, QuantizedTensor,
-                        absmax_quantize, quantize_with_outliers)
+                        absmax_quantize, quantize_model_dynamic, quantize_model_int8_mixed,
+                        quantize_with_outliers)
 from sdcw.tensor import IGNORE_INDEX, _gelu_np, _layer_norm_np, _softmax_np
 
 
@@ -733,3 +737,26 @@ def save_v1(model: EncoderModel, path, mask: PruneMask | None = None) -> int:
     data = b"".join(blob)
     Path(path).write_bytes(data)
     return len(data)
+
+
+# ---------------------------------------------------------------------------
+# the desk study with the whole token table: every model keeps the rows it
+# was made with, `vocab_size` of them, though no token id reaches past the
+# vocabulary
+
+def untrimmed_desk_path(start: EncoderModel, train: list[data.Sentence], vocab: data.Vocabulary,
+                        spec: TrainSpec, seed: int, entity_types, sparsity: float,
+                        threshold: float) -> dict[str, tuple]:
+    """{mode: (handle, mask)} of the study's four models from `start`: the
+    fine-tuned model ("fp32"), the model pruned after fine-tuning at
+    `sparsity` ("pruned"), and the fine-tuned model's dynamic and mixed
+    quantizations. Pruning after fine-tuning starts from the weights the
+    same seed's fine-tune gives, so it reuses them."""
+    fp32 = clone_model(start)
+    finetune(fp32, train, vocab, spec, seed, entity_types=entity_types)
+    pruned = clone_model(fp32)
+    mask = compute_mask(pruned, sparsity)
+    apply_mask(pruned, mask)
+    return {"fp32": (fp32, None), "pruned": (pruned, mask),
+            "dynamic": (quantize_model_dynamic(fp32), None),
+            "mixed": (quantize_model_int8_mixed(fp32, threshold), None)}

@@ -15,6 +15,8 @@ import pytest
 from sdcw import cli, config, data, distill, evaluation, model, persist, quant
 from sdcw.errors import ConfigError, DataError, ParameterError, WorkbenchError
 
+from oracles import untrimmed_desk_path
+
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -758,6 +760,9 @@ def test_pretrain_then_agnostic_distill_pipeline(workspace, tmp_path):
     assert len(pt_rep["loss_trace"]) == 2
     teacher_path = pt_out / "pretrained_seed1.sdcw"
     assert teacher_path.exists() and Path(str(teacher_path) + ".vocab").exists()
+    # the masked-LM softmax runs over every row: pretrain keeps the whole table
+    rows = persist.load_model(teacher_path)[0].param("embeddings.token").shape[0]
+    assert rows == 2000 > data.Vocabulary.load(str(teacher_path) + ".vocab").size
 
     kd_out = tmp_path / "kd-agn"
     cfg = _write_cfg(tmp_path / "kd2.cfg",
@@ -1054,3 +1059,135 @@ def test_distill_cli_rejects_a_repeated_grid_cell(workspace, tmp_path, capsys):
     assert cli.run_cli(["distill", cfg]) == 1
     assert "duplicate grid cell" in capsys.readouterr().err
     assert not list(out.glob("*.json")) and not list(out.glob("*.sdcw"))
+
+
+# ---------------------------------------------------------------------------
+# the token table: one row per vocabulary entry
+
+def _reloaded(handle, mask, path: Path):
+    persist.save_model(handle, path, mask=mask)
+    return persist.load_model(path)[0]
+
+
+def _logits(handle, batches) -> list[bytes]:
+    return [evaluation.forward_logits(handle, tb.token_ids, tb.attention_mask).tobytes()
+            for tb in batches]
+
+
+@pytest.fixture(scope="module")
+def untrimmed(workspace, tmp_path_factory):
+    """The workspace study at seed 1 with the whole token table (the oracle):
+    its config, vocabulary, test batches, and its four models each saved and
+    loaded back, as the CLI measures the files it writes. The fine-tuned
+    file has its vocabulary sidecar."""
+    root, data_dir, _, base = workspace
+    out = tmp_path_factory.mktemp("untrimmed")
+    cfg = config.load_config(_write_cfg(out / "u.cfg", base + "epochs=2\nsparsity=0.5\n"))
+    train = data.load_conll(data_dir / "train.conll", cfg.entity_types)
+    test = data.load_conll(data_dir / "test.conll", cfg.entity_types)
+    vocab = data.build_vocab(data.corpus_token_lists(train), cfg.vocab_size)
+    study = untrimmed_desk_path(model.init_model(cfg.encoder_config(), 1), train, vocab,
+                                cfg.train_spec(), 1, cfg.entity_types, cfg.sparsity,
+                                cfg.outlier_threshold)
+    handles = {mode: _reloaded(handle, mask, out / f"{mode}_seed1.sdcw")
+               for mode, (handle, mask) in study.items()}
+    vocab.save(out / "fp32_seed1.sdcw.vocab")
+    batches = data.batch(test, vocab, cfg.max_seq_len, cfg.batch_size,
+                         entity_types=cfg.entity_types)
+    return cfg, vocab, batches, handles, out / "fp32_seed1.sdcw"
+
+
+def _assert_cut_and_equal(path: Path, whole, cfg, vocab, batches) -> None:
+    """The file at `path` holds one token row per entry of `vocab`, where
+    `whole` keeps `vocab_size` rows, and gives `whole`'s test logits."""
+    cut = persist.load_model(path)[0]
+    assert data.Vocabulary.load(str(path) + ".vocab").id_to_token == vocab.id_to_token
+    assert cut.config == dataclasses.replace(whole.config, vocab_size=vocab.size)
+    assert whole.config.vocab_size == cfg.vocab_size > vocab.size
+    assert _logits(cut, batches) == _logits(whole, batches), path.name
+
+
+def test_cli_study_gives_the_logits_of_the_whole_token_table(workspace, untrimmed, tmp_path):
+    """finetune, prune after at p 0.5, and both quantizations of the
+    fine-tuned file, through the CLI: each file's test logits equal, bit for
+    bit, those of the same steps on models that keep every token row."""
+    root, data_dir, _, base = workspace
+    cfg, vocab, batches, whole, _ = untrimmed
+    keys = base + f"out_dir={tmp_path}\nepochs=2\n"
+    for sub, more in (("finetune", ""), ("prune", "sparsity=0.5\nschedule=after\n"),
+                      ("quantize", f"model_in={tmp_path}/finetune_seed{{seed}}.sdcw\n")):
+        assert cli.run_cli([sub, _write_cfg(tmp_path / f"{sub}.cfg", keys + more)]) == 0, sub
+    files = {"fp32": "finetune_seed1.sdcw", "pruned": "pruned_p0.50_after_seed1.sdcw",
+             "dynamic": "quantized_dynamic_seed1.sdcw", "mixed": "quantized_mixed_seed1.sdcw"}
+    for mode, name in files.items():
+        _assert_cut_and_equal(tmp_path / name, whole[mode], cfg, vocab, batches)
+
+
+def test_prune_and_transfer_cut_a_whole_table_model_in(workspace, untrimmed, tmp_path):
+    """A fine-tuned file that keeps every token row, given as `model_in` to
+    prune and to transfer: their files give the logits of the same steps on
+    the whole table."""
+    root, data_dir, _, base = workspace
+    cfg, vocab, batches, _, model_in = untrimmed
+    whole = untrimmed_desk_path(persist.load_model(model_in)[0],
+                                data.load_conll(data_dir / "train.conll", cfg.entity_types),
+                                vocab, cfg.train_spec(), 1, cfg.entity_types, cfg.sparsity,
+                                cfg.outlier_threshold)
+    keys = base + f"out_dir={tmp_path}\nepochs=2\nmodel_in={model_in}\n"
+    for sub, more, mode, name in (
+            ("transfer", "", "fp32", "transfer_seed1.sdcw"),
+            ("prune", "sparsity=0.5\nschedule=after\n", "pruned", "pruned_p0.50_after_seed1.sdcw")):
+        assert cli.run_cli([sub, _write_cfg(tmp_path / f"{sub}.cfg", keys + more)]) == 0, sub
+        _assert_cut_and_equal(tmp_path / name, whole[mode][0], cfg, vocab, batches)
+
+
+@pytest.mark.parametrize("sub", ["finetune", "transfer", "prune"])
+def test_a_vocabulary_past_the_token_table_fails_before_training(workspace, tmp_path, monkeypatch,
+                                                                 capsys, sub):
+    """A `model_in` without its vocabulary sidecar, whose token table is
+    shorter than the train split's vocabulary, fails naming both sizes
+    before a step is taken or a file written."""
+    root, data_dir, _, base = workspace
+    short = model.init_model(dataclasses.replace(model.desk_config(), vocab_size=20), 1)
+    persist.save_model(short, tmp_path / "short_seed1.sdcw")
+    steps = []
+    monkeypatch.setattr(model.T, "adam_step", lambda *args: steps.append(args))
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path / "s.cfg", base + f"out_dir={out}\nepochs=1\n"
+                     f"model_in={tmp_path}/short_seed{{seed}}.sdcw\n")
+    assert cli.run_cli([sub, cfg]) == 1
+    train = data.load_conll(data_dir / "train.conll")
+    size = data.build_vocab(data.corpus_token_lists(train), 2000).size
+    err = capsys.readouterr().err
+    assert f"{size} tokens" in err and "20 rows" in err
+    assert steps == []
+    assert not list(out.glob("*.sdcw")) and not list(out.glob("*.json"))
+
+
+def test_every_ner_model_file_holds_one_token_row_per_vocabulary_entry(workspace, kd_student,
+                                                                       tmp_path):
+    root, data_dir, ft_dir, base = workspace
+    files = [ft_dir / "finetune_seed1.sdcw", kd_student[0] / kd_student[1]["cells"][0]["model_path"]]
+    for sub, keys, name in (
+            ("prune", "sparsity=0.5\nschedule=after\n", "pruned_p0.50_after_seed1.sdcw"),
+            ("transfer", f"model_in={ft_dir}/finetune_seed{{seed}}.sdcw\n", "transfer_seed1.sdcw")):
+        out = tmp_path / sub
+        cfg = _write_cfg(tmp_path / f"{sub}.cfg", base + f"out_dir={out}\nepochs=1\n" + keys)
+        assert cli.run_cli([sub, cfg]) == 0, sub
+        files.append(out / name)
+    for path in files:
+        handle = persist.load_model(path)[0]
+        rows = data.Vocabulary.load(str(path) + ".vocab").size
+        assert handle.config.vocab_size == rows == handle.param("embeddings.token").shape[0]
+        assert rows < 2000, path.name
+
+
+def test_desk_finetune_file_is_at_most_460_kb(tmp_path):
+    """Seed 1, 800 sentences: the token table holds the train split's
+    vocabulary, not the 2,000-row cap (the file's size does not depend on
+    how long it trains)."""
+    cfg = _write_cfg(tmp_path / "d.cfg", f"preset=desk\nseeds=1\ndataset={tmp_path}\n"
+                     f"out_dir={tmp_path}\nepochs=1\n")
+    assert cli.run_cli(["synth-data", cfg]) == 0
+    assert cli.run_cli(["finetune", cfg]) == 0
+    assert (tmp_path / "finetune_seed1.sdcw").stat().st_size <= 460_000

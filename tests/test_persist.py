@@ -612,8 +612,9 @@ def test_unwritable_path_errors(tmp_path):
 def test_a_mask_the_model_cannot_hold_fails_before_anything_is_written(tmp_path, bad):
     """A mask of another shape than its tensor, or over a tensor the model
     lacks, would make a file that `load_model` rejects: save, size and a
-    quantized handle's own mask fail with the tensor's name instead, and
-    no file is left behind."""
+    quantized handle's own mask (one set on the handle: `quantize_model`
+    itself rejects such a mask) fail with the tensor's name instead, and no
+    file is left behind."""
     m = _random_model(4)
     name, shape = {"shape": ("layers.0.ffn.w1", (3, 3)),
                    "name": ("layers.7.ffn.w1", (TINY.hidden_size, TINY.ffn_size))}[bad]
@@ -621,7 +622,7 @@ def test_a_mask_the_model_cannot_hold_fails_before_anything_is_written(tmp_path,
     calls = {"fp32": lambda: persist.save_model(m, tmp_path / "m.sdcw", mask=mask),
              "fp32_size": lambda: persist.serialized_bytes(m, mask)}
     for mode in ("dynamic_int8", "int8_mixed"):
-        qm = quant.quantize_model(m, mode, mask=mask)
+        qm = replace(quant.quantize_model(m, mode), mask=mask)
         calls[mode] = lambda qm=qm: persist.save_model(qm, tmp_path / "q.sdcw")
         calls[f"{mode}_size"] = lambda qm=qm: persist.serialized_bytes(qm)
     for what, call in calls.items():

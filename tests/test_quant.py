@@ -479,6 +479,23 @@ def test_quantize_rejects_unknown_mode_and_bad_threshold():
         quant.quantize_model_int8_mixed(m, threshold=0.0)
 
 
+@pytest.mark.parametrize("mode", ["dynamic_int8", "int8_mixed"])
+@pytest.mark.parametrize("bad", ["shape", "name"])
+def test_quantize_rejects_a_mask_that_does_not_fit_the_model(mode, bad):
+    """A mask over a tensor the model lacks, or of another shape than its
+    tensor, fails before anything is quantized, naming the tensor: the
+    handle would report the mask's sparsity as its own."""
+    m = model.init_model(replace(TINY, num_layers=1), seed=9)
+    name, shape = {"shape": ("layers.0.ffn.w1", (3, 3)),
+                   "name": ("layers.7.ffn.w1", (TINY.hidden_size, TINY.ffn_size))}[bad]
+    mask = prune.PruneMask({name: np.zeros(shape, dtype=np.uint8)})
+    with mock.patch.object(quant, "absmax_quantize") as absmax, \
+            mock.patch.object(quant, "quantize_with_outliers") as outliers:
+        with pytest.raises(ShapeError, match=f"'{name}'"):
+            quant.quantize_model(m, mode, mask=mask)
+    assert absmax.call_count == outliers.call_count == 0
+
+
 def test_serialized_reduction_bands_on_weight_dominated_model(tmp_path):
     from sdcw.persist import save_model
     # the desk model's linears are ~42% of its bytes: dynamic mode must save
