@@ -59,13 +59,6 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write(text)
 
 
-def write_csv(path: Path, header, rows) -> None:
-    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _file_reports(payload: dict) -> dict[str, dict]:
     """The reports of the model files a run JSON describes one by one: each
     quantized mode's ("modes.<mode>") and each distilled student's
@@ -202,6 +195,14 @@ def _vocab_for(cfg: ExperimentConfig, model_path: str, train: list[Sentence]) ->
     return build_vocab(corpus_token_lists(train), cfg.vocab_size)
 
 
+def _fits(handle, vocab: Vocabulary, model_path):
+    """`handle`, when its token table has a row for every token of `vocab`."""
+    if vocab.size > handle.config.vocab_size:
+        raise DataError(f"the vocabulary has {vocab.size} tokens, but '{model_path}' "
+                        f"has a token table of {handle.config.vocab_size} rows")
+    return handle
+
+
 def _fit_table(model: EncoderModel, rows: int) -> EncoderModel:
     """`model` with its first `rows` token rows: those past the vocabulary,
     which no token id reaches, are dropped."""
@@ -223,10 +224,7 @@ def _start_model(cfg: ExperimentConfig, seed: int,
     vocab = _vocab_for(cfg, model_path, train)
     if not model_path:
         return _fit_table(init_model(cfg.encoder_config(), seed), vocab.size), vocab
-    model = _load_fp32_model(model_path)
-    if vocab.size > model.config.vocab_size:
-        raise DataError(f"the vocabulary has {vocab.size} tokens, but '{model_path}' "
-                        f"has a token table of {model.config.vocab_size} rows")
+    model = _fits(_load_fp32_model(model_path), vocab, model_path)
     return _fit_table(model, vocab.size), vocab
 
 
@@ -246,14 +244,15 @@ def _report_on_file(path: Path, measure):
     return loaded, measure(loaded[0], path.stat().st_size)
 
 
+def _as_dict(report) -> dict:
+    return report.to_dict() if isinstance(report, EvalReport) else report
+
+
 def _save_and_report(obj, path: Path, vocab: Vocabulary, measure, mask=None) -> dict:
     """Save `obj` and its vocabulary, then report on the file, naming it."""
     save_model(obj, path, mask=mask)
     vocab.save(str(path) + ".vocab")
-    report = _report_on_file(path, measure)[1]
-    if isinstance(report, EvalReport):
-        report = report.to_dict()
-    return {**report, "model_path": path.name}
+    return {**_as_dict(_report_on_file(path, measure)[1]), "model_path": path.name}
 
 
 def _evaluator(cfg: ExperimentConfig, split: list[Sentence], vocab: Vocabulary):
@@ -262,6 +261,15 @@ def _evaluator(cfg: ExperimentConfig, split: list[Sentence], vocab: Vocabulary):
         report = evaluate(handle, split, vocab, dataset_id=_dataset_id(cfg), **_eval_kwargs(cfg))
         report.model_bytes = n_bytes
         return report
+    return measure
+
+
+def _timer(cfg: ExperimentConfig, split: list[Sentence], vocab: Vocabulary):
+    """A measure: `measure_inference_time` on `split`, with the file's bytes."""
+    def measure(handle, n_bytes: int) -> dict:
+        return {**measure_inference_time(handle, split, vocab, reps=cfg.reps, warmup=cfg.warmup,
+                                         **_eval_kwargs(cfg)),
+                "model_bytes": n_bytes, "dataset_id": _dataset_id(cfg)}
     return measure
 
 
@@ -489,64 +497,40 @@ def cmd_quantize(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_eval(cfg: ExperimentConfig) -> int:
+def _measure_model_in(cfg: ExperimentConfig, sub: str, measure_for) -> int:
+    """Report, per seed, the measure `measure_for(cfg, split, vocab)` gives
+    of the `model_in` file as loaded, on the test (else dev, else train) split."""
     if not cfg.model_in:
-        raise ConfigError("'model_in' is required for eval")
+        raise ConfigError(f"'model_in' is required for {sub}")
     train, dev, test = _load_splits(cfg)
     eval_split = test or dev or train
-    out = Path(cfg.out_dir)
 
     def run_one(seed: int) -> dict:
         model_path = Path(_resolve_model_path(cfg.model_in, seed))
         vocab = _vocab_for(cfg, str(model_path), train)
-        _, report = _report_on_file(model_path, _evaluator(cfg, eval_split, vocab))
-        return {**report.to_dict(), "subcommand": "eval", "model_path": model_path.name}
+        measure = measure_for(cfg, eval_split, vocab)
+        _, report = _report_on_file(
+            model_path, lambda handle, n_bytes: measure(_fits(handle, vocab, model_path), n_bytes))
+        return {**_as_dict(report), "subcommand": sub, "model_path": model_path.name}
 
-    _per_seed(cfg, "eval", run_one)
-    print(f"eval: {len(cfg.seeds)} run(s) -> {out}")
+    _per_seed(cfg, sub, run_one)
+    print(f"{sub}: {len(cfg.seeds)} run(s) -> {cfg.out_dir}")
     return 0
+
+
+def cmd_eval(cfg: ExperimentConfig) -> int:
+    return _measure_model_in(cfg, "eval", _evaluator)
 
 
 def cmd_bench(cfg: ExperimentConfig) -> int:
-    if not cfg.model_in:
-        raise ConfigError("'model_in' is required for bench")
-    train, dev, test = _load_splits(cfg)
-    eval_split = test or dev or train
-    out = Path(cfg.out_dir)
-
-    def run_one(seed: int) -> dict:
-        model_path = Path(_resolve_model_path(cfg.model_in, seed))
-        vocab = _vocab_for(cfg, str(model_path), train)
-
-        def timed(handle, n_bytes: int) -> dict:
-            return {**measure_inference_time(handle, eval_split, vocab, reps=cfg.reps,
-                                             warmup=cfg.warmup, **_eval_kwargs(cfg)),
-                    "model_bytes": n_bytes}
-
-        (model, mask), fp32 = _report_on_file(
-            model_path, lambda handle, n_bytes: timed(_fp32(handle, model_path), n_bytes))
-        modes = {"fp32": {**fp32, "model_path": model_path.name}}
-        for qm in (quantize_model_dynamic(model, mask),
-                   quantize_model_int8_mixed(model, cfg.outlier_threshold, mask)):
-            modes[qm.mode] = _save_and_report(qm, out / f"bench_{qm.mode}_seed{seed}.sdcw",
-                                              vocab, timed)
-        return {"subcommand": "bench", "dataset": _dataset_id(cfg), "modes": modes}
-
-    rows = [[rep["dataset"], rep["seed"]]
-            + [f"{rep['modes'][m]['median_ms'] / max(1, rep['modes'][m]['n_batches']):.3f}"
-               for m in ("fp32", "dynamic_int8", "int8_mixed")]
-            for rep in _per_seed(cfg, "bench", run_one)]
-    write_csv(out / f"{_run_tag(cfg, 'bench')}_latency.csv",
-              ["dataset", "seed", "baseline_ms", "dynamic_ms", "int8_mixed_ms"], rows)
-    print(f"bench: latency table -> {out}")
-    return 0
+    return _measure_model_in(cfg, "bench", _timer)
 
 
 # report.csv column -> run JSON key
 REPORT_COLUMNS = {
     "prune_rate": "prune_rate", "dataset": "dataset_id", "loss": "loss",
     "precision": "precision", "recall": "recall", "f1": "f1",
-    "inference_time": "inference_time_ms", "pruned_params": "pruned_params",
+    "pruned_params": "pruned_params",
     "mode": "mode", "sparsity": "sparsity", "seed": "seed", "subcommand": "subcommand",
     "model_path": "model_path", "model_bytes": "model_bytes",
     "truncated_tokens": "truncated_tokens",
@@ -577,7 +561,10 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table = out / "report.csv"
-    write_csv(table, REPORT_COLUMNS, [[r[c] for c in REPORT_COLUMNS] for r in rows])
+    with atomic_write(table, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(REPORT_COLUMNS)
+        writer.writerows([r[c] for c in REPORT_COLUMNS] for r in rows)
     print(f"report: {len(rows)} row(s) -> {table}")
     return 0
 

@@ -290,6 +290,21 @@ def test_both_handles_have_one_shape():
     assert kernels[0] == kernels[1]
 
 
+def test_one_function_of_the_program_reads_the_clock():
+    """`evaluation.measure_inference_time` is the only function in sdcw that
+    reads `time`: static guard against a second timer."""
+    readers = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "time"], path.name
+        clocks = {alias.asname or alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.Import) for alias in node.names if alias.name == "time"}
+        readers |= {f"{path.stem}.{getattr(top, 'name', '<module>')}" for top in tree.body
+                    for node in ast.walk(top) if isinstance(node, ast.Name) and node.id in clocks}
+    assert readers == {"evaluation.measure_inference_time"}
+
+
 def test_seed_and_type_lists_parse():
     cfg = config.parse_config("seeds=7,8\nentity_types=PER,LOC\nstudent_layers=1,2\n")
     assert cfg.seeds == (7, 8)
@@ -388,8 +403,8 @@ def test_aggregate_missing_seed_errors():
 
 
 def test_strip_timing_removes_wall_clock_fields():
-    payload = {"f1": 0.9, "inference_time_ms": 12.0,
-               "nested": [{"median_ms": 3.0, "loss": 0.1}]}
+    payload = {"f1": 0.9, "median_ms": 12.0,
+               "nested": [{"iqr_ms": 3.0, "loss": 0.1}]}
     stripped = cli.strip_timing(payload)
     assert stripped == {"f1": 0.9, "nested": [{"loss": 0.1}]}
 
@@ -599,51 +614,74 @@ def test_transfer_cli_finetunes_loaded_model(workspace, tmp_path):
     assert len(rep["loss_trace"]) == 2
 
 
-def test_bench_cli_writes_latency_table(workspace, tmp_path):
+def test_bench_cli_writes_a_report_per_seed_and_no_model_file(workspace, tmp_path):
     root, data_dir, ft_dir, base = workspace
     out = tmp_path / "bench"
     cfg = _write_cfg(tmp_path / "b.cfg",
                      base + f"out_dir={out}\nreps=3\n"
                      f"model_in={ft_dir}/finetune_seed{{seed}}.sdcw\n")
     assert cli.run_cli(["bench", cfg]) == 0
-    table = (out / "bench_desk_latency.csv").read_text().splitlines()
-    assert table[0] == "dataset,seed,baseline_ms,dynamic_ms,int8_mixed_ms"
-    assert len(table) == 2
+    assert sorted(f.name for f in out.iterdir()) == ["bench_desk_agg.json", "bench_desk_seed1.json"]
+    rep = json.loads((out / "bench_desk_seed1.json").read_text())
+    assert set(evaluation.TIMING_FIELDS) <= set(rep)  # no stale wall-clock field
+    assert (rep["subcommand"], rep["seed"], rep["dataset_id"]) == ("bench", 1, "data")
 
 
-def _bench(workspace, tmp_path, keys: str) -> tuple[int, Path]:
-    """`sdcw bench` of the workspace model over 32 test sentences: two
-    batches at the desk batch size of 16."""
-    root, data_dir, ft_dir, _ = workspace
+@pytest.fixture(scope="module")
+def desk_files(workspace, tmp_path_factory):
+    """The four kinds of model file at seed 1, each with its vocabulary: the
+    workspace model (fp32), a model pruned after training at p 0.5, and the
+    dynamic and mixed quantizations of the workspace model."""
+    root, data_dir, ft_dir, base = workspace
+    out = tmp_path_factory.mktemp("desk-files")
+    for sub, keys in (("prune", "epochs=1\nsparsity=0.5\nschedule=after\n"),
+                      ("quantize", f"model_in={ft_dir}/finetune_seed{{seed}}.sdcw\n")):
+        cfg = _write_cfg(out / f"{sub}.cfg", base + f"out_dir={out}\n" + keys)
+        assert cli.run_cli([sub, cfg]) == 0, sub
+    return {"fp32": ft_dir / "finetune_seed1.sdcw", "pruned": out / "pruned_p0.50_after_seed1.sdcw",
+            "dynamic": out / "quantized_dynamic_seed1.sdcw",
+            "mixed": out / "quantized_mixed_seed1.sdcw"}
+
+
+# the mode a bench report gives for each kind of file
+BENCH_MODES = {"fp32": "fp32", "pruned": "fp32", "dynamic": "dynamic_int8", "mixed": "int8_mixed"}
+
+
+def _bench(workspace, tmp_path, keys: str, model_in: Path) -> tuple[int, Path]:
+    """`sdcw bench` of the file `model_in` over 32 test sentences (two
+    batches at the desk batch size of 16), into an `out_dir` of its own."""
+    root, data_dir, _, _ = workspace
     bench_data = tmp_path / "bench_data"
-    bench_data.mkdir()
-    data.write_conll(data.load_conll(data_dir / "test.conll")[:32], bench_data / "test.conll")
-    out = tmp_path / "bench"
+    if not bench_data.exists():
+        bench_data.mkdir()
+        data.write_conll(data.load_conll(data_dir / "test.conll")[:32], bench_data / "test.conll")
+    out = tmp_path / f"bench_{model_in.stem}"
     cfg = _write_cfg(tmp_path / "b.cfg",
                      f"preset=desk\nseeds=1\ndataset={bench_data}\nout_dir={out}\n"
-                     f"model_in={ft_dir}/finetune_seed{{seed}}.sdcw\n" + keys)
+                     f"model_in={model_in}\n" + keys)
     return cli.run_cli(["bench", cfg]), out
 
 
-def test_bench_reports_all_three_modes(workspace, tmp_path):
-    rc, out = _bench(workspace, tmp_path, "reps=3\n")
-    assert rc == 0
-    rep = json.loads((out / "bench_desk_seed1.json").read_text())
-    assert set(rep["modes"]) == {"fp32", "dynamic_int8", "int8_mixed"}
-    for stats in rep["modes"].values():
+def test_bench_reports_all_three_modes(workspace, desk_files, tmp_path):
+    modes = set()
+    for kind, path in desk_files.items():
+        rc, out = _bench(workspace, tmp_path, "reps=3\n", path)
+        assert rc == 0, kind
+        stats = json.loads((out / "bench_desk_seed1.json").read_text())
+        assert stats["mode"] == BENCH_MODES[kind]
         assert stats["reps"] == 3
         assert stats["n_batches"] == 2
         assert stats["median_ms"] > 0
         assert stats["iqr_ms"] > 0  # repeated wall-clock reps never tie exactly
-    row = (out / "bench_desk_latency.csv").read_text().splitlines()[1].split(",")
-    assert all(float(ms) > 0 for ms in row[2:])  # median ms per batch
+        modes.add(stats["mode"])
+    assert modes == {"fp32", "dynamic_int8", "int8_mixed"}
 
 
 def test_bench_rejects_too_few_reps(workspace, tmp_path):
-    rc, out = _bench(workspace, tmp_path, "reps=2\n")
-    assert rc == 2
-    assert not (out / "bench_desk_latency.csv").exists()
     root, data_dir, ft_dir, _ = workspace
+    rc, out = _bench(workspace, tmp_path, "reps=2\n", ft_dir / "finetune_seed1.sdcw")
+    assert rc == 2
+    assert not out.exists()
     fp32, _ = persist.load_model(ft_dir / "finetune_seed1.sdcw")
     vocab = data.Vocabulary.load(ft_dir / "finetune_seed1.sdcw.vocab")
     test = data.load_conll(data_dir / "test.conll")[:8]
@@ -652,7 +690,8 @@ def test_bench_rejects_too_few_reps(workspace, tmp_path):
             evaluation.measure_inference_time(handle, test, vocab, reps=2)
 
 
-def test_bench_runs_warmup_passes_before_the_timed_reps(workspace, tmp_path, monkeypatch):
+def test_bench_runs_warmup_passes_before_the_timed_reps(workspace, desk_files, tmp_path,
+                                                        monkeypatch):
     calls = Counter()
     original = evaluation.forward_logits
 
@@ -661,40 +700,80 @@ def test_bench_runs_warmup_passes_before_the_timed_reps(workspace, tmp_path, mon
         return original(handle, token_ids, attention_mask)
 
     monkeypatch.setattr(evaluation, "forward_logits", counted)
-    rc, out = _bench(workspace, tmp_path, "reps=3\nwarmup=2\n")
-    assert rc == 0
-    # (2 warmup + 3 timed passes) x 2 batches for each handle
-    assert calls == {"fp32": 10, "dynamic_int8": 10, "int8_mixed": 10}
-    for stats in json.loads((out / "bench_desk_seed1.json").read_text())["modes"].values():
+    for kind, path in desk_files.items():
+        calls.clear()
+        rc, out = _bench(workspace, tmp_path, "reps=3\nwarmup=2\n", path)
+        assert rc == 0, kind
+        # (2 warmup + 3 timed passes) x 2 batches, all of the file's handle
+        assert calls == {BENCH_MODES[kind]: 10}, kind
+        stats = json.loads((out / "bench_desk_seed1.json").read_text())
         assert (stats["warmup"], stats["reps"]) == (2, 3)
 
 
-def test_bench_times_the_handles_its_saved_files_give(workspace, tmp_path, monkeypatch):
-    timed = {}
+def test_bench_times_the_handles_its_saved_files_give(workspace, desk_files, tmp_path,
+                                                      monkeypatch):
+    """bench quantizes nothing: it times the handle `load_model` gives for
+    its `model_in`, in any of the four kinds, and reports that file."""
+    loaded, timed = [], []
     original = evaluation.forward_logits
 
+    def load(path):
+        handle, mask = persist.load_model(path)
+        loaded.append(handle)
+        return handle, mask
+
     def recorded(handle, token_ids, attention_mask):
-        timed[evaluation.handle_mode(handle)] = handle
+        timed.append(handle)
         return original(handle, token_ids, attention_mask)
 
+    monkeypatch.setattr(cli, "load_model", load)
     monkeypatch.setattr(evaluation, "forward_logits", recorded)
-    rc, out = _bench(workspace, tmp_path, "reps=3\n")
-    assert rc == 0
-    modes = json.loads((out / "bench_desk_seed1.json").read_text())["modes"]
-    assert modes["fp32"]["model_path"] == "finetune_seed1.sdcw"
-    saved, _ = persist.load_model(workspace[2] / "finetune_seed1.sdcw")
-    for name, p in timed["fp32"].params.items():
-        np.testing.assert_array_equal(p.data, saved.param(name).data)
-    for mode in ("dynamic_int8", "int8_mixed"):
-        assert modes[mode]["model_path"] == f"bench_{mode}_seed1.sdcw"
-        saved, _ = persist.load_model(out / modes[mode]["model_path"])
-        assert saved.mode == mode
-        for name, p in timed[mode].params.items():
-            if isinstance(p, quant.QuantizedTensor):
-                assert p.fp_ref is None, name
-                np.testing.assert_array_equal(p.q, saved.params[name].q)
-            elif mode == "int8_mixed":  # fp16 in the file
-                np.testing.assert_array_equal(p, p.astype(np.float16).astype(np.float32))
+    for kind, path in desk_files.items():
+        loaded.clear()
+        timed.clear()
+        rc, out = _bench(workspace, tmp_path, "reps=3\n", path)
+        assert rc == 0, kind
+        assert len(loaded) == 1 and timed and all(handle is loaded[0] for handle in timed), kind
+        stats = json.loads((out / "bench_desk_seed1.json").read_text())
+        assert (stats["mode"], stats["model_path"], stats["model_bytes"]) \
+            == (BENCH_MODES[kind], path.name, path.stat().st_size), kind
+        assert not list(out.glob("*.sdcw")) and not list(out.glob("*.csv")), kind
+
+
+def _grown_dataset(data_dir: Path, tmp_path: Path) -> tuple[Path, int]:
+    """A copy of the desk train and test splits whose train split has three
+    more words, and the size of the vocabulary built from that train split."""
+    grown = tmp_path / "grown"
+    grown.mkdir()
+    train = data.load_conll(data_dir / "train.conll")
+    train.append(data.Sentence(["00a", "00b", "00c"], ["O", "O", "O"]))
+    data.write_conll(train, grown / "train.conll")
+    data.write_conll(data.load_conll(data_dir / "test.conll"), grown / "test.conll")
+    return grown, data.build_vocab(data.corpus_token_lists(train), 2000).size
+
+
+@pytest.mark.parametrize("sub", ["eval", "bench"])
+def test_a_vocabulary_past_the_token_table_fails_before_measuring(workspace, tmp_path,
+                                                                  monkeypatch, capsys, sub):
+    """A `model_in` without its vocabulary sidecar, whose token table is
+    shorter than the vocabulary rebuilt from the train split, fails naming
+    both sizes before a forward pass is run or a report written."""
+    root, data_dir, ft_dir, base = workspace
+    model_in = tmp_path / "bare_seed1.sdcw"
+    model_in.write_bytes((ft_dir / "finetune_seed1.sdcw").read_bytes())
+    rows = persist.load_model(model_in)[0].config.vocab_size
+    grown, size = _grown_dataset(data_dir, tmp_path)
+    assert size > rows
+    passes = []
+    monkeypatch.setattr(evaluation, "forward_logits", lambda *args: passes.append(args))
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path / "v.cfg", base + f"dataset={grown}\nout_dir={out}\nreps=3\n"
+                     f"model_in={tmp_path}/bare_seed{{seed}}.sdcw\n")
+    assert cli.run_cli([sub, cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"{size} tokens" in err and f"{rows} rows" in err
+    assert passes == []
+    assert not list(out.glob("*.json"))
 
 
 def test_report_cli_regenerates_sweep_csv(workspace, tmp_path):
@@ -877,22 +956,32 @@ REPLAYED = {  # subcommand -> (config keys, the report it writes for seed 1)
     "quantize": ("model_in={ft}\n", "quantize_desk_both_seed1.json"),
     "eval": ("model_in={ft}\n", "eval_desk_seed1.json"),
     "bench": ("model_in={ft}\nreps=3\n", "bench_desk_seed1.json"),
+    # over the finetune, prune, distill and quantize runs above, made in its directory
+    "report": ("dataset={out}\n", "report.csv"),
 }
 
 
 @pytest.mark.parametrize("sub", list(REPLAYED))
 def test_replay_produces_byte_identical_reports(workspace, tmp_path, sub):
     root, data_dir, ft_dir, base = workspace
-    keys, report = REPLAYED[sub]
-    keys = keys.format(ft=ft_dir / "finetune_seed{seed}.sdcw")
 
-    def run(out):
+    def run(sub, out):
+        keys, report = REPLAYED[sub]
+        keys = keys.format(ft=ft_dir / "finetune_seed{seed}.sdcw", out=out)
         cfg = _write_cfg(tmp_path / "det.cfg", base + f"out_dir={out}\n" + keys)
-        assert cli.run_cli([sub, cfg]) == 0
+        assert cli.run_cli([sub, cfg]) == 0, sub
+        if report.endswith(".csv"):  # report.csv has no wall-clock column
+            return (out / report).read_bytes()
         payload = json.loads((out / report).read_text())
         return json.dumps(cli.strip_timing(payload), sort_keys=True)
 
-    assert run(tmp_path / "r1") == run(tmp_path / "r2")
+    def replay(out):
+        if sub == "report":
+            for made in ("finetune", "prune", "distill", "quantize"):
+                run(made, out)
+        return run(sub, out)
+
+    assert replay(tmp_path / "r1") == replay(tmp_path / "r2")
 
 
 @pytest.fixture(scope="module")
@@ -972,25 +1061,38 @@ def test_every_measured_handle_is_one_a_file_gave(workspace, tmp_path, monkeypat
                       ("quantize", model_in), ("eval", model_in), ("bench", model_in + "reps=3\n")):
         cfg = _write_cfg(tmp_path / f"{sub}.cfg", base + f"out_dir={tmp_path / sub}\n" + keys)
         assert cli.run_cli([sub, cfg]) == 0, sub
-    # finetune, prune, distill, eval: 1 each; quantize: baseline + 2 modes; bench: 3 handles
-    assert len(measured) == 10
+    # finetune, prune, distill, eval, bench: 1 each; quantize: baseline + 2 modes
+    assert len(measured) == 8
     assert all(any(handle is file_handle for file_handle in loaded) for handle in measured)
 
 
 @pytest.mark.parametrize("sub", ["quantize", "bench"])
 def test_quantized_model_in_rejected_before_it_is_measured(workspace, tmp_path, monkeypatch,
                                                           capsys, sub):
+    """quantize refuses any quantized `model_in`. bench times one (see
+    `test_bench_times_the_handles_its_saved_files_give`), but refuses it,
+    as any `model_in`, when it has no vocabulary sidecar and the vocabulary
+    rebuilt from the train split outgrows its token table."""
     root, data_dir, ft_dir, base = workspace
     fp32, _ = persist.load_model(ft_dir / "finetune_seed1.sdcw")
     persist.save_model(quant.quantize_model_dynamic(fp32), tmp_path / "q_seed1.sdcw")
-    data.Vocabulary.load(ft_dir / "finetune_seed1.sdcw.vocab").save(tmp_path / "q_seed1.sdcw.vocab")
+    if sub == "quantize":
+        data.Vocabulary.load(ft_dir / "finetune_seed1.sdcw.vocab").save(
+            tmp_path / "q_seed1.sdcw.vocab")
+        dataset, reasons = data_dir, ["an fp32 model is required"]
+    else:
+        dataset, size = _grown_dataset(data_dir, tmp_path)
+        reasons = [f"{size} tokens", f"{fp32.config.vocab_size} rows"]
     passes = []
     monkeypatch.setattr(evaluation, "forward_logits", lambda *args: passes.append(args))
-    cfg = _write_cfg(tmp_path / "q.cfg", base + f"out_dir={tmp_path / 'out'}\nreps=3\n"
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path / "q.cfg", base + f"dataset={dataset}\nout_dir={out}\nreps=3\n"
                      f"model_in={tmp_path}/q_seed{{seed}}.sdcw\n")
     assert cli.run_cli([sub, cfg]) == 1
-    assert "an fp32 model is required" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert all(reason in err for reason in reasons), err
     assert passes == []
+    assert not list(out.glob("*.json")) and not list(out.glob("*.sdcw"))
 
 
 def test_distill_from_model_in_reports_the_student_it_loads(workspace, kd_student, tmp_path):
