@@ -10,6 +10,11 @@ cache-sized chunks through two scratch buffers; it applies the same float32
 operations in the same order as the dense update, so its results are
 byte-identical to it.
 
+GELU's erf (`_erf_inplace`) is the float32 minimax rational x * P(x^2) /
+Q(x^2) on x clamped to [-4, 4] that Eigen and XLA use, walked in the same
+chunks: its max |error| against float64 erf is under 4e-7, GELU's under
+1.5e-6, and its cost does not depend on the scale of the input.
+
 Row-sparse embedding updates. The backward of a row gather (`take_rows`)
 records in `grad_rows` the sorted rows outside which its gradient is exactly
 zero, and `AdamState.rows` keeps, per parameter, the rows whose moments may
@@ -46,7 +51,6 @@ import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DataError, NumericsError, ParameterError, ShapeError
 
@@ -54,6 +58,8 @@ Array = np.ndarray
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+
+CHUNK = 1 << 16  # floats per chunk of the chunked kernels: their chunks and scratch buffers fit in L2
 
 _grad_enabled = True
 
@@ -215,11 +221,52 @@ def _layer_norm_np(x: Array, gain: Array, bias: Array, eps: float) -> Array:
     return _layer_norm_parts(x, gain, bias, eps)[0]
 
 
+# erf(x) ~ x * P(x^2) / Q(x^2) with x clamped to [-4, 4]: the float32 minimax
+# rational that Eigen and XLA use; coefficients highest power first.
+_ERF_P = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06, -5.69250639462346e-05,
+    -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02))
+_ERF_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
+    -1.42647390514189e-02))
+_ERF_CLAMP = np.float32(4.0)
+
+
+def _horner(s: Array, coefs: tuple, acc: Array) -> None:
+    """acc = the polynomial `coefs` (highest power first) at s, in float32."""
+    np.multiply(s, coefs[0], out=acc)
+    acc += coefs[1]
+    for c in coefs[2:]:
+        acc *= s
+        acc += c
+
+
+def _erf_inplace(z: Array) -> None:
+    """erf of a C-contiguous float32 array, in place, by the rational above:
+    max |error| under 4e-7 against float64 erf. Chunk by chunk through three
+    reused buffers; every step is elementwise, so the bits do not depend on
+    where the chunks fall. erf(+-4) and erf(+-inf) are +-1, erf(-0) is -0,
+    and NaN stays NaN."""
+    flat = z.reshape(-1)
+    n = min(flat.size, CHUNK)
+    s, p, q = (np.empty(n, dtype=np.float32) for _ in range(3))
+    for lo in range(0, flat.size, CHUNK):
+        c = flat[lo:lo + CHUNK]
+        sk, pk, qk = s[:c.size], p[:c.size], q[:c.size]
+        np.clip(c, -_ERF_CLAMP, _ERF_CLAMP, out=c)
+        np.multiply(c, c, out=sk)
+        _horner(sk, _ERF_P, pk)
+        _horner(sk, _ERF_Q, qk)
+        c *= pk
+        c /= qk
+
+
 def _gelu_parts(x: Array) -> tuple[Array, Array]:
     """GELU(x) = 0.5 * x * (1 + erf(x / sqrt 2)), and the 1 + erf(...) factor,
-    which the tape op keeps for its backward."""
-    cdf2 = x * _INV_SQRT2
-    erf(cdf2, out=cdf2)
+    which the tape op keeps for its backward. erf is `_erf_inplace`'s
+    rational, so GELU is within 1.5e-6 of the exact function."""
+    cdf2 = np.multiply(x, _INV_SQRT2, order="C")
+    _erf_inplace(cdf2)
     cdf2 += 1.0
     out = 0.5 * x
     out *= cdf2
@@ -511,16 +558,13 @@ def init_adam(params: dict[str, Tensor], learning_rate: float) -> AdamState:
     return state
 
 
-ADAM_CHUNK = 1 << 16  # floats per chunk: chunks of p, g, m, v and two scratch buffers fit in L2
-
-
 def _all_finite(x: Array, ok: Array | None = None) -> bool:
     """np.all(np.isfinite(x)) without a full-size temporary: chunk by chunk
-    through `ok` (a buffer of up to ADAM_CHUNK bools when not given). x is
+    through `ok` (a buffer of up to CHUNK bools when not given). x is
     walked in memory order, a view for any contiguous or permuted array."""
     flat = x.ravel(order="K")
     if ok is None:
-        ok = np.empty(min(flat.size, ADAM_CHUNK) or 1, dtype=bool)
+        ok = np.empty(min(flat.size, CHUNK) or 1, dtype=bool)
     for lo in range(0, flat.size, ok.size):
         chunk = flat[lo:lo + ok.size]
         if not np.isfinite(chunk, out=ok[:chunk.size]).all():
@@ -550,8 +594,8 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Array | None], state: 
     c2 = np.float32(1.0 - ADAM_BETA2**t)
     lr = np.float32(state.learning_rate)
     eps = np.float32(ADAM_EPS)
-    num, den = np.empty(ADAM_CHUNK, dtype=np.float32), np.empty(ADAM_CHUNK, dtype=np.float32)
-    ok = np.empty(ADAM_CHUNK, dtype=bool)
+    num, den = np.empty(CHUNK, dtype=np.float32), np.empty(CHUNK, dtype=np.float32)
+    ok = np.empty(CHUNK, dtype=bool)
     zeros = None
     for name, p in params.items():
         g = grads.get(name)
@@ -565,7 +609,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Array | None], state: 
         gf = None if g is None else np.ravel(np.asarray(g, dtype=np.float32))
         if gf is None:
             if zeros is None:
-                zeros = np.zeros(ADAM_CHUNK, dtype=np.float32)
+                zeros = np.zeros(CHUNK, dtype=np.float32)
         elif not _all_finite(gf, ok):
             raise NumericsError(f"non-finite gradient for tensor '{name}'")
         if live is None:
@@ -576,8 +620,8 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Array | None], state: 
         else:
             pt, mt, vt = p.data[live], state.m[name][live], state.v[name][live]
         pf, mf, vf = pt.reshape(-1), mt.reshape(-1), vt.reshape(-1)
-        for lo in range(0, pf.size, ADAM_CHUNK):
-            hi = min(lo + ADAM_CHUNK, pf.size)
+        for lo in range(0, pf.size, CHUNK):
+            hi = min(lo + CHUNK, pf.size)
             n = hi - lo
             pc, mc, vc, x, y = pf[lo:hi], mf[lo:hi], vf[lo:hi], num[:n], den[:n]
             gc = zeros[:n] if gf is None else gf[lo:hi]

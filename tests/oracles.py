@@ -3,7 +3,9 @@
 Everything here is float64 numpy with no autodiff involvement, so
 finite-difference gradients are limited by truncation error only. The
 float32 references after them are the whole-array expressions that the
-optimized tape kernels must reproduce byte for byte. The int8 section keeps
+optimized tape kernels must reproduce byte for byte; GELU's among them
+evaluates the same float32 rational for erf as the chunked kernel, and only
+`gelu64` uses the exact float64 erf. The int8 section keeps
 the int8 product that zeroes the outlier union in converted copies of both
 operands and rescales through one full-size float64 array, and the next one
 the hand-written quantized forward over that product; `quant.int8_matmul`
@@ -178,13 +180,34 @@ _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
+# erf(x) ~ x * P(x^2) / Q(x^2) on x clamped to [-4, 4], the float32 minimax
+# rational of Eigen and XLA (coefficients highest power first)
+_ERF_P = [np.float32(c) for c in (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+                                  -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+                                  -1.60960333262415e-02)]
+_ERF_Q = [np.float32(c) for c in (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+                                  -7.37332916720468e-03, -1.42647390514189e-02)]
+
+
+def erf_f32(x: np.ndarray) -> np.ndarray:
+    x = np.clip(x, np.float32(-4.0), np.float32(4.0))
+    s = x * x
+    p = s * _ERF_P[0] + _ERF_P[1]
+    for c in _ERF_P[2:]:
+        p = p * s + c
+    q = s * _ERF_Q[0] + _ERF_Q[1]
+    for c in _ERF_Q[2:]:
+        q = q * s + c
+    return x * p / q
+
+
 def gelu_f32(x: np.ndarray) -> np.ndarray:
-    return (0.5 * x * (1.0 + erf(x * _INV_SQRT2))).astype(np.float32)
+    return 0.5 * x * (1.0 + erf_f32(x * _INV_SQRT2))
 
 
 def gelu_grad_f32(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    d = 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return g * d.astype(np.float32)
+    d = 0.5 * (1.0 + erf_f32(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
+    return g * d
 
 
 def layer_norm_f32(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> np.ndarray:

@@ -305,6 +305,17 @@ def test_one_function_of_the_program_reads_the_clock():
     assert readers == {"evaluation.measure_inference_time"}
 
 
+def test_no_module_of_the_program_imports_scipy():
+    """sdcw runs on numpy alone (scipy is a test dependency): importing
+    scipy.special would add ~20 MB to every sdcw process."""
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names]
+        modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert not [m for m in modules if m.split(".")[0] == "scipy"], path.name
+
+
 def test_seed_and_type_lists_parse():
     cfg = config.parse_config("seeds=7,8\nentity_types=PER,LOC\nstudent_layers=1,2\n")
     assert cfg.seeds == (7, 8)

@@ -6,8 +6,8 @@ from sdcw.errors import DataError, NumericsError, ParameterError, ShapeError
 from sdcw.rng import stream
 
 from oracles import (
-    adam_dense, cross_entropy64, gelu_f32, gelu_grad_f32, grad_rel_err, kl_soft64, layer_norm64,
-    layer_norm_f32, naive_matmul, softmax64,
+    adam_dense, cross_entropy64, erf_f32, gelu_f32, gelu_grad_f32, grad_rel_err, kl_soft64,
+    layer_norm64, layer_norm_f32, naive_matmul, softmax64,
 )
 
 
@@ -224,16 +224,51 @@ def test_kl_t2_scaling_of_value():
 # GELU and row-gather backward
 
 def test_gelu_bitwise_equal_to_shared_kernel_and_reference():
+    """Tape op == shared kernel == whole-array oracle, forward and backward,
+    on sizes around the chunk edge and at the published FFN width; the erf
+    kernel run in place equals the oracle's erf, and GELU leaves x alone."""
     gen = stream(15, "gelu-bits")
-    edges = [0.0, -0.0, 1e-45, -1e-45, 9.0, -9.0, 40.0, -40.0]
-    x = np.concatenate([gen.normal(0, 3, 4096), gen.normal(0, 1e-20, 64), edges])
-    x = x.astype(np.float32).reshape(-1, 8)
-    g = gen.normal(0, 1, x.shape).astype(np.float32)
-    a = tensor(x, grad=True)
-    out = T.gelu(a)
-    assert out.data.tobytes() == T._gelu_np(x).tobytes() == gelu_f32(x).tobytes()
-    T.backward(T.tsum(T.mul(out, tensor(g))))
-    assert a.grad.tobytes() == gelu_grad_f32(x, g).tobytes()
+    edges = [0.0, -0.0, 1e-45, -1e-45, 9.0, -9.0, 40.0, -40.0, 5.656854, -5.656854]
+    for shape in [(0,), (1,), (T.CHUNK - 1,), (T.CHUNK + 1,), (1008, 3072)]:
+        n = int(np.prod(shape))
+        tail = np.concatenate([gen.normal(0, 1e-20, min(n, 64)), edges])
+        x = np.concatenate([gen.normal(0, 3, max(n - tail.size, 0)), tail])[:n]
+        x = x.astype(np.float32).reshape(shape)
+        x_bytes = x.tobytes()
+        g = gen.normal(0, 1, shape).astype(np.float32)
+        a = tensor(x, grad=True)
+        out = T.gelu(a)
+        assert out.data.tobytes() == T._gelu_np(x).tobytes() == gelu_f32(x).tobytes(), shape
+        T.backward(T.tsum(T.mul(out, tensor(g))))
+        assert a.grad.tobytes() == gelu_grad_f32(x, g).tobytes(), shape
+        assert x.tobytes() == x_bytes, shape
+        z = x.copy()
+        T._erf_inplace(z)
+        assert z.tobytes() == erf_f32(x).tobytes(), shape
+
+
+def test_erf_kernel_is_within_its_bound_of_float64_erf():
+    from scipy.special import erf
+    from oracles import gelu64
+    # every 97th float32 bit pattern in [0, 4.5], and their negatives
+    pos = np.arange(0, np.float32(4.5).view(np.uint32), 97, dtype=np.uint32).view(np.float32)
+    for x in (pos, -pos):
+        z = x.copy()
+        T._erf_inplace(z)
+        assert np.abs(z - erf(x.astype(np.float64))).max() <= 5e-7
+    x = np.linspace(-12, 12, 480_001, dtype=np.float32)
+    assert np.abs(T._gelu_np(x) - gelu64(x)).max() <= 1.5e-6
+
+
+def test_erf_kernel_special_values():
+    x = np.array([4.0, -4.0, np.inf, -np.inf, 0.0, -0.0, np.nan], dtype=np.float32)
+    z = x.copy()
+    T._erf_inplace(z)
+    assert z[:4].tolist() == [1.0, -1.0, 1.0, -1.0]
+    assert z[4:6].tolist() == [0.0, 0.0] and np.signbit(z[4:6]).tolist() == [False, True]
+    assert np.isnan(z[6])
+    with pytest.raises(NumericsError):
+        T.gelu(tensor([0.5, np.nan]))
 
 
 def test_layer_norm_bitwise_equal_to_shared_kernel_and_reference():
@@ -432,9 +467,9 @@ def _adam_grads(gen, shapes, step):
 
 def test_adam_chunked_matches_dense_reference_bytewise():
     gen = stream(13, "adam-chunks")
-    shapes = {"big": (3, T.ADAM_CHUNK // 2 + 5), "small": (7,), "frozen": (4, 3)}
+    shapes = {"big": (3, T.CHUNK // 2 + 5), "small": (7,), "frozen": (4, 3)}
     params = {n: tensor(gen.normal(0, 1, s), grad=True) for n, s in shapes.items()}
-    assert params["big"].size > T.ADAM_CHUNK
+    assert params["big"].size > T.CHUNK
     ref = {n: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
            for n, p in params.items()}
     state = T.init_adam(params, learning_rate=1e-3)
@@ -450,7 +485,7 @@ def test_adam_chunked_matches_dense_reference_bytewise():
 
 def test_adam_nan_in_last_chunk_leaves_parameter_untouched():
     gen = stream(14, "adam-nan-chunk")
-    p = tensor(gen.normal(0, 1, (2 * T.ADAM_CHUNK + 3,)), grad=True)
+    p = tensor(gen.normal(0, 1, (2 * T.CHUNK + 3,)), grad=True)
     params = {"w": p}
     state = T.init_adam(params, learning_rate=1e-2)
     T.adam_step(params, {"w": gen.normal(0, 1, p.shape).astype(np.float32)}, state)
@@ -466,14 +501,14 @@ def test_adam_nan_in_last_chunk_leaves_parameter_untouched():
 
 def test_adam_row_sparse_matches_dense_reference_bytewise():
     gen = stream(17, "adam-rows")
-    vocab, width = 40, T.ADAM_CHUNK // 32  # the table holds more than one chunk
+    vocab, width = 40, T.CHUNK // 32  # the table holds more than one chunk
     data = gen.normal(0, 1, (vocab, width)).astype(np.float32)
     data[[2, 9]] = 0.0
     data[[3, 11]] = -0.0
     data[5, ::3] = -0.0
     table, dense = tensor(data, grad=True), tensor(gen.normal(0, 1, (3, 4)), grad=True)
     params = {"table": table, "dense": dense}
-    assert table.size > T.ADAM_CHUNK
+    assert table.size > T.CHUNK
     # rows 3 and 9 fall silent after step 1, come back at step 4; step 3 has no lookup at all
     supports = [[3, 5, 9, 9, 11], [5, 30, 2], None, [9, 3, 39, 0], [5, 5, 5], [17]]
     w = gen.normal(0, 1, (8, width)).astype(np.float32)
@@ -683,7 +718,7 @@ def test_non_finite_result_raises():
 @pytest.mark.parametrize("layout", ["contiguous", "permuted", "strided"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_finiteness_is_checked_in_every_chunk(layout, bad):
-    base = np.ones((3, T.ADAM_CHUNK // 2 + 5), dtype=np.float32)  # more than one chunk
+    base = np.ones((3, T.CHUNK // 2 + 5), dtype=np.float32)  # more than one chunk
     view = {"contiguous": base, "permuted": base.T, "strided": base[:, ::2]}[layout]
     assert T._all_finite(view) and T._all_finite(view[:0])
     for at in ((0, 0), (2, -1), (1, view.shape[1] // 2)):
