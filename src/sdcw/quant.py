@@ -63,6 +63,7 @@ EXACT_BLOCK = (1 << 24) // (127 * 127)
 # float64 elements per rescale block: 256 KiB, so the buffer stays in L2
 RESCALE_BLOCK = 1 << 15
 DEFAULT_OUTLIER_THRESHOLD = 6.0
+_SIGN_BIT = np.uint32(1 << 31)  # of a float32
 
 _LINEAR_WEIGHTS = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "ffn.w1", "ffn.w2", "head.weight")
 
@@ -151,8 +152,9 @@ def _quantize_vectors(arr: np.ndarray, axis: int, threshold: float | None, what:
     and s = fl32(127 / m), every |x| <= m gives |x| * s <= 127 * (1 + 2^-24)
     before rounding, so fl32(|x| * s) <= 127 + 2^-17 (the float32 spacing at
     127); adding 0.5 and flooring then gives at most 127. For m < 1e-30 the
-    scale is 127 / 1e-30 and |x| * s < 127. Outlier vectors are zeroed, and
-    copysign keeps them +-0.
+    scale is 127 / 1e-30 and |x| * s < 127. Outlier vectors are zeroed. The
+    sign goes back on as x's sign bit ORed into the non-negative magnitude:
+    copysign for finite x, so a zeroed or rounded-to-0 value is +-0 as x is.
     """
     scale_dim, vector_dim = (-1, -2) if axis == 1 else (-2, -1)
     mag = np.abs(arr)
@@ -172,7 +174,8 @@ def _quantize_vectors(arr: np.ndarray, axis: int, threshold: float | None, what:
     np.multiply(mag, scales, out=mag)
     mag += 0.5
     np.floor(mag, out=mag)
-    np.copysign(mag, arr, out=mag)
+    bits = mag.view(np.uint32)
+    bits |= arr.view(np.uint32) & _SIGN_BIT
     return mag, scales, outliers
 
 
@@ -219,8 +222,8 @@ def _int_matmul(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     k = qa.shape[-1]
     if k <= EXACT_BLOCK:
         return qa @ qb
-    acc = np.zeros(qa.shape[:-1] + qb.shape[-1:], dtype=np.float64)
-    for start in range(0, k, EXACT_BLOCK):
+    acc = (qa[..., :EXACT_BLOCK] @ qb[..., :EXACT_BLOCK, :]).astype(np.float64)
+    for start in range(EXACT_BLOCK, k, EXACT_BLOCK):
         acc += qa[..., start:start + EXACT_BLOCK] @ qb[..., start:start + EXACT_BLOCK, :]
     return acc
 

@@ -5,6 +5,21 @@ Define-by-run: each op returns a new Tensor holding a backward closure, and
 float32 numpy on the CPU. Any op that produces NaN/Inf raises NumericsError
 instead of propagating it.
 
+What the tape keeps. A tracked op's output gets a graph node that holds no
+array: it carries the gradient, its row support, the parent nodes and the
+backward closure. Graph edges point at nodes, and a leaf (a parameter, a
+constant, an untracked result) is its own node. The caller's Tensor holds
+`.data`, so an interior array is freed as soon as the caller drops it,
+unless a backward captured it. Each backward captures what it reads when
+the op runs, and accumulates into its parents' nodes: the operands of
+`matmul` and `mul`, the normalized input, inverse deviation and gain of
+`layer_norm`, the output of `softmax`, GELU's derivative (computed in the
+forward with the steps the backward once used, only when recorded),
+dropout's draw as a bool mask (the float32 factor is rebuilt in backward),
+and only shapes for `add`, `reshape`, `rearrange` and `take_rows`. So the
+q/k/v projections before the head split, the scores before softmax, the
+residual sums and FFN1's output live only as long as the forward needs them.
+
 `adam_step` updates parameters and moments in place, walking each tensor in
 cache-sized chunks through two scratch buffers; it applies the same float32
 operations in the same order as the dense update, so its results are
@@ -33,11 +48,12 @@ hands `_accum` either an array it built for that call or a view of the
 upstream gradient it received (`add`, `reshape`, `transpose`, `rearrange`),
 and both count as `fresh`: `backward` releases each interior node's gradient
 (`grad = None`) as soon as that node's backward has run, so nothing else
-holds the upstream array. The first gradient of a tensor adopts a fresh array
+holds the upstream array. The first gradient of a node adopts a fresh array
 without a copy; later ones are added into it. Only a second claim on one
 array is copied: the second operand of `add` when both operands take the
-upstream gradient unreduced, and `tsum`'s read-only `broadcast_to` view. So
-no gradient shares memory with another gradient or with any `.data`, only
+upstream gradient unreduced, and `tsum`'s read-only `broadcast_to` view. A
+backward never writes into what it captured. So no gradient shares memory
+with another gradient, with any `.data` or with any captured array, only
 leaves keep a gradient after `backward`, and a second `backward` over the
 same graph adds the same amounts into the leaves again.
 
@@ -84,7 +100,7 @@ def _check_finite(data: Array, op: str) -> None:
 class Tensor:
     """Dense fp32 n-d array, optionally tracked on the autodiff tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "grad_rows", "name", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "grad_rows", "name", "_parents", "_backward", "_node")
 
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
         data = np.asarray(values, dtype=np.float32)
@@ -96,6 +112,7 @@ class Tensor:
         self.name = name
         self._parents: tuple = ()
         self._backward = None
+        self._node: Tensor | None = None  # None: the tensor is its own graph node
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -118,20 +135,34 @@ class Tensor:
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+        what = "graph node" if self.data is None else f"shape={self.shape}"
+        return f"Tensor({what}, requires_grad={self.requires_grad}{tag})"
+
+
+def _node(t: Tensor) -> Tensor:
+    """The graph node that t's consumers point at and accumulate into."""
+    return t if t._node is None else t._node
 
 
 def _from_op(data: Array, parents: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
+    """The output Tensor of an op over the graph nodes `parents`. When it is
+    tracked, it holds the parents and backward itself, so `backward` can
+    start from it, and its consumers get a node without data that shares
+    them, so the graph does not keep `data` alive."""
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data.astype(np.float32, copy=False)
-    out.grad = None
-    out.grad_rows = None
-    out.name = None
-    track = _grad_enabled and any(p.requires_grad for p in parents)
-    out.requires_grad = track
-    out._parents = parents if track else ()
-    out._backward = backward_fn if track else None
+    out.grad = out.grad_rows = out.name = out._node = None
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+    if out.requires_grad:
+        node = Tensor.__new__(Tensor)
+        node.data = node.grad = node.grad_rows = node.name = node._node = None
+        node.requires_grad = True
+        node._parents = out._parents = parents
+        node._backward = out._backward = backward_fn
+        out._node = node
+    else:
+        out._parents, out._backward = (), None
     return out
 
 
@@ -282,42 +313,47 @@ def _gelu_np(x: Array) -> Array:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
+    an, bn, sa, sb = _node(a), _node(b), a.shape, b.shape
 
     def bwd(g: Array) -> None:
-        ga, gb = _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-        _accum(a, ga, fresh=True)
-        _accum(b, gb, fresh=gb is not ga)  # both unreduced: one array, two claims
+        ga, gb = _unbroadcast(g, sa), _unbroadcast(g, sb)
+        _accum(an, ga, fresh=True)
+        _accum(bn, gb, fresh=gb is not ga)  # both unreduced: one array, two claims
 
-    return _from_op(data, (a, b), bwd, "add")
+    return _from_op(data, (an, bn), bwd, "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
+    x, y = a.data, b.data
+    data = x * y
+    an, bn = _node(a), _node(b)
 
     def bwd(g: Array) -> None:
-        _accum(a, _unbroadcast(g * b.data, a.shape), fresh=True)
-        _accum(b, _unbroadcast(g * a.data, b.shape), fresh=True)
+        _accum(an, _unbroadcast(g * y, x.shape), fresh=True)
+        _accum(bn, _unbroadcast(g * x, y.shape), fresh=True)
 
-    return _from_op(data, (a, b), bwd, "mul")
+    return _from_op(data, (an, bn), bwd, "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     data = a.data * np.float32(c)
+    an = _node(a)
 
     def bwd(g: Array) -> None:
-        _accum(a, g * np.float32(c), fresh=True)
+        _accum(an, g * np.float32(c), fresh=True)
 
-    return _from_op(data, (a,), bwd, "scale")
+    return _from_op(data, (an,), bwd, "scale")
 
 
 def tsum(a: Tensor) -> Tensor:
     data = np.asarray(a.data.sum(), dtype=np.float32)
+    an, shape = _node(a), a.shape
 
     def bwd(g: Array) -> None:
-        _accum(a, np.broadcast_to(g, a.data.shape))
+        _accum(an, np.broadcast_to(g, shape))
 
-    return _from_op(data, (a,), bwd, "sum")
+    return _from_op(data, (an,), bwd, "sum")
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -330,36 +366,41 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
     if bias is not None and bias.shape != (b.shape[-1],):
         raise ShapeError(f"matmul bias must have shape ({b.shape[-1]},), got {bias.shape}")
-    data = a.data @ b.data
+    x, w = a.data, b.data
+    data = x @ w
     if bias is not None:
         data += bias.data
+    an, bn = _node(a), _node(b)
+    cn = None if bias is None else _node(bias)
 
     def bwd(g: Array) -> None:
-        _accum(a, g @ b.data.swapaxes(-1, -2), fresh=True)
-        _accum(b, a.data.swapaxes(-1, -2) @ g, fresh=True)
-        if bias is not None:
-            _accum(bias, _unbroadcast(g, bias.shape), fresh=True)
+        _accum(an, g @ w.swapaxes(-1, -2), fresh=True)
+        _accum(bn, x.swapaxes(-1, -2) @ g, fresh=True)
+        if cn is not None:
+            _accum(cn, _unbroadcast(g, w.shape[-1:]), fresh=True)
 
-    return _from_op(data, (a, b) if bias is None else (a, b, bias), bwd, "matmul")
+    return _from_op(data, (an, bn) if cn is None else (an, bn, cn), bwd, "matmul")
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     inverse = tuple(np.argsort(axes))
     data = np.ascontiguousarray(a.data.transpose(axes))
+    an = _node(a)
 
     def bwd(g: Array) -> None:
-        _accum(a, g.transpose(inverse), fresh=True)
+        _accum(an, g.transpose(inverse), fresh=True)
 
-    return _from_op(data, (a,), bwd, "transpose")
+    return _from_op(data, (an,), bwd, "transpose")
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = a.data.reshape(shape)
+    an, before = _node(a), a.shape
 
     def bwd(g: Array) -> None:
-        _accum(a, g.reshape(a.data.shape), fresh=True)
+        _accum(an, g.reshape(before), fresh=True)
 
-    return _from_op(data, (a,), bwd, "reshape")
+    return _from_op(data, (an,), bwd, "reshape")
 
 
 def rearrange(a: Tensor, split: tuple[int, ...], axes: tuple[int, ...],
@@ -369,56 +410,62 @@ def rearrange(a: Tensor, split: tuple[int, ...], axes: tuple[int, ...],
     permuted = tuple(split[i] for i in axes)
     inverse = tuple(np.argsort(axes))
     data = np.ascontiguousarray(a.data.reshape(split).transpose(axes)).reshape(shape)
+    an, before = _node(a), a.shape
 
     def bwd(g: Array) -> None:
-        _accum(a, g.reshape(permuted).transpose(inverse).reshape(a.data.shape), fresh=True)
+        _accum(an, g.reshape(permuted).transpose(inverse).reshape(before), fresh=True)
 
-    return _from_op(data, (a,), bwd, "rearrange")
+    return _from_op(data, (an,), bwd, "rearrange")
 
 
 def take_rows(a: Tensor, idx: Array) -> Tensor:
     """Gather rows along axis 0."""
     idx = np.asarray(idx, dtype=np.int64)
     data = a.data[idx]
-    return _from_op(data, (a,), lambda g: _scatter_rows(a, idx, g), "take_rows")
+    an, shape = _node(a), a.shape
+    return _from_op(data, (an,), lambda g: _scatter_rows(an, shape, idx, g), "take_rows")
 
 
-def _scatter_rows(t: Tensor, ids: Array, g: Array) -> None:
-    """Backward of a row gather: add the rows of g into t.grad at `ids` and
-    record the rows touched. The zeros of the full table stay untouched
-    (lazily mapped) pages outside those rows."""
-    gt = np.zeros(t.shape, dtype=np.float32)
-    np.add.at(gt, ids.reshape(-1), g.reshape((-1,) + t.shape[1:]))
+def _scatter_rows(t: Tensor, shape: tuple[int, ...], ids: Array, g: Array) -> None:
+    """Backward of a row gather from a `shape` table: add the rows of g into
+    t.grad at `ids` and record the rows touched. The zeros of the full table
+    stay untouched (lazily mapped) pages outside those rows."""
+    gt = np.zeros(shape, dtype=np.float32)
+    np.add.at(gt, ids.reshape(-1), g.reshape((-1,) + shape[1:]))
     _accum(t, gt, fresh=True, rows=np.unique(ids))
 
 
 def gelu(a: Tensor) -> Tensor:
-    data, cdf2 = _gelu_parts(a.data)
-
-    def bwd(g: Array) -> None:
-        # d = 0.5 * cdf2 + x * exp(-0.5 * x * x) * _INV_SQRT2PI, rounded step by step as written
-        x = a.data
+    x = a.data
+    data, cdf2 = _gelu_parts(x)
+    if _grad_enabled and a.requires_grad:
+        # the derivative, kept instead of x and cdf2:
+        # 0.5 * cdf2 + x * exp(-0.5 * x * x) * _INV_SQRT2PI, rounded step by step as written
         d = -0.5 * x
         d *= x
         np.exp(d, out=d)
         d *= x
         d *= _INV_SQRT2PI
-        d += 0.5 * cdf2
-        d *= g
-        _accum(a, d, fresh=True)
+        cdf2 *= 0.5
+        d += cdf2
+    an = _node(a)
 
-    return _from_op(data, (a,), bwd, "gelu")
+    def bwd(g: Array) -> None:
+        _accum(an, d * g, fresh=True)
+
+    return _from_op(data, (an,), bwd, "gelu")
 
 
 def softmax(a: Tensor) -> Tensor:
     """Max-subtracted softmax along the last axis; rows sum to 1 within 1e-6."""
     y = _softmax_np(a.data, -1)
+    an = _node(a)
 
     def bwd(g: Array) -> None:
         dot = np.sum(g * y, axis=-1, keepdims=True)
-        _accum(a, y * (g - dot), fresh=True)
+        _accum(an, y * (g - dot), fresh=True)
 
-    return _from_op(y, (a,), bwd, "softmax")
+    return _from_op(y, (an,), bwd, "softmax")
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -430,35 +477,50 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}"
         )
-    data, xhat, inv = _layer_norm_parts(a.data, gain.data, bias.data, eps)
+    gamma = gain.data
+    data, xhat, inv = _layer_norm_parts(a.data, gamma, bias.data, eps)
+    an, gn, bn = _node(a), _node(gain), _node(bias)
 
     def bwd(g: Array) -> None:
         lead = tuple(range(g.ndim - 1))
-        _accum(gain, np.sum(g * xhat, axis=lead), fresh=True)
-        _accum(bias, np.sum(g, axis=lead), fresh=True)
-        gx = g * gain.data
+        _accum(gn, np.sum(g * xhat, axis=lead), fresh=True)
+        _accum(bn, np.sum(g, axis=lead), fresh=True)
+        gx = g * gamma
         dm = gx.mean(axis=-1, keepdims=True)
         dv = (gx * xhat).mean(axis=-1, keepdims=True)
-        _accum(a, inv * (gx - dm - xhat * dv), fresh=True)
+        _accum(an, inv * (gx - dm - xhat * dv), fresh=True)
 
-    return _from_op(data, (a, gain, bias), bwd, "layer_norm")
+    return _from_op(data, (an, gn, bn), bwd, "layer_norm")
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; rate 0 is the identity (and keeps the graph intact)."""
+    """Inverted dropout; rate 0 is the identity (and keeps the graph intact).
+    The tape keeps the draw as a bool mask and rebuilds the float32 factor
+    (0 or 1 / (1 - rate)) in backward."""
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return a
     if rng is None:
         raise ParameterError("dropout with rate > 0 requires an rng")
-    keep = (rng.random(a.data.shape) >= rate).astype(np.float32) / np.float32(1.0 - rate)
-    data = a.data * keep
+    kept = rng.random(a.data.shape) >= rate
+    factor = np.float32(1.0) / np.float32(1.0 - rate)
+
+    def keep() -> Array:
+        k = kept.astype(np.float32)
+        k *= factor
+        return k
+
+    data = keep()
+    data *= a.data
+    an = _node(a)
 
     def bwd(g: Array) -> None:
-        _accum(a, g * keep, fresh=True)
+        k = keep()
+        k *= g
+        _accum(an, k, fresh=True)
 
-    return _from_op(data, (a,), bwd, "dropout")
+    return _from_op(data, (an,), bwd, "dropout")
 
 
 IGNORE_INDEX = -100
@@ -488,15 +550,16 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     logp = _log_softmax_np(rows, axis=-1)
     picked = logp[np.arange(keep.size), labels[keep]]
     data = np.asarray(-picked.mean(), dtype=np.float32)
+    ln = _node(logits)
 
     def bwd(g: Array) -> None:
         soft = np.exp(logp)
         soft[np.arange(keep.size), labels[keep]] -= 1.0
-        gl = np.zeros_like(logits.data)
+        gl = np.zeros((n, c), dtype=np.float32)
         gl[keep] = soft * (float(g) / keep.size)
-        _accum(logits, gl, fresh=True)
+        _accum(ln, gl, fresh=True)
 
-    return _from_op(data, (logits,), bwd, "cross_entropy")
+    return _from_op(data, (ln,), bwd, "cross_entropy")
 
 
 def kl_soft_targets(student_logits: Tensor, teacher_logits: Tensor, temperature: float) -> Tensor:
@@ -519,12 +582,13 @@ def kl_soft_targets(student_logits: Tensor, teacher_logits: Tensor, temperature:
     p = np.exp(logp)
     logq = _log_softmax_np(student_logits.data / t, axis=-1)
     data = np.asarray((temperature * temperature) * np.sum(p * (logp - logq)) / n, dtype=np.float32)
+    sn = _node(student_logits)
 
     def bwd(g: Array) -> None:
         q = np.exp(logq)
-        _accum(student_logits, (float(g) * float(t) / n) * (q - p), fresh=True)
+        _accum(sn, (float(g) * float(t) / n) * (q - p), fresh=True)
 
-    return _from_op(data, (student_logits,), bwd, "kl_soft_targets")
+    return _from_op(data, (sn,), bwd, "kl_soft_targets")
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,14 @@ def _edge_cases() -> np.ndarray:
     return np.vstack([rows, np.array(special, dtype=np.float32)])
 
 
+def _signed_zero_cases() -> np.ndarray:
+    """-0.0 in vectors held out at threshold 6 and in kept ones, along
+    either axis: column 0 and row 1 reach 8, column 1 and row 0 do not."""
+    return np.array([[-0.0, -0.0, 1.0, -0.0],
+                     [8.0, -0.0, -2.0, 0.0],
+                     [-0.0, 0.5, -0.0, -3.0]], dtype=np.float32)
+
+
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -135,17 +143,20 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 @pytest.mark.parametrize("axis", [0, 1])
 def test_quantizers_bitwise_equal_to_reference_expression(axis):
     x, edges = _rounding_cases(), _edge_cases()
-    for cases in (x, edges, np.ascontiguousarray(edges.T)):
+    for cases in (x, edges, np.ascontiguousarray(edges.T), _signed_zero_cases()):
         qt = quant.absmax_quantize(cases, axis=axis)
         q, scales = absmax_quantize_ref(cases, axis)
         assert _same_bits(qt.q, q) and _same_bits(qt.scales, scales)
-        # the unclipped float image is within [-127, 127], signed zeros included
+        # the unclipped float image is within [-127, 127] and carries the
+        # input's sign bit, signed zeros included
         assert _same_bits(qt.q_image, np.clip(qt.q_image, -127, 127))
+        assert np.array_equal(np.signbit(qt.q_image), np.signbit(cases))
         for thr in (100.0, 6.0, 0.5, 1e-30, 1e30):
             qt = quant.quantize_with_outliers(cases, thr, axis=axis)
             q, scales, cols = quantize_with_outliers_ref(cases, thr, axis)
             assert _same_bits(qt.q, q) and _same_bits(qt.scales, scales)
             assert _same_bits(qt.q_image, np.clip(qt.q_image, -127, 127))
+            assert np.array_equal(np.signbit(qt.q_image), np.signbit(cases))
             np.testing.assert_array_equal(qt.outlier_cols, cols)
     row = x[0]
     qt = quant.absmax_quantize(row)

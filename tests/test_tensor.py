@@ -1,3 +1,7 @@
+import ast
+import inspect
+import weakref
+
 import numpy as np
 import pytest
 
@@ -627,11 +631,19 @@ def _tape_tensors(root):
     return out
 
 
+def _captured_arrays(nodes):
+    """Every array that the backward closures of `nodes` captured."""
+    return [cell.cell_contents for t in nodes if t._backward is not None
+            for cell in t._backward.__closure__ or () if isinstance(cell.cell_contents, np.ndarray)]
+
+
 def test_fresh_gradients_handed_over_share_no_memory(monkeypatch):
     """Handing gradients over instead of copying them changes no bit: the
     leaf gradients equal those of a tape that copies every gradient it
     accumulates. After `backward` only the leaves keep a gradient, and none
-    shares memory with another gradient or with any tensor's `.data`."""
+    shares memory with another gradient, with any `.data` on the graph or
+    with any array a backward closure captured. Interior nodes hold no
+    data."""
     gen = stream(23, "every-op")
     values = [gen.normal(0, 1, s).astype(np.float32) for s in EVERY_OP_SHAPES]
     original = T._accum
@@ -647,11 +659,50 @@ def test_fresh_gradients_handed_over_share_no_memory(monkeypatch):
         assert got.grad.tobytes() == want.grad.tobytes()
     nodes = _tape_tensors(loss)
     assert len(nodes) > 30
+    assert all(t.data is None for t in nodes if t._parents and t is not loss)
     grads = [t.grad for t in nodes if t.grad is not None]
-    datas = [t.data for t in nodes]
-    assert len(grads) == len(leaves)
+    arrays = [t.data for t in nodes if t.data is not None] + _captured_arrays(nodes)
+    assert len(grads) == len(leaves) and len(arrays) > 30
     for i, g in enumerate(grads):
-        assert not any(np.shares_memory(g, other) for other in grads[i + 1:] + datas)
+        assert not any(np.shares_memory(g, other) for other in grads[i + 1:] + arrays)
+
+
+def test_the_tape_frees_what_no_backward_reads():
+    """A linear output read only by `reshape` and `scale`, and GELU's input,
+    are freed as soon as the caller drops them while their graph is alive;
+    `backward` then gives the chain rule's float32 gradients bit for bit."""
+    gen = stream(27, "tape-frees")
+    x, w1, b1, w2 = (tensor(gen.normal(0, 1, s), grad=True) for s in ((6, 4), (4, 8), (8,), (8, 3)))
+    g = gen.normal(0, 1, (3, 6)).astype(np.float32)
+    h = T.matmul(x, w1, bias=b1)
+    h_values, dropped = h.data.copy(), [weakref.ref(h.data)]
+    z = T.gelu(h)
+    y = T.matmul(z, w2)
+    r = T.reshape(y, (3, 6))
+    dropped.append(weakref.ref(y.data))
+    out = T.scale(r, 0.5)
+    del h, y, r
+    assert [ref() is None for ref in dropped] == [True, True]
+    T.backward(T.tsum(T.mul(out, tensor(g))))
+    gy = (g * np.float32(0.5)).reshape(6, 3)
+    gh = gelu_grad_f32(h_values, gy @ w2.data.T)
+    for leaf, want in ((w2, z.data.T @ gy), (w1, x.data.T @ gh), (b1, gh.sum(axis=0)),
+                       (x, gh @ w1.data.T)):
+        assert leaf.grad.tobytes() == want.tobytes()
+
+
+def test_no_backward_closure_reads_a_tensors_data():
+    """A backward closure (a nested def or lambda) in the tensor module reads
+    the arrays its op captured, never an attribute named `data`: reading a
+    Tensor's `.data` in backward would keep that array alive on the tape."""
+    tree = ast.parse(inspect.getsource(T))
+    closures = {inner for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.Lambda))
+                for inner in ast.walk(fn)
+                if inner is not fn and isinstance(inner, (ast.FunctionDef, ast.Lambda))}
+    assert len(closures) > 10
+    reads = sorted(node.lineno for fn in closures for node in ast.walk(fn)
+                   if isinstance(node, ast.Attribute) and node.attr == "data")
+    assert reads == [], f"tensor.py lines {reads} read .data inside a closure"
 
 
 def test_backward_releases_every_interior_gradient():
