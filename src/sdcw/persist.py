@@ -39,8 +39,10 @@ it prunes is written as its own bitmap record ("mask:" + name). Pruning
 leaves +0.0 at pruned entries, so a pruned model round-trips bit for bit.
 Dynamic-quantized files keep non-quantized tensors in fp32; mixed-mode files
 store them in fp16, mirroring the 16-bit base precision of the vector-wise
-int8 scheme. Total bytes written equal header plus records with no padding,
-so size-reduction percentages are exactly reproducible. `model_bytes` in
+int8 scheme. int8 is the file's dtype alone: an int8 record is written from,
+and loads into, a float32 array of integers, the payload `quant` multiplies.
+Total bytes written equal header plus records with no padding, so
+size-reduction percentages are exactly reproducible. `model_bytes` in
 reports is this number.
 """
 from __future__ import annotations
@@ -111,8 +113,9 @@ def _records_for(obj, mask: PruneMask | None) -> tuple[int, float, list[tuple]]:
     records: list[tuple] = []
     for name, arr in tensors.items():
         tag, m = tags[name], masks.get(name)
+        # an int8 record compares the values the file holds: -0.0 is written as 0
         keep = (None if m is None or tag not in _MASKED_FORM else
-                _kept(arr.q if tag == DT_INT8 else arr, m))
+                _kept(arr.q.astype(np.int8) if tag == DT_INT8 else arr, m))
         if keep is None:
             records.append((name, tag, arr.shape, arr))
         else:
@@ -266,6 +269,13 @@ class _Reader:
         self.claim(count * np.dtype(dtype).itemsize)
         return self.fill(np.empty(count, dtype=dtype))
 
+    def widened(self, dtype, count: int) -> np.ndarray:
+        """The next `count` items of `dtype`, read in pieces into float32."""
+        out = np.empty(count, dtype=np.float32)
+        for lo, part in self.pieces(dtype, count):
+            out[lo:lo + part.size] = part
+        return out
+
     def pieces(self, dtype, count: int):
         """The next `count` items, claimed now and read on iteration as
         (offset, piece) pairs through one buffer of at most PIECE_BYTES."""
@@ -284,16 +294,16 @@ def _read_bitmap(r: _Reader, name: str, n: int) -> np.ndarray:
 
 
 def _read_kept(r: _Reader, name: str, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """A masked record's tail: (flat tensor, 0 where pruned; flat mask). The
-    kept values are read in pieces of at most PIECE_BYTES straight into
-    their places."""
+    """A masked record's tail: (flat float32 tensor, 0 where pruned; flat
+    mask). The kept values, of the file's `dtype`, are read in pieces of at
+    most PIECE_BYTES straight into their places."""
     mask = _read_bitmap(r, name, n)
     (kept,) = r.unpack("<Q")
     if kept != np.count_nonzero(mask):
         raise PersistError(f"'{r.path}' masked record '{name}' keeps {kept} values, "
                            f"its bitmap {np.count_nonzero(mask)}")
     r.claim(kept * np.dtype(dtype).itemsize)
-    out = np.zeros(n, dtype=dtype)
+    out = np.zeros(n, dtype=np.float32)
     step = PIECE_BYTES // out.itemsize
     buf = np.empty(min(step, kept), dtype=dtype)
     for lo in range(0, n, step):
@@ -333,7 +343,7 @@ def _read_payload(r: _Reader, name: str, tag: int, shape: tuple[int, ...]):
             raise PersistError(f"'{r.path}' int8 record '{name}' has invalid outlier indices")
         values = r.array("<f4", n_out * n_vectors).reshape(n_out, n_vectors)
         if tag == DT_INT8:
-            q, mask = r.array(np.int8, n), None
+            q, mask = r.widened(np.int8, n), None
         else:
             q, mask = _read_kept(r, name, n, np.int8)
         q = q.reshape(shape)
@@ -342,11 +352,7 @@ def _read_payload(r: _Reader, name: str, tag: int, shape: tuple[int, ...]):
         qt = QuantizedTensor(q, scales, int(axis), idx, values)
         return qt if mask is None else (qt, mask.reshape(shape))
     if tag == DT_F16:
-        halves = r.pieces("<f2", n)
-        out = np.empty(n, dtype=np.float32)
-        for lo, part in halves:
-            out[lo:lo + part.size] = part
-        return out.reshape(shape)
+        return r.widened("<f2", n).reshape(shape)
     if tag == DT_MASK:
         return _read_bitmap(r, name, n).reshape(shape)
     if tag == DT_F32_MASKED:

@@ -29,11 +29,9 @@ capped at 2^24, so those sums stay below 2^38 and are exact in 53 bits. The
 accumulator thus holds the same integers as an int64 GEMM; it is divided by
 the outer product of the scales in float64 and rounded once to float32.
 
-The GEMMs read a float32 image of each operand's int8 payload. A weight's
-image is built once (the quantizers hand over the float32 integers they
-computed; a loaded weight builds it on first use) and is never written to a
-file; an activation's image is the float32 integers its quantizer computed.
-The product runs on the images as they are, without zeroing the union of
+A payload `q` holds its int8 values as float32 integers, the operand the
+GEMMs read, so each weight is held once; int8 is the file's dtype alone.
+The product runs on the payloads as they are, without zeroing the union of
 both operands' outlier vectors: each operand's own outlier vectors are zero
 in its payload (the quantizers make them so and `persist.load_model`
 rejects a file where they are not), so every k-index in the union
@@ -77,34 +75,27 @@ class QuantizedTensor:
     input x output). `outlier_cols` indexes the contraction dimension
     (columns of a per-row operand, rows of a per-column operand); those
     vectors are zeroed in `q` and kept exactly in fp32 `outlier_values`.
-    `q_image` is `q` as float32, the operand of the int8 GEMMs; it is built
-    on first use if absent, and never serialized.
+    `q` holds the int8 values as float32 integers, the operand of the GEMMs.
     """
 
-    q: np.ndarray                 # int8 [m, k]
+    q: np.ndarray                 # float32 integers in [-127, 127], [m, k]
     scales: np.ndarray            # fp32, one per quantization vector
     axis: int
     outlier_cols: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     outlier_values: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=np.float32))
     fp_ref: np.ndarray | None = None  # exact source values (in-memory handles only)
-    q_image: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(self.q.shape)
 
-    def image(self) -> np.ndarray:
-        if self.q_image is None:
-            self.q_image = self.q.astype(np.float32)
-        return self.q_image
-
     def dequant(self) -> np.ndarray:
         if self.axis == 1:
-            x = self.q.astype(np.float32) / self.scales[:, None]
+            x = self.q / self.scales[:, None]
             if self.outlier_cols.size:
                 x[:, self.outlier_cols] = self.outlier_values
         else:
-            x = self.q.astype(np.float32) / self.scales[None, :]
+            x = self.q / self.scales[None, :]
             if self.outlier_cols.size:
                 x[self.outlier_cols, :] = self.outlier_values
         return x
@@ -117,11 +108,11 @@ class QuantizedTensor:
             return self.fp_ref[:, idx] if self.axis == 1 else self.fp_ref[idx, :]
         _, at, src = np.intersect1d(idx, self.outlier_cols, return_indices=True)
         if self.axis == 1:
-            x = self.q[:, idx].astype(np.float32) / self.scales[:, None]
+            x = self.q[:, idx] / self.scales[:, None]
             if at.size:
                 x[:, at] = self.outlier_values[:, src]
         else:
-            x = self.q[idx, :].astype(np.float32) / self.scales[None, :]
+            x = self.q[idx, :] / self.scales[None, :]
             if at.size:
                 x[at, :] = self.outlier_values[src, :]
         return x
@@ -197,7 +188,7 @@ def absmax_quantize(x, axis: int = 1) -> QuantizedTensor:
         arr, axis = arr[None, :], 1
     arr = _matrix(arr, axis, "absmax_quantize")
     q, scales, _ = _quantize_vectors(arr, axis, None, "absmax_quantize")
-    return QuantizedTensor(q.astype(np.int8), scales.reshape(-1), axis, q_image=q)
+    return QuantizedTensor(q, scales.reshape(-1), axis)
 
 
 def quantize_with_outliers(x, threshold: float, axis: int = 1) -> QuantizedTensor:
@@ -207,7 +198,7 @@ def quantize_with_outliers(x, threshold: float, axis: int = 1) -> QuantizedTenso
         raise ParameterError(f"outlier threshold must be > 0, got {threshold}")
     arr = _matrix(x, axis, "quantize_with_outliers")
     q, scales, outliers = _quantize_vectors(arr, axis, threshold, "quantize_with_outliers")
-    qt = QuantizedTensor(q.astype(np.int8), scales.reshape(-1), axis, q_image=q)
+    qt = QuantizedTensor(q, scales.reshape(-1), axis)
     cols = np.nonzero(outliers.reshape(-1))[0]
     if cols.size:
         qt.outlier_cols = cols
@@ -272,7 +263,7 @@ def int8_matmul(aq: QuantizedTensor, bq: QuantizedTensor) -> np.ndarray:
         raise ShapeError(f"int8_matmul dimension mismatch: {aq.q.shape} x {bq.q.shape}")
     if k > MAX_CONTRACTION:
         raise ShapeError(f"contraction length {k} exceeds the exactness bound 2^24")
-    out = _rescale(_int_matmul(aq.image(), bq.image()), aq.scales[:, None], bq.scales[None, :])
+    out = _rescale(_int_matmul(aq.q, bq.q), aq.scales[:, None], bq.scales[None, :])
     union = np.union1d(aq.outlier_cols, bq.outlier_cols).astype(np.int64)
     if union.size:
         out += aq.contraction_fp(union) @ bq.contraction_fp(union)
@@ -323,7 +314,7 @@ def int8_bmm(a, b, threshold: float) -> np.ndarray:
 @dataclass
 class QuantizedModel:
     """Inference handle keyed like `EncoderModel.params`: the linear weights
-    are int8 QuantizedTensors (input x output, axis=0 so one scale per
+    are QuantizedTensors (input x output, axis=0 so one scale per
     output unit), every other tensor a full-precision array. Each bias comes
     right after its weight, the order the handle's file keeps.
 

@@ -316,6 +316,16 @@ def test_no_module_of_the_program_imports_scipy():
         assert not [m for m in modules if m.split(".")[0] == "scipy"], path.name
 
 
+def test_only_the_file_format_names_int8():
+    """An int8 weight is held once, as the float32 integers the GEMMs read;
+    int8 is the dtype of the file alone, so only `persist` names it."""
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "int8"]
+        assert path.name == "persist.py" or not named, (path.name, named)
+
+
 def test_seed_and_type_lists_parse():
     cfg = config.parse_config("seeds=7,8\nentity_types=PER,LOC\nstudent_layers=1,2\n")
     assert cfg.seeds == (7, 8)

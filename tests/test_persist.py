@@ -319,7 +319,8 @@ def test_pruned_then_quantized_file_keeps_the_mask_and_is_smaller(tmp_path, trai
     _assert_same_mask(mask, loaded)
     for name, qt in qm.params.items():
         if name.endswith(quant._LINEAR_WEIGHTS):
-            assert again.params[name].q.tobytes() == qt.q.tobytes(), name
+            assert (again.params[name].q.astype(np.int8).tobytes()
+                    == qt.q.astype(np.int8).tobytes()), name
     ids = stream(13, "persist-pq").integers(0, trained_clone.config.vocab_size, size=(2, 8))
     attention = np.ones((2, 8), dtype=bool)
     before = evaluation.forward_logits(qm, ids, attention)
@@ -329,6 +330,63 @@ def test_pruned_then_quantized_file_keeps_the_mask_and_is_smaller(tmp_path, trai
     share = mask.zeros() / mask.total()
     assert evaluation._accounting(again)[2] == share == pytest.approx(0.9, abs=1e-5)
     assert evaluation._accounting(dense_q)[2] == 0.0
+
+
+def _quantized_handles(tmp_path):
+    """(what, handle) for fresh and loaded handles, both modes, dense and
+    pruned."""
+    dense = _random_model(9)
+    dense.param("layers.0.ffn.w2").data[[1, 4], :] *= 60.0  # outlier rows
+    pruned = model.clone_model(dense)
+    mask = prune.compute_mask(pruned, 0.6)
+    prune.apply_mask(pruned, mask)
+    for mode in ("dynamic_int8", "int8_mixed"):
+        for kind, m, m_mask in (("dense", dense, None), ("pruned", pruned, mask)):
+            qm = quant.quantize_model(m, mode, threshold=6.0, mask=m_mask)
+            path = tmp_path / f"{mode}-{kind}.sdcw"
+            persist.save_model(qm, path)
+            yield f"fresh {mode} {kind}", qm
+            yield f"loaded {mode} {kind}", persist.load_model(path)[0]
+
+
+def test_int8_payloads_are_the_float32_arrays_the_gemms_read(tmp_path):
+    ids = stream(9, "persist-payload").integers(0, TINY.vocab_size, size=(2, 8))
+    attention = np.ones(ids.shape, dtype=bool)
+    for what, qm in _quantized_handles(tmp_path):
+        payloads = [p.q for p in qm.params.values() if isinstance(p, quant.QuantizedTensor)]
+        assert len(payloads) == TINY.num_layers * 6 + 1, what
+        assert all(q.dtype == np.float32 for q in payloads), what
+        before = _array_bytes(qm, qm.mask)
+        quant.quantized_forward(qm, ids, attention)
+        assert _array_bytes(qm, qm.mask) == before, what  # no copy built on first use
+
+
+def test_accounting_of_a_handle_equals_its_reloaded_files(tmp_path):
+    handles = dict(_quantized_handles(tmp_path))
+    for what, qm in handles.items():
+        if what.startswith("fresh"):
+            again = handles[what.replace("fresh", "loaded")]
+            assert evaluation._accounting(qm) == evaluation._accounting(again), what
+
+
+@pytest.mark.parametrize("mode", ["dynamic_int8", "int8_mixed"])
+def test_masked_int8_record_is_chosen_by_value_not_bits(tmp_path, mode):
+    """Pruned weights of -1e-9 quantize to -0.0 in the float32 payload (the
+    quantizers keep the input's sign bit); the file holds int8 0 there, so
+    the record is still one masked record."""
+    m = _random_model(10)
+    mask = prune.compute_mask(m, 0.6)
+    prune.apply_mask(m, mask)
+    tiny = model.clone_model(m)
+    for name, keep in mask.masks.items():
+        tiny.param(name).data[keep == 0] = -1e-9
+    files = []
+    for obj in (m, tiny):
+        qm = quant.quantize_model(obj, mode, mask=mask)
+        assert persist.DT_INT8_MASKED in _tags(qm) and persist.DT_MASK not in _tags(qm)
+        files.append(tmp_path / f"{len(files)}.sdcw")
+        persist.save_model(qm, files[-1])
+    assert files[0].read_bytes() == files[1].read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +421,12 @@ def test_files_keep_their_bytes(tmp_path):
 
 
 def _array_bytes(handle, mask) -> int:
-    """Bytes of the arrays a loaded handle (and its mask) keeps."""
+    """Bytes of the arrays a handle (and its mask) keeps: every array field
+    of a QuantizedTensor counts."""
     if isinstance(handle, model.EncoderModel):
         n = sum(p.data.nbytes for p in handle.params.values())
     else:
-        n = sum(sum(a.nbytes for a in (p.q, p.scales, p.outlier_cols, p.outlier_values))
+        n = sum(sum(a.nbytes for a in vars(p).values() if isinstance(a, np.ndarray))
                 if isinstance(p, quant.QuantizedTensor) else p.nbytes
                 for p in handle.params.values())
     return n + (sum(m.nbytes for m in mask.masks.values()) if mask else 0)

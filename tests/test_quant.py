@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdcw import data, model, prune, quant
+from sdcw import data, model, persist, prune, quant
 from sdcw.errors import DataError, ParameterError, ShapeError
 from sdcw.model import forward
 from sdcw.persist import load_model, save_model, serialized_bytes
@@ -146,22 +146,22 @@ def test_quantizers_bitwise_equal_to_reference_expression(axis):
     for cases in (x, edges, np.ascontiguousarray(edges.T), _signed_zero_cases()):
         qt = quant.absmax_quantize(cases, axis=axis)
         q, scales = absmax_quantize_ref(cases, axis)
-        assert _same_bits(qt.q, q) and _same_bits(qt.scales, scales)
-        # the unclipped float image is within [-127, 127] and carries the
-        # input's sign bit, signed zeros included
-        assert _same_bits(qt.q_image, np.clip(qt.q_image, -127, 127))
-        assert np.array_equal(np.signbit(qt.q_image), np.signbit(cases))
+        assert _same_bits(qt.q.astype(np.int8), q) and _same_bits(qt.scales, scales)
+        # the unclipped float32 payload is within [-127, 127] and carries
+        # the input's sign bit, signed zeros included
+        assert _same_bits(qt.q, np.clip(qt.q, -127, 127))
+        assert np.array_equal(np.signbit(qt.q), np.signbit(cases))
         for thr in (100.0, 6.0, 0.5, 1e-30, 1e30):
             qt = quant.quantize_with_outliers(cases, thr, axis=axis)
             q, scales, cols = quantize_with_outliers_ref(cases, thr, axis)
-            assert _same_bits(qt.q, q) and _same_bits(qt.scales, scales)
-            assert _same_bits(qt.q_image, np.clip(qt.q_image, -127, 127))
-            assert np.array_equal(np.signbit(qt.q_image), np.signbit(cases))
+            assert _same_bits(qt.q.astype(np.int8), q) and _same_bits(qt.scales, scales)
+            assert _same_bits(qt.q, np.clip(qt.q, -127, 127))
+            assert np.array_equal(np.signbit(qt.q), np.signbit(cases))
             np.testing.assert_array_equal(qt.outlier_cols, cols)
     row = x[0]
     qt = quant.absmax_quantize(row)
     q, scales = absmax_quantize_ref(row)
-    assert _same_bits(qt.q, q) and _same_bits(qt.scales, scales)
+    assert _same_bits(qt.q.astype(np.int8), q) and _same_bits(qt.scales, scales)
 
 
 def test_quantize_with_outliers_threshold_validation():
@@ -241,7 +241,8 @@ def _int8_operands(draw):
     (threshold None) or outlier-split at the threshold, with outlier vectors
     in A, in B, in both or at the same index, all-zero rows and columns,
     values that round to zero from below, B with or without its fp32 source,
-    and either operand as a file loads it (no float32 image)."""
+    and either operand as a file loads it (its payload's -0.0 read back as
+    +0.0)."""
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     k = draw(st.sampled_from([1, 2, 9, quant.EXACT_BLOCK, quant.EXACT_BLOCK + 1,
@@ -271,8 +272,8 @@ def _int8_operands(draw):
     loaded = draw(st.sampled_from(["neither", "a", "b"]))
     if loaded != "neither":
         qt = aq if loaded == "a" else bq
-        qt = quant.QuantizedTensor(qt.q.copy(), qt.scales.copy(), qt.axis, qt.outlier_cols.copy(),
-                                   qt.outlier_values.copy())
+        qt = quant.QuantizedTensor(qt.q.astype(np.int8).astype(np.float32), qt.scales.copy(),
+                                   qt.axis, qt.outlier_cols.copy(), qt.outlier_values.copy())
         aq, bq = (qt, bq) if loaded == "a" else (aq, qt)
     return aq, bq, draw(st.sampled_from([1, 7, quant.RESCALE_BLOCK]))
 
@@ -285,7 +286,7 @@ def test_int8_matmul_equals_the_reference_product_byte_for_byte(operands):
     with mock.patch.object(quant, "RESCALE_BLOCK", block):
         got = quant.int8_matmul(aq, bq)
         assert _same_bits(got, want)
-        assert _same_bits(quant.int8_matmul(aq, bq), want)  # with both images built
+        assert _same_bits(quant.int8_matmul(aq, bq), want)  # a second call keeps no state
 
 
 def test_int8_matmul_outlier_union_no_double_count():
@@ -378,14 +379,18 @@ def _inputs(gen, b=3, s=10):
 def test_dynamic_weight_payload_shrinks_4x():
     m = model.init_model(model.desk_config(), seed=1)
     qm = quant.quantize_model_dynamic(m)
-    for name in m.params:
-        if not name.endswith(quant._LINEAR_WEIGHTS):
-            continue
-        n = m.param(name).size
-        q_bytes = qm.params[name].q.size + qm.params[name].scales.size * 4
-        # int8 payload plus one fp32 scale per output unit, nothing else
-        assert q_bytes == n + 4 * m.param(name).shape[1]
-        assert 3.7 < 4 * n / q_bytes <= 4.0, name
+    fp32 = {name: persist._payload_bytes(tag, shape, payload)
+            for name, tag, shape, payload in persist._records_for(m, None)[2]}
+    int8 = {name: persist._payload_bytes(tag, shape, payload)
+            for name, tag, shape, payload in persist._records_for(qm, None)[2]
+            if tag == persist.DT_INT8}
+    assert sorted(int8) == sorted(n for n in m.params if n.endswith(quant._LINEAR_WEIGHTS))
+    for name, q_bytes in int8.items():
+        n, n_out = m.param(name).size, m.param(name).shape[1]
+        # int8 values plus one fp32 scale per output unit, the axis byte and
+        # the scale and outlier counts, nothing else
+        assert q_bytes == n + 4 * n_out + 9 and fp32[name] == 4 * n
+        assert 3.7 < fp32[name] / q_bytes <= 4.0, name
 
 
 def test_quantized_modes_keep_topology_and_extras(tmp_path):
@@ -617,9 +622,7 @@ def test_saved_files_hold_no_float32_image(which, mode, tmp_path):
     assert save_model(qm, path) == serialized_bytes(qm) == want_bytes == path.stat().st_size
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want_sha
     loaded = load_model(path)[0]
-    assert all(p.q_image is None for p in loaded.params.values()
-               if isinstance(p, quant.QuantizedTensor))
-    logits = quant.quantized_forward(loaded, ids, mask)  # builds the loaded images
+    logits = quant.quantized_forward(loaded, ids, mask)
     if mode == "dynamic_int8":
         assert logits.tobytes() == quant.quantized_forward(qm, ids, mask).tobytes()
     save_model(loaded, tmp_path / "again.sdcw")
