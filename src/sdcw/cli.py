@@ -474,8 +474,8 @@ def cmd_quantize(cfg: ExperimentConfig) -> int:
         (model, mask), baseline = _report_on_file(
             model_path, lambda handle, n_bytes: evaluated(_fp32(handle, model_path), n_bytes))
 
-        # a reloaded mixed handle has no fp_ref and its fp tensors went through
-        # fp16, so its logits differ from those of the handle quantization returns
+        # a reloaded mixed handle's fp tensors went through fp16, so its logits
+        # differ from those of the handle quantization returns
         def against_baseline(handle, n_bytes: int) -> dict:
             qrep = evaluated(handle, n_bytes)
             return {"report": qrep.to_dict(), "delta": compare(baseline, qrep),

@@ -7,9 +7,15 @@ Two modes:
   embeddings, norms, softmax, and the attention score/content matmuls stay
   fp32.
 * int8 mixed: every matmul operand is vector-wise quantized (including the
-  attention score and probability-times-value products), and activation
-  columns whose max magnitude reaches the outlier threshold are routed
-  through an exact fp32 path and recombined.
+  attention score and probability-times-value products), and contraction
+  vectors (activation columns, weight rows) whose max magnitude reaches the
+  outlier threshold are held out of the int8 product and recombined in fp32.
+
+Every int8 product follows one outlier rule: on the union of both operands'
+outlier vectors the product runs in fp32, where each operand is exact on its
+own outlier vectors and dequantized on the rest. A weight holds its own
+outlier rows and nothing else of its fp32 source, so a handle fresh from
+`quantize_model` and its reloaded file compute the same product.
 
 A quantized handle runs the encoder block sequence of `model.forward`, the
 same as an fp32 model, over `Int8Kernel`: int8 linears, the attention
@@ -83,29 +89,18 @@ class QuantizedTensor:
     axis: int
     outlier_cols: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     outlier_values: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=np.float32))
-    fp_ref: np.ndarray | None = None  # exact source values (in-memory handles only)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(self.q.shape)
 
     def dequant(self) -> np.ndarray:
-        if self.axis == 1:
-            x = self.q / self.scales[:, None]
-            if self.outlier_cols.size:
-                x[:, self.outlier_cols] = self.outlier_values
-        else:
-            x = self.q / self.scales[None, :]
-            if self.outlier_cols.size:
-                x[self.outlier_cols, :] = self.outlier_values
-        return x
+        return self.contraction_fp(np.arange(self.q.shape[self.axis]))
 
     def contraction_fp(self, idx: np.ndarray) -> np.ndarray:
-        """fp32 content of the given contraction-dim vectors; exact when a
-        fp_ref is attached or the vectors were stored as outliers. Without a
-        fp_ref only the requested vectors are dequantized."""
-        if self.fp_ref is not None:
-            return self.fp_ref[:, idx] if self.axis == 1 else self.fp_ref[idx, :]
+        """fp32 content of the given contraction-dim vectors: exact where they
+        were stored as outliers, else dequantized. Only the requested vectors
+        are dequantized."""
         _, at, src = np.intersect1d(idx, self.outlier_cols, return_indices=True)
         if self.axis == 1:
             x = self.q[:, idx] / self.scales[:, None]
@@ -316,11 +311,9 @@ class QuantizedModel:
     """Inference handle keyed like `EncoderModel.params`: the linear weights
     are QuantizedTensors (input x output, axis=0 so one scale per
     output unit), every other tensor a full-precision array. Each bias comes
-    right after its weight, the order the handle's file keeps.
-
-    In mixed mode the original fp32 weights ride along as fp_ref so the
-    outlier path is exact; fp_ref is never serialized. A handle quantized
-    from a pruned model carries its prune mask, which its file keeps.
+    right after its weight, the order the handle's file keeps. A handle
+    quantized from a pruned model carries its prune mask, which its file
+    keeps.
     """
 
     config: EncoderConfig
@@ -337,6 +330,8 @@ def quantize_model(model: EncoderModel, mode: str, threshold: float = DEFAULT_OU
                    mask: PruneMask | None = None) -> QuantizedModel:
     if mode not in ("dynamic_int8", "int8_mixed"):
         raise ParameterError(f"unknown quantization mode '{mode}'")
+    if not threshold > 0:  # NaN too: `persist.load_model` rejects a file holding it
+        raise ParameterError(f"outlier threshold must be > 0, got {threshold}")
     if mask is not None:
         mask.check_fits({name: p.shape for name, p in model.params.items()}, ShapeError)
     params: dict[str, QuantizedTensor | np.ndarray] = {}
@@ -344,11 +339,8 @@ def quantize_model(model: EncoderModel, mode: str, threshold: float = DEFAULT_OU
         if not _all_finite(p.data):
             raise DataError(f"non-finite weights in '{name}'")
         if name.endswith(_LINEAR_WEIGHTS):
-            if mode == "int8_mixed":
-                wq = quantize_with_outliers(p.data, threshold, axis=0)
-                wq.fp_ref = p.data
-            else:
-                wq = absmax_quantize(p.data, axis=0)
+            wq = (quantize_with_outliers(p.data, threshold, axis=0) if mode == "int8_mixed"
+                  else absmax_quantize(p.data, axis=0))
             bias = _bias_name(name)
             params[name], params[bias] = wq, model.param(bias).data
         elif name not in params:  # a bias is placed with its weight
@@ -364,8 +356,6 @@ def quantize_model_dynamic(model: EncoderModel, mask: PruneMask | None = None) -
 def quantize_model_int8_mixed(model: EncoderModel, threshold: float = DEFAULT_OUTLIER_THRESHOLD,
                               mask: PruneMask | None = None) -> QuantizedModel:
     """Vector-wise int8 on all matmul operands with fp32 outlier decomposition."""
-    if threshold <= 0:
-        raise ParameterError(f"outlier threshold must be > 0, got {threshold}")
     return quantize_model(model, "int8_mixed", threshold=threshold, mask=mask)
 
 

@@ -7,7 +7,8 @@ optimized tape kernels must reproduce byte for byte; GELU's among them
 evaluates the same float32 rational for erf as the chunked kernel, and only
 `gelu64` uses the exact float64 erf. The int8 section keeps
 the int8 product that zeroes the outlier union in converted copies of both
-operands and rescales through one full-size float64 array, and the next one
+operands, rescales through one full-size float64 array and adds the outlier
+union from its own dequantization, and the next one
 the hand-written quantized forward over that product; `quant.int8_matmul`
 and the shared encoder topology must reproduce them byte for byte. The
 set-up references after them are the sort-based magnitude mask and the full
@@ -289,6 +290,18 @@ def _rescale_ref(acc: np.ndarray, scales_a: np.ndarray, scales_b: np.ndarray) ->
     return outer.astype(np.float32)
 
 
+def dequant_ref(qt: QuantizedTensor) -> np.ndarray:
+    """The fp32 content of a QuantizedTensor: its payload over its scales,
+    with its own outlier vectors put back exactly."""
+    scales = qt.scales[:, None] if qt.axis == 1 else qt.scales[None, :]
+    x = qt.q.astype(np.float32) / scales
+    if qt.outlier_cols.size and qt.axis == 1:
+        x[:, qt.outlier_cols] = qt.outlier_values
+    elif qt.outlier_cols.size:
+        x[qt.outlier_cols, :] = qt.outlier_values
+    return x
+
+
 def int8_matmul_ref(aq: QuantizedTensor, bq: QuantizedTensor) -> np.ndarray:
     """[m,k] x [k,n] with exact integer accumulation, rescaled by the outer
     product of row/column scales; outlier vectors recombined in fp32."""
@@ -308,7 +321,7 @@ def int8_matmul_ref(aq: QuantizedTensor, bq: QuantizedTensor) -> np.ndarray:
         qb[union, :] = 0
     out = _rescale_ref(_int_matmul_ref(qa, qb), aq.scales[:, None], bq.scales[None, :])
     if union.size:
-        out += aq.contraction_fp(union) @ bq.contraction_fp(union)
+        out += dequant_ref(aq)[:, union] @ dequant_ref(bq)[union, :]
     return out
 
 
