@@ -37,7 +37,7 @@ from .quant import quantize_model_dynamic, quantize_model_int8_mixed
 from .tensor import Tensor
 
 SUBCOMMANDS = ("synth-data", "pretrain", "finetune", "prune", "distill",
-               "quantize", "eval", "bench", "transfer", "report")
+               "quantize", "eval", "bench", "report")
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +163,6 @@ def _load_splits(cfg: ExperimentConfig) -> tuple[list[Sentence], list[Sentence],
     return [], [], sents
 
 
-def _resolve_model_path(template: str, seed: int) -> str:
-    return template.replace("{seed}", str(seed))
-
-
 def _training_splits(cfg: ExperimentConfig, sub: str) -> tuple[list[Sentence], list[Sentence]]:
     """The train split, and the split a training subcommand reports on."""
     train, dev, test = _load_splits(cfg)
@@ -175,32 +171,28 @@ def _training_splits(cfg: ExperimentConfig, sub: str) -> tuple[list[Sentence], l
     return train, test or dev or train
 
 
-def _fp32(handle, path) -> EncoderModel:
-    if not isinstance(handle, EncoderModel):
-        raise DataError(f"'{path}' holds a quantized model; an fp32 model is required")
-    return handle
-
-
-def _load_fp32_model(path: str) -> EncoderModel:
-    return _fp32(load_model(path)[0], path)
-
-
-def _vocab_for(cfg: ExperimentConfig, model_path: str, train: list[Sentence]) -> Vocabulary:
-    if model_path:
-        sidecar = Path(model_path + ".vocab")
-        if sidecar.exists():
-            return Vocabulary.load(sidecar)
-    if not train:
+def _load_input(cfg: ExperimentConfig, template: str, seed: int, train: list[Sentence],
+                fp32: bool = True) -> tuple:
+    """The seed's file of `template` ("{seed}" replaced): its (handle, mask),
+    its vocabulary (the `.vocab` sidecar, else built from `train`) and its
+    path. Fails, before anything trains or is written, when `fp32` and the
+    file holds a quantized model, or when the vocabulary has a token past
+    the file's token table."""
+    path = Path(template.replace("{seed}", str(seed)))
+    sidecar = Path(f"{path}.vocab")
+    if sidecar.exists():
+        vocab = Vocabulary.load(sidecar)
+    elif train:
+        vocab = build_vocab(corpus_token_lists(train), cfg.vocab_size)
+    else:
         raise DataError("cannot build a vocabulary without a train split or vocab sidecar")
-    return build_vocab(corpus_token_lists(train), cfg.vocab_size)
-
-
-def _fits(handle, vocab: Vocabulary, model_path):
-    """`handle`, when its token table has a row for every token of `vocab`."""
+    handle, mask = load_model(path)
+    if fp32 and not isinstance(handle, EncoderModel):
+        raise DataError(f"'{path}' holds a quantized model; an fp32 model is required")
     if vocab.size > handle.config.vocab_size:
-        raise DataError(f"the vocabulary has {vocab.size} tokens, but '{model_path}' "
+        raise DataError(f"the vocabulary has {vocab.size} tokens, but '{path}' "
                         f"has a token table of {handle.config.vocab_size} rows")
-    return handle
+    return handle, mask, vocab, path
 
 
 def _fit_table(model: EncoderModel, rows: int) -> EncoderModel:
@@ -220,11 +212,11 @@ def _start_model(cfg: ExperimentConfig, seed: int,
     """The model a training subcommand starts from (the seed's `model_in`
     file, or a fresh init at the `vocab_size` cap) and its vocabulary, the
     model's token table cut to the vocabulary."""
-    model_path = _resolve_model_path(cfg.model_in, seed) if cfg.model_in else ""
-    vocab = _vocab_for(cfg, model_path, train)
-    if not model_path:
-        return _fit_table(init_model(cfg.encoder_config(), seed), vocab.size), vocab
-    model = _fits(_load_fp32_model(model_path), vocab, model_path)
+    if cfg.model_in:
+        model, _, vocab, _ = _load_input(cfg, cfg.model_in, seed, train)
+    else:
+        vocab = build_vocab(corpus_token_lists(train), cfg.vocab_size)
+        model = init_model(cfg.encoder_config(), seed)
     return _fit_table(model, vocab.size), vocab
 
 
@@ -237,13 +229,6 @@ def _eval_kwargs(cfg: ExperimentConfig) -> dict:
 # made, loads it back, and measures the loaded handle. `measure(handle,
 # n_bytes)` gets the file's size, mask bitmaps included.
 
-def _report_on_file(path: Path, measure):
-    """Load the file at `path`; return its (handle, mask) and the handle's
-    measurement."""
-    loaded = load_model(path)
-    return loaded, measure(loaded[0], path.stat().st_size)
-
-
 def _as_dict(report) -> dict:
     return report.to_dict() if isinstance(report, EvalReport) else report
 
@@ -252,7 +237,7 @@ def _save_and_report(obj, path: Path, vocab: Vocabulary, measure, mask=None) -> 
     """Save `obj` and its vocabulary, then report on the file, naming it."""
     save_model(obj, path, mask=mask)
     vocab.save(str(path) + ".vocab")
-    return {**_as_dict(_report_on_file(path, measure)[1]), "model_path": path.name}
+    return {**_as_dict(measure(load_model(path)[0], path.stat().st_size)), "model_path": path.name}
 
 
 def _evaluator(cfg: ExperimentConfig, split: list[Sentence], vocab: Vocabulary):
@@ -348,32 +333,22 @@ def cmd_pretrain(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _finetune_like(cfg: ExperimentConfig, sub: str) -> int:
-    train, eval_split = _training_splits(cfg, sub)
+def cmd_finetune(cfg: ExperimentConfig) -> int:
+    train, eval_split = _training_splits(cfg, "finetune")
     out = Path(cfg.out_dir)
 
     def run_one(seed: int) -> dict:
         model, vocab = _start_model(cfg, seed, train)
         trace = finetune(model, train, vocab, cfg.train_spec(), seed,
                          entity_types=cfg.entity_types)
-        report = _save_and_report(model, out / f"{sub}_seed{seed}.sdcw", vocab,
+        report = _save_and_report(model, out / f"finetune_seed{seed}.sdcw", vocab,
                                   _evaluator(cfg, eval_split, vocab))
-        report.update({"subcommand": sub, "loss_trace": trace})
+        report.update({"subcommand": "finetune", "loss_trace": trace})
         return report
 
-    _per_seed(cfg, sub, run_one)
-    print(f"{sub}: {len(cfg.seeds)} run(s) -> {out}")
+    _per_seed(cfg, "finetune", run_one)
+    print(f"finetune: {len(cfg.seeds)} run(s) -> {out}")
     return 0
-
-
-def cmd_finetune(cfg: ExperimentConfig) -> int:
-    return _finetune_like(cfg, "finetune")
-
-
-def cmd_transfer(cfg: ExperimentConfig) -> int:
-    if not cfg.model_in:
-        raise ConfigError("'model_in' is required for transfer")
-    return _finetune_like(cfg, "transfer")
 
 
 def cmd_prune(cfg: ExperimentConfig) -> int:
@@ -414,14 +389,13 @@ def cmd_distill(cfg: ExperimentConfig) -> int:
         task_data = preprocess_corpus(Path(cfg.corpus).read_text(encoding="utf-8").splitlines())
 
     def run_one(seed: int) -> dict:
-        teacher_path = _resolve_model_path(cfg.teacher, seed)
-        teacher = _load_fp32_model(teacher_path)
-        vocab = _vocab_for(cfg, teacher_path, train)
+        teacher, _, vocab, teacher_path = _load_input(cfg, cfg.teacher, seed, train)
         given = None
         # a task-specific run from `model_in` trains on the student that file holds
         if cfg.mode == "task_specific" and cfg.model_in:
-            student_path = _resolve_model_path(cfg.model_in, seed)
-            given = _load_fp32_model(student_path)
+            given, _, student_vocab, student_path = _load_input(cfg, cfg.model_in, seed, train)
+            if student_vocab.id_to_token != vocab.id_to_token:
+                raise DataError(f"'{student_path}' has a vocabulary other than the teacher's")
             held = (given.config.num_layers, given.config.num_heads)
             for cell in cells:
                 if held != (cell.num_layers, cell.num_heads):
@@ -429,7 +403,7 @@ def cmd_distill(cfg: ExperimentConfig) -> int:
                         f"'{student_path}' holds a student with {held[0]} layer(s) and "
                         f"{held[1]} head(s), but the grid cell asks for "
                         f"{cell.num_layers} layer(s) and {cell.num_heads} head(s)")
-        grid = distill_grid({Path(teacher_path).stem: teacher}, cfg.mode, task_data, vocab,
+        grid = distill_grid({teacher_path.stem: teacher}, cfg.mode, task_data, vocab,
                             cells, [temperature], cfg.train_spec(), seed,
                             entity_types=cfg.entity_types, alpha_soft=cfg.alpha_soft,
                             mlm_mask_rate=cfg.mlm_mask_rate, student=given)
@@ -460,7 +434,7 @@ def cmd_distill(cfg: ExperimentConfig) -> int:
 def cmd_quantize(cfg: ExperimentConfig) -> int:
     if not cfg.model_in:
         raise ConfigError("'model_in' is required for quantize")
-    _, dev, test = _load_splits(cfg)
+    train, dev, test = _load_splits(cfg)
     eval_split = test or dev
     if not eval_split:
         raise DataError("'quantize' needs a dev or test split to evaluate on")
@@ -468,11 +442,9 @@ def cmd_quantize(cfg: ExperimentConfig) -> int:
     modes = ("dynamic", "mixed") if cfg.quant_mode == "both" else (cfg.quant_mode,)
 
     def run_one(seed: int) -> dict:
-        model_path = Path(_resolve_model_path(cfg.model_in, seed))
-        vocab = _vocab_for(cfg, str(model_path), [])
+        model, mask, vocab, model_path = _load_input(cfg, cfg.model_in, seed, train)
         evaluated = _evaluator(cfg, eval_split, vocab)
-        (model, mask), baseline = _report_on_file(
-            model_path, lambda handle, n_bytes: evaluated(_fp32(handle, model_path), n_bytes))
+        baseline = evaluated(model, model_path.stat().st_size)
 
         # a reloaded mixed handle's fp tensors went through fp16, so its logits
         # differ from those of the handle quantization returns
@@ -506,11 +478,8 @@ def _measure_model_in(cfg: ExperimentConfig, sub: str, measure_for) -> int:
     eval_split = test or dev or train
 
     def run_one(seed: int) -> dict:
-        model_path = Path(_resolve_model_path(cfg.model_in, seed))
-        vocab = _vocab_for(cfg, str(model_path), train)
-        measure = measure_for(cfg, eval_split, vocab)
-        _, report = _report_on_file(
-            model_path, lambda handle, n_bytes: measure(_fits(handle, vocab, model_path), n_bytes))
+        handle, _, vocab, model_path = _load_input(cfg, cfg.model_in, seed, train, fp32=False)
+        report = measure_for(cfg, eval_split, vocab)(handle, model_path.stat().st_size)
         return {**_as_dict(report), "subcommand": sub, "model_path": model_path.name}
 
     _per_seed(cfg, sub, run_one)
@@ -578,7 +547,6 @@ HANDLERS = {
     "quantize": cmd_quantize,
     "eval": cmd_eval,
     "bench": cmd_bench,
-    "transfer": cmd_transfer,
     "report": cmd_report,
 }
 

@@ -186,11 +186,17 @@ def absmax_quantize(x, axis: int = 1) -> QuantizedTensor:
     return QuantizedTensor(q, scales.reshape(-1), axis)
 
 
+def _check_threshold(threshold: float) -> None:
+    """An outlier threshold must be > 0; NaN is rejected too (it would hold
+    out no vector, and `persist.load_model` rejects a file holding it)."""
+    if not threshold > 0:
+        raise ParameterError(f"outlier threshold must be > 0, got {threshold}")
+
+
 def quantize_with_outliers(x, threshold: float, axis: int = 1) -> QuantizedTensor:
     """Per-vector quantization holding out contraction-dim vectors whose max
     magnitude reaches `threshold`; scales are computed over the remainder."""
-    if threshold <= 0:
-        raise ParameterError(f"outlier threshold must be > 0, got {threshold}")
+    _check_threshold(threshold)
     arr = _matrix(x, axis, "quantize_with_outliers")
     q, scales, outliers = _quantize_vectors(arr, axis, threshold, "quantize_with_outliers")
     qt = QuantizedTensor(q, scales.reshape(-1), axis)
@@ -275,8 +281,7 @@ def int8_bmm(a, b, threshold: float) -> np.ndarray:
     outlier vectors are zero in them); the fp32 outlier term is computed
     only for the slices that have outlier vectors in either operand.
     """
-    if threshold <= 0:
-        raise ParameterError(f"outlier threshold must be > 0, got {threshold}")
+    _check_threshold(threshold)
     a, b = _as_float32(a), _as_float32(b)
     if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ShapeError(f"int8_bmm expects [N,m,k] x [N,k,n], got {a.shape} x {b.shape}")
@@ -330,8 +335,7 @@ def quantize_model(model: EncoderModel, mode: str, threshold: float = DEFAULT_OU
                    mask: PruneMask | None = None) -> QuantizedModel:
     if mode not in ("dynamic_int8", "int8_mixed"):
         raise ParameterError(f"unknown quantization mode '{mode}'")
-    if not threshold > 0:  # NaN too: `persist.load_model` rejects a file holding it
-        raise ParameterError(f"outlier threshold must be > 0, got {threshold}")
+    _check_threshold(threshold)
     if mask is not None:
         mask.check_fits({name: p.shape for name, p in model.params.items()}, ShapeError)
     params: dict[str, QuantizedTensor | np.ndarray] = {}

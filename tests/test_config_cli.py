@@ -430,6 +430,15 @@ def test_strip_timing_removes_wall_clock_fields():
     assert stripped == {"f1": 0.9, "nested": [{"loss": 0.1}]}
 
 
+def test_the_readme_lists_exactly_the_subcommands_the_cli_has():
+    """The README's `Subcommands:` sentence names each of `cli.SUBCOMMANDS`
+    once, in order, and nothing else: static guard against a stale list."""
+    readme = (Path(cli.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("Subcommands:", 1)[1].split(".\n", 1)[0]
+    assert sentence.split("`")[1::2] == list(cli.SUBCOMMANDS)
+    assert set(cli.HANDLERS) == set(cli.SUBCOMMANDS)
+
+
 # ---------------------------------------------------------------------------
 # CLI workflows (desk scale, shortened schedules)
 
@@ -619,20 +628,24 @@ def test_distill_report_gives_a_row_per_student_file(workspace, tmp_path):
             assert agg["mean"][f"cells.{cell['artifact']}.{key}"] == cell[key]
 
 
-def test_transfer_cli_finetunes_loaded_model(workspace, tmp_path):
+def test_finetune_from_model_in_finetunes_the_loaded_model_on_new_data(workspace, tmp_path):
+    """A saved model fine-tuned on another dataset keeps its own vocabulary."""
     root, data_dir, ft_dir, base = workspace
     new_data = tmp_path / "newdata"
     cfg = _write_cfg(tmp_path / "nd.cfg",
                      f"preset=desk\nseeds=9\nn_sentences=60\nout_dir={new_data}\ndataset={new_data}\n")
     assert cli.run_cli(["synth-data", cfg]) == 0
-    out = tmp_path / "transfer"
+    out = tmp_path / "moved"
     cfg = _write_cfg(tmp_path / "t.cfg",
                      f"preset=desk\nseeds=1\ndataset={new_data}\nout_dir={out}\nepochs=2\n"
                      f"model_in={ft_dir}/finetune_seed{{seed}}.sdcw\n")
-    assert cli.run_cli(["transfer", cfg]) == 0
-    rep = json.loads((out / "transfer_desk_seed1.json").read_text())
-    assert rep["subcommand"] == "transfer"
+    assert cli.run_cli(["finetune", cfg]) == 0
+    rep = json.loads((out / "finetune_desk_seed1.json").read_text())
+    assert rep["subcommand"] == "finetune"
     assert len(rep["loss_trace"]) == 2
+    vocab = data.Vocabulary.load(out / "finetune_seed1.sdcw.vocab")
+    assert vocab.id_to_token == data.Vocabulary.load(
+        ft_dir / "finetune_seed1.sdcw.vocab").id_to_token
 
 
 def test_bench_cli_writes_a_report_per_seed_and_no_model_file(workspace, tmp_path):
@@ -895,6 +908,28 @@ def test_prune_cli_during_schedule(workspace, tmp_path):
     assert ramp[-1] == mask.zeros() / total
 
 
+def test_prune_after_from_a_fresh_init_is_the_finetune_file_pruned(workspace, tmp_path):
+    """Without `model_in`, `prune schedule=after` prunes the model `finetune`
+    saves for the same seed and spec: its file holds, params and mask bit for
+    bit, `apply_mask(compute_mask(finetune file, p))`."""
+    from sdcw import prune as prune_mod
+    root, data_dir, _, base = workspace
+    keys = base + f"out_dir={tmp_path}\nepochs=2\nsparsity=0.5\nschedule=after\n"
+    for sub in ("finetune", "prune"):
+        assert cli.run_cli([sub, _write_cfg(tmp_path / f"{sub}.cfg", keys)]) == 0, sub
+    dense = persist.load_model(tmp_path / "finetune_seed1.sdcw")[0]
+    mask = prune_mod.compute_mask(dense, 0.5)
+    prune_mod.apply_mask(dense, mask)
+    pruned, saved = persist.load_model(tmp_path / "pruned_p0.50_after_seed1.sdcw")
+    assert pruned.config == dense.config
+    assert list(pruned.params) == list(dense.params)
+    for name, p in dense.params.items():
+        assert p.data.tobytes() == pruned.param(name).data.tobytes(), name
+    assert list(saved.masks) == list(mask.masks)
+    for name, m in mask.masks.items():
+        assert m.dtype == saved.masks[name].dtype and m.tobytes() == saved.masks[name].tobytes(), name
+
+
 def test_output_lock_blocks_concurrent_runs(tmp_path):
     with cli.output_lock(tmp_path):
         with pytest.raises(Exception) as exc:
@@ -1146,6 +1181,31 @@ def test_distill_from_model_in_rejects_a_cell_its_student_does_not_match(
     assert not list(out.glob("*.json")) and not list(out.glob("*.sdcw"))
 
 
+def test_distill_from_model_in_rejects_a_student_of_another_vocabulary(workspace, tmp_path,
+                                                                        monkeypatch, capsys):
+    """A given student whose vocabulary is not the teacher's (here 19 tokens
+    and rows, against the teacher's larger vocabulary) fails before a step
+    is taken or a file written."""
+    root, data_dir, ft_dir, base = workspace
+    train = data.load_conll(data_dir / "train.conll")
+    vocab = data.build_vocab(data.corpus_token_lists(train[:1]), 20)
+    small = dataclasses.replace(model.desk_config(), vocab_size=vocab.size, num_layers=1,
+                                num_heads=2)
+    persist.save_model(model.init_model(small, 1), tmp_path / "small_seed1.sdcw")
+    vocab.save(tmp_path / "small_seed1.sdcw.vocab")
+    steps = []
+    monkeypatch.setattr(model.T, "adam_step", lambda *args: steps.append(args))
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path / "kd.cfg",
+                     base + f"out_dir={out}\nepochs=1\nmode=task_specific\n"
+                     f"teacher={ft_dir}/finetune_seed{{seed}}.sdcw\n"
+                     f"model_in={tmp_path}/small_seed{{seed}}.sdcw\nstudent_layers=1\nstudent_heads=2\n")
+    assert cli.run_cli(["distill", cfg]) == 1
+    assert "a vocabulary other than the teacher's" in capsys.readouterr().err
+    assert steps == []
+    assert not list(out.glob("*.json")) and not list(out.glob("*.sdcw"))
+
+
 def test_distill_cli_writes_the_students_distill_grid_trains(workspace, tmp_path):
     root, data_dir, ft_dir, base = workspace
     out = tmp_path / "kd-grid"
@@ -1246,9 +1306,9 @@ def test_cli_study_gives_the_logits_of_the_whole_token_table(workspace, untrimme
         _assert_cut_and_equal(tmp_path / name, whole[mode], cfg, vocab, batches)
 
 
-def test_prune_and_transfer_cut_a_whole_table_model_in(workspace, untrimmed, tmp_path):
+def test_prune_and_finetune_cut_a_whole_table_model_in(workspace, untrimmed, tmp_path):
     """A fine-tuned file that keeps every token row, given as `model_in` to
-    prune and to transfer: their files give the logits of the same steps on
+    prune and to finetune: their files give the logits of the same steps on
     the whole table."""
     root, data_dir, _, base = workspace
     cfg, vocab, batches, _, model_in = untrimmed
@@ -1258,26 +1318,28 @@ def test_prune_and_transfer_cut_a_whole_table_model_in(workspace, untrimmed, tmp
                                 cfg.outlier_threshold)
     keys = base + f"out_dir={tmp_path}\nepochs=2\nmodel_in={model_in}\n"
     for sub, more, mode, name in (
-            ("transfer", "", "fp32", "transfer_seed1.sdcw"),
+            ("finetune", "", "fp32", "finetune_seed1.sdcw"),
             ("prune", "sparsity=0.5\nschedule=after\n", "pruned", "pruned_p0.50_after_seed1.sdcw")):
         assert cli.run_cli([sub, _write_cfg(tmp_path / f"{sub}.cfg", keys + more)]) == 0, sub
         _assert_cut_and_equal(tmp_path / name, whole[mode][0], cfg, vocab, batches)
 
 
-@pytest.mark.parametrize("sub", ["finetune", "transfer", "prune"])
+@pytest.mark.parametrize("sub", ["finetune", "prune", "quantize", "eval", "bench", "distill"])
 def test_a_vocabulary_past_the_token_table_fails_before_training(workspace, tmp_path, monkeypatch,
                                                                  capsys, sub):
-    """A `model_in` without its vocabulary sidecar, whose token table is
-    shorter than the train split's vocabulary, fails naming both sizes
-    before a step is taken or a file written."""
+    """A `model_in` (distill: a `teacher`) without its vocabulary sidecar,
+    whose token table is shorter than the train split's vocabulary, fails
+    naming both sizes before a step is taken or a file written."""
     root, data_dir, _, base = workspace
     short = model.init_model(dataclasses.replace(model.desk_config(), vocab_size=20), 1)
     persist.save_model(short, tmp_path / "short_seed1.sdcw")
     steps = []
     monkeypatch.setattr(model.T, "adam_step", lambda *args: steps.append(args))
     out = tmp_path / "out"
-    cfg = _write_cfg(tmp_path / "s.cfg", base + f"out_dir={out}\nepochs=1\n"
-                     f"model_in={tmp_path}/short_seed{{seed}}.sdcw\n")
+    given = f"{tmp_path}/short_seed{{seed}}.sdcw"
+    keys = (f"teacher={given}\nmode=task_specific\nstudent_layers=1\nstudent_heads=2\n"
+            if sub == "distill" else f"model_in={given}\n")
+    cfg = _write_cfg(tmp_path / "s.cfg", base + f"out_dir={out}\nepochs=1\n" + keys)
     assert cli.run_cli([sub, cfg]) == 1
     train = data.load_conll(data_dir / "train.conll")
     size = data.build_vocab(data.corpus_token_lists(train), 2000).size
@@ -1293,7 +1355,7 @@ def test_every_ner_model_file_holds_one_token_row_per_vocabulary_entry(workspace
     files = [ft_dir / "finetune_seed1.sdcw", kd_student[0] / kd_student[1]["cells"][0]["model_path"]]
     for sub, keys, name in (
             ("prune", "sparsity=0.5\nschedule=after\n", "pruned_p0.50_after_seed1.sdcw"),
-            ("transfer", f"model_in={ft_dir}/finetune_seed{{seed}}.sdcw\n", "transfer_seed1.sdcw")):
+            ("finetune", f"model_in={ft_dir}/finetune_seed{{seed}}.sdcw\n", "finetune_seed1.sdcw")):
         out = tmp_path / sub
         cfg = _write_cfg(tmp_path / f"{sub}.cfg", base + f"out_dir={out}\nepochs=1\n" + keys)
         assert cli.run_cli([sub, cfg]) == 0, sub

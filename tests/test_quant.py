@@ -165,8 +165,9 @@ def test_quantizers_bitwise_equal_to_reference_expression(axis):
 
 
 def test_quantize_with_outliers_threshold_validation():
-    with pytest.raises(ParameterError):
-        quant.quantize_with_outliers(np.ones((2, 2), dtype=np.float32), 0.0)
+    for threshold in (0.0, float("nan")):
+        with pytest.raises(ParameterError, match="outlier threshold"):
+            quant.quantize_with_outliers(np.ones((2, 2), dtype=np.float32), threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +347,9 @@ def test_int8_bmm_validation():
         quant.int8_bmm(a, b[:, :7], 6.0)
     with pytest.raises(ShapeError):
         quant.int8_bmm(a[0], b[0], 6.0)
-    with pytest.raises(ParameterError):
-        quant.int8_bmm(a, b, 0.0)
+    for threshold in (0.0, float("nan")):
+        with pytest.raises(ParameterError, match="outlier threshold"):
+            quant.int8_bmm(a, b, threshold)
 
 
 def test_contraction_fp_of_a_reloaded_handle_matches_dequant():
